@@ -3,36 +3,31 @@
 Compares a freshly emitted report against the committed baseline of the
 same suite and fails when a guarded metric regresses by more than
 ``--factor`` (default 2×).  The guarded metrics are *ratios* (columnar
-speedup over the object path, parallel speedup over sequential, snapshot
-shrink factor), not absolute wall-clock: ratios are stable across machines
-of different speed, so the guard works on shared CI boxes where raw
-timings are meaningless.
+speedup over the object path, sharded speedup over sequential, cold
+restart over full rebuild), not absolute wall-clock: ratios are stable
+across machines of different speed, so the guard works on shared CI boxes
+where raw timings are meaningless.
 
 Supported suites (detected from the reports' ``benchmark`` field, which
 must match between baseline and current):
 
 ``columnar_store``
-    Guards ``speedup_vs_object`` and ``snapshot_shrink_factor`` per shared
-    planted-chain size.
+    Guards ``speedup_vs_object`` per shared planted-chain size.
 
 ``all_bands``
     Guards ``speedup_vs_object`` per band per shared size, and requires
     the in-run backend identity checks to have passed.
 
-``parallel_answers``
-    Guards ``speedup_vs_sequential`` per worker count — but only when the
-    current machine has at least 4 CPUs: parallel scaling ratios measured
-    on 1–2 core boxes are dominated by process startup, not by the code
-    under test.  The skip is recorded in the guard's output (and the
-    agreement / purify-fast-path checks still run).
-
 ``sharded_runtime``
-    Guards ``speedup_delta_vs_rebuild`` per worker count (worst case over
-    the suite's sizes), with the same recorded cpu-count skip as
-    ``parallel_answers``.  The in-run identity check (``all_agree``) and
-    the O(delta) shipping invariant (``all_deltas_below_snapshot``: no
-    single delta flush may outweigh a pickled full snapshot) are enforced
-    unconditionally — they are correctness properties, not timings.
+    Guards ``speedup_vs_sequential`` per worker count (worst case over the
+    suite's sizes) — but only when the current machine has at least 4
+    CPUs: sharded timings measured on 1–2 core boxes are dominated by
+    worker startup, not by the code under test.  The skip is recorded in
+    the guard's output.  The in-run identity check (``all_agree``) and the
+    O(delta) shipping invariant (``all_deltas_below_bootstrap``: no single
+    delta flush may outweigh the session's own bootstrap payload) are
+    enforced unconditionally — they are correctness properties, not
+    timings.
 
 ``service_load``
     Guards the concurrent-vs-sequential throughput ratio of the
@@ -98,7 +93,7 @@ def _check_ratio(label: str, baseline: float, current: float, factor: float) -> 
 
 
 def check_columnar_store(baseline: Dict, current: Dict, factor: float) -> int:
-    """Guard the columnar_store speedup and snapshot shrink per size."""
+    """Guard the columnar_store speedup per size."""
     if not current.get("all_agree", False):
         print("ERROR: current report records a backend disagreement", file=sys.stderr)
         return 1
@@ -110,22 +105,12 @@ def check_columnar_store(baseline: Dict, current: Dict, factor: float) -> int:
         return 1
     status = 0
     for size in shared:
-        base, cur = baseline_rows[size], current_rows[size]
         status |= _check_ratio(
             f"chains={size:5d}",
-            base.get("speedup_vs_object") or 0.0,
-            cur.get("speedup_vs_object") or 0.0,
+            baseline_rows[size].get("speedup_vs_object") or 0.0,
+            current_rows[size].get("speedup_vs_object") or 0.0,
             factor,
         )
-        base_shrink = base.get("snapshot_shrink_factor") or 0.0
-        cur_shrink = cur.get("snapshot_shrink_factor") or 0.0
-        if cur_shrink < base_shrink / factor:
-            print(
-                f"chains={size:5d} snapshot shrink REGRESSED: "
-                f"baseline={base_shrink:.2f}x current={cur_shrink:.2f}x",
-                file=sys.stderr,
-            )
-            status = 1
     return status
 
 
@@ -159,83 +144,42 @@ def check_all_bands(baseline: Dict, current: Dict, factor: float) -> int:
     return status
 
 
-def check_parallel_answers(baseline: Dict, current: Dict, factor: float) -> int:
-    """Guard parallel scaling per worker count; skip ratios on small boxes."""
-    if not current.get("all_agree", False):
-        print(
-            "ERROR: current report records a parallel/sequential disagreement",
-            file=sys.stderr,
-        )
-        return 1
-    fast_path = current.get("purify_fast_path", {})
-    if not fast_path.get("zero_copies", True):
-        print(
-            "ERROR: purify copied an already-purified database", file=sys.stderr
-        )
-        return 1
-    cpus = current.get("cpu_count") or 0
-    if cpus < MIN_CPUS_FOR_PARALLEL_CHECK:
-        # Recorded skip: ratios from a box this small measure process
-        # startup, not the sharded loop.  Agreement was still checked above.
-        print(
-            f"SKIPPED: parallel-scaling ratio checks skipped "
-            f"(cpu_count={cpus} < {MIN_CPUS_FOR_PARALLEL_CHECK}); "
-            f"agreement and purify fast-path checks passed"
-        )
-        return 0
-    baseline_rows = {row["workers"]: row for row in baseline.get("results", ())}
-    current_rows = {row["workers"]: row for row in current.get("results", ())}
-    shared = sorted(set(baseline_rows) & set(current_rows))
-    if not shared:
-        print("ERROR: the reports share no worker counts", file=sys.stderr)
-        return 1
-    status = 0
-    for workers in shared:
-        status |= _check_ratio(
-            f"workers={workers}",
-            baseline_rows[workers].get("speedup_vs_sequential") or 0.0,
-            current_rows[workers].get("speedup_vs_sequential") or 0.0,
-            factor,
-        )
-    return status
-
-
 def _worst_sharded_speedups(report: Dict) -> Dict[int, float]:
-    """Per worker count, the minimum delta-vs-rebuild speedup over sizes."""
+    """Per worker count, the minimum sharded-vs-sequential speedup over sizes."""
     worst: Dict[int, float] = {}
     for row in report.get("results", ()):
         for worker_row in row.get("workers", ()):
             workers = worker_row["workers"]
-            speedup = worker_row.get("speedup_delta_vs_rebuild") or 0.0
+            speedup = worker_row.get("speedup_vs_sequential") or 0.0
             worst[workers] = min(worst.get(workers, speedup), speedup)
     return worst
 
 
 def check_sharded_runtime(baseline: Dict, current: Dict, factor: float) -> int:
-    """Guard delta-shipping vs snapshot-rebuild; skip ratios on small boxes."""
+    """Guard sharded vs sequential serving; skip ratios on small boxes."""
     if not current.get("all_agree", False):
         print(
             "ERROR: current report records a sharded/sequential disagreement",
             file=sys.stderr,
         )
         return 1
-    if not current.get("all_deltas_below_snapshot", False):
+    if not current.get("all_deltas_below_bootstrap", False):
         print(
-            "ERROR: a delta flush outweighed a full snapshot "
+            "ERROR: a delta flush outweighed the bootstrap payload "
             "(delta shipping is not O(delta))",
             file=sys.stderr,
         )
         return 1
     cpus = current.get("cpu_count") or 0
     if cpus < MIN_CPUS_FOR_PARALLEL_CHECK:
-        # Recorded skip, mirroring parallel_answers: the delta-vs-rebuild
-        # ratio is dominated by pool respawn cost, which a contended 1–2
-        # core CI box measures too noisily to guard on.  Agreement and the
-        # O(delta) invariant were still enforced above.
+        # Recorded skip: the sharded-vs-sequential ratio is dominated by
+        # worker spawn cost, which a contended 1–2 core CI box measures too
+        # noisily to guard on.  Agreement and the O(delta) invariant were
+        # still enforced above.
         print(
-            f"SKIPPED: delta-vs-rebuild ratio checks skipped "
+            f"SKIPPED: sharded-vs-sequential ratio checks skipped "
             f"(cpu_count={cpus} < {MIN_CPUS_FOR_PARALLEL_CHECK}); "
-            f"agreement and delta-below-snapshot checks passed"
+            f"agreement and delta-below-bootstrap checks passed"
         )
         return 0
     baseline_worst = _worst_sharded_speedups(baseline)
@@ -387,7 +331,6 @@ def check_fault_recovery(baseline: Dict, current: Dict, factor: float) -> int:
 _CHECKERS = {
     "columnar_store": check_columnar_store,
     "all_bands": check_all_bands,
-    "parallel_answers": check_parallel_answers,
     "sharded_runtime": check_sharded_runtime,
     "service_load": check_service_load,
     "durability": check_durability,

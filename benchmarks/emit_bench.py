@@ -1,6 +1,6 @@
 """Emit benchmark JSON reports recording the engine's performance trajectory.
 
-Nine suites:
+Eight suites:
 
 ``fo_rewriting`` (default) → ``BENCH_fo_rewriting.json``
     Times the certain first-order rewriting of Theorem 1 under the two
@@ -13,15 +13,6 @@ Nine suites:
     naive evaluator must exhaust the ``|adom|^k`` quantifier space before
     concluding — exactly the exponential behaviour the compiled plans
     eliminate.
-
-``parallel_answers`` → ``BENCH_parallel_answers.json``
-    Times the batched sequential ``certain_answers`` against the sharded
-    :class:`repro.engine.ParallelCertaintySession` at 1/2/4 workers on a
-    large FO-band open-query workload, cross-checks that every strategy
-    returns the identical answer set, and records the purify fast path
-    (zero database copies on already-purified inputs).  Speedup scales
-    with physical cores; ``cpu_count`` is recorded alongside so numbers
-    from single-core CI boxes are read in context.
 
 ``incremental_views`` → ``BENCH_incremental_views.json``
     Times a :class:`repro.incremental.ViewManager`-maintained certain-answer
@@ -38,9 +29,8 @@ Nine suites:
     (integer-row kernels, compiled candidate enumeration, set-at-a-time
     batched deciding) against the object-level reference backend on the
     same scaling workload, asserting in-run that the two backends return
-    identical answer sets at every size.  Also records the pickled size of
-    the columnar worker snapshot versus the fact object graph, the store's
-    per-component memory footprint, and the process-wide intern-table
+    identical answer sets at every size.  Also records the store's
+    per-component memory footprint and the process-wide intern-table
     statistics.  ``benchmarks/check_bench_regression.py`` guards CI against
     the recorded speedups regressing more than 2× versus the committed
     baseline.
@@ -49,18 +39,17 @@ Nine suites:
     Times the delta-shipped shard runtime
     (:class:`repro.engine.ShardedCertaintySession`: long-lived block-hash
     -sharded workers receiving O(delta) mutation payloads) against the
-    full-snapshot-rebuild baseline (:class:`ParallelCertaintySession`,
-    whose pool rebuilds and re-ships the whole columnar snapshot after any
-    mutation) at 1/2/4 workers on a mixed read/write stream — bursty,
-    Zipf-skewed mutation batches interleaved with ``certain_answers``
-    reads.  The identical pre-recorded stream replays under every
-    strategy; after every step the answers are checked against a
-    sequential replay, and the run asserts that the largest single delta
-    flush stays below one pickled snapshot (bytes shipped scale with the
-    delta, not the database).  The headline ratio compares the two
-    strategies at the *same* worker count, so it measures serialization
-    and pool-respawn cost, not parallelism, and is meaningful on any core
-    count (``cpu_count`` is recorded alongside).
+    sequential :class:`repro.engine.CertaintySession` at 1/2/4 workers on
+    a mixed read/write stream — bursty, Zipf-skewed mutation batches
+    interleaved with ``certain_answers`` reads.  The identical
+    pre-recorded stream replays under both; after every step the sharded
+    answers are checked against the sequential replay, and the run
+    asserts that the largest single delta flush stays below the session's
+    own bootstrap payload, which ships the whole database in the same
+    wire format (bytes shipped scale with the delta, not the database).
+    The sharded timing includes worker spawn and bootstrap;
+    ``speedup_vs_sequential`` below 1 means the shards lose to the
+    sequential session (``cpu_count`` is recorded alongside).
 
 ``all_bands`` → ``BENCH_all_bands.json``
     Times the columnar id kernels against the object reference path on one
@@ -119,7 +108,7 @@ Run with::
 
     PYTHONPATH=src python benchmarks/emit_bench.py            # full sizes
     PYTHONPATH=src python benchmarks/emit_bench.py --smoke    # CI-sized
-    PYTHONPATH=src python benchmarks/emit_bench.py --suite parallel_answers
+    PYTHONPATH=src python benchmarks/emit_bench.py --suite sharded_runtime
     PYTHONPATH=src python benchmarks/emit_bench.py --suite incremental_views
 """
 
@@ -129,7 +118,6 @@ import argparse
 import json
 import os
 import pathlib
-import pickle
 import random
 import statistics
 import sys
@@ -140,20 +128,14 @@ from typing import Dict, List, Optional, Sequence
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from repro.certainty import is_purified, purify, purify_copy_count, reset_purify_copy_count
 from repro.durability import DurableStore
-from repro.engine import (
-    CertaintySession,
-    ParallelCertaintySession,
-    ShardedCertaintySession,
-)
+from repro.engine import CertaintySession, ShardedCertaintySession
 from repro.faults import FaultPlan, FaultSpec, inject
 from repro.fo import certain_rewriting_cached, compile_formula, evaluate_sentence
 from repro.model.database import UncertainDatabase
 from repro.model.symbols import Variable
 from repro.query import parse_query
 from repro.query.conjunctive import ConjunctiveQuery
-from repro.query.evaluation import answer_tuples
 from repro.query.families import figure2_q1, figure4_query, path_query
 from repro.service import INLINE, CertaintyService
 from repro.store import global_intern_table
@@ -248,15 +230,6 @@ def run_benchmark(sizes: Sequence[int], repeats: int = 3, seed: int = 5) -> Dict
     }
 
 
-#: Planted-chain counts for the parallel_answers suite (the actual candidate
-#: count is higher: cross-links between chains create extra matches).
-PARALLEL_FULL_CANDIDATES = 1024
-PARALLEL_SMOKE_CANDIDATES = 48
-
-#: Worker counts compared against the sequential baseline.
-PARALLEL_WORKER_COUNTS = (1, 2, 4)
-
-
 def parallel_bench_query() -> ConjunctiveQuery:
     """The FO-band open query: ``path_query(3)`` with its head variable free."""
     base = path_query(3)
@@ -270,8 +243,7 @@ def parallel_bench_instance(
 
     Each candidate ``x1 = s{i}`` roots one witness chain; every chain link
     gets extra key-conflicting facts so the certain rewriting must reason
-    over multi-fact blocks for every candidate — the per-candidate work the
-    sharded loop distributes.
+    over multi-fact blocks for every candidate.
     """
     rng = random.Random(seed)
     relations = [atom.relation for atom in query.atoms]
@@ -286,8 +258,8 @@ def parallel_bench_instance(
                 # Live targets (other chains' nodes) keep the rewriting's
                 # universal quantifier chasing real continuations; dead
                 # targets give the falsifier a pick with no continuation, so
-                # a fair share of candidates decide NOT-certain and the
-                # sequential-vs-parallel cross-check covers both branches.
+                # a fair share of candidates decide NOT-certain and every
+                # cross-check covers both branches.
                 for conflict in range(3):
                     if conflict == 0 and level < len(relations) - 1:
                         # No fact ever continues from a dead node, so a
@@ -309,79 +281,11 @@ def parallel_bench_instance(
     return db
 
 
-def run_parallel_benchmark(
-    candidates: int, repeats: int = 3, seed: int = 13
-) -> Dict:
-    """Sequential vs parallel certain answers at 1/2/4 workers, cross-checked."""
-    query = parallel_bench_query()
-    db = parallel_bench_instance(query, candidates, seed=seed)
-
-    with CertaintySession(db) as session:
-        candidate_count = len(answer_tuples(query, session.index))
-        sequential_answers = session.certain_answers(query)
-        sequential_seconds = _best_of(
-            repeats, lambda: session.certain_answers(query)
-        )
-
-    results: List[Dict] = []
-    all_agree = True
-    for workers in PARALLEL_WORKER_COUNTS:
-        with ParallelCertaintySession(
-            db, max_workers=workers, mode="process", min_parallel_candidates=1
-        ) as parallel_session:
-            parallel_answers = parallel_session.certain_answers(query)
-            agree = parallel_answers == sequential_answers
-            all_agree = all_agree and agree
-            parallel_seconds = _best_of(
-                repeats, lambda: parallel_session.certain_answers(query)
-            )
-        results.append(
-            {
-                "workers": workers,
-                "parallel_seconds": parallel_seconds,
-                "speedup_vs_sequential": (
-                    sequential_seconds / parallel_seconds if parallel_seconds else None
-                ),
-                "answers": len(parallel_answers),
-                "agree": agree,
-            }
-        )
-
-    # The purify fast path: re-purifying an already-purified database must
-    # copy nothing (the polynomial solvers funnel through purify per call).
-    purified = purify(db, query.as_boolean())
-    assert is_purified(purified, query.as_boolean())
-    reset_purify_copy_count()
-    for _ in range(100):
-        purify(purified, query.as_boolean())
-    zero_copy_purifies = purify_copy_count()
-
-    return {
-        "benchmark": "parallel_answers",
-        "query": str(query),
-        "cpu_count": os.cpu_count(),
-        "facts": len(db),
-        "planted_chains": candidates,
-        "candidate_answers": candidate_count,
-        "certain_answers": len(sequential_answers),
-        "repeats": repeats,
-        "sequential_seconds": sequential_seconds,
-        "results": results,
-        "all_agree": all_agree,
-        "purify_fast_path": {
-            "repurify_runs": 100,
-            "copies": zero_copy_purifies,
-            "zero_copies": zero_copy_purifies == 0,
-        },
-    }
-
-
 #: Planted same-key pairs for the sharded_runtime suite (candidate volume).
 SHARDED_FULL_SIZES = (64, 256)
 SHARDED_SMOKE_SIZES = (16, 48)
 
-#: Shard/worker counts; both strategies run at the *same* count, so the
-#: headline ratio isolates snapshot-vs-delta cost rather than parallelism.
+#: Shard/worker counts, each compared against the sequential session.
 SHARDED_WORKER_COUNTS = (1, 2, 4)
 
 #: Mutation batches interleaved with reads in the replayed stream.
@@ -467,18 +371,18 @@ def _replay_stream(db0, batches, query, make_session):
 def run_sharded_benchmark(
     sizes: Sequence[int], steps: int, repeats: int = 3, seed: int = 29
 ) -> Dict:
-    """Delta-shipped shards vs full-snapshot rebuild on a mutation stream.
+    """Delta-shipped shards vs the sequential session on a mutation stream.
 
-    Per size the same pre-recorded batches replay under three strategies:
-    a sequential :class:`CertaintySession` (the per-step ground truth), a
-    full-snapshot-rebuild :class:`ParallelCertaintySession`, and the
-    delta-shipped :class:`ShardedCertaintySession` — the latter two at each
-    worker count, answers checked step-by-step against the sequential run.
+    Per size the same pre-recorded batches replay under a sequential
+    :class:`CertaintySession` (the per-step ground truth and the timing
+    baseline) and under the delta-shipped :class:`ShardedCertaintySession`
+    at each worker count, answers checked step-by-step against the
+    sequential run.
     """
     query = sharded_bench_query()
     results: List[Dict] = []
     all_agree = True
-    all_deltas_below_snapshot = True
+    all_deltas_below_bootstrap = True
     for size in sizes:
         db0 = sharded_bench_instance(query, size, seed=seed)
         batches = _record_stream(query, db0, steps, seed=seed + 7)
@@ -495,76 +399,38 @@ def run_sharded_benchmark(
 
         worker_rows: List[Dict] = []
         for workers in SHARDED_WORKER_COUNTS:
-            rebuild_seconds = float("inf")
-            rebuild_session = None
-            rebuild_agree = True
+            sharded_seconds = float("inf")
+            sharded_session = None
+            agree = True
             for _ in range(repeats):
                 seconds, per_step, session = _replay_stream(
                     db0,
                     batches,
                     query,
-                    lambda db: ParallelCertaintySession(
-                        db,
-                        max_workers=workers,
-                        mode="process",
-                        min_parallel_candidates=1,
-                        track_bytes=True,
+                    lambda db: ShardedCertaintySession(
+                        db, n_shards=workers, min_shard_candidates=1
                     ),
                 )
-                rebuild_agree = rebuild_agree and per_step == expected
-                if seconds < rebuild_seconds:
-                    rebuild_seconds, rebuild_session = seconds, session
-
-            sharded_seconds = float("inf")
-            sharded_session = None
-            sharded_agree = True
-            snapshot_pickle_bytes = 0
-            for _ in range(repeats):
-                db = db0.copy()
-                session = ShardedCertaintySession(
-                    db, n_shards=workers, min_shard_candidates=1
-                )
-                try:
-                    start = time.perf_counter()
-                    per_step = [session.certain_answers(query)]
-                    for batch in batches:
-                        apply_batch(db, batch)
-                        per_step.append(session.certain_answers(query))
-                    seconds = time.perf_counter() - start
-                    # Size of one full snapshot of the *final* store: the
-                    # payload a rebuild strategy would ship per worker after
-                    # the last mutation.  Every delta flush must undercut it.
-                    snapshot_pickle_bytes = len(
-                        pickle.dumps(
-                            session.store.snapshot(), pickle.HIGHEST_PROTOCOL
-                        )
-                    )
-                finally:
-                    session.close()
-                sharded_agree = sharded_agree and per_step == expected
+                agree = agree and per_step == expected
                 if seconds < sharded_seconds:
                     sharded_seconds, sharded_session = seconds, session
 
             stats = sharded_session.stats
-            delta_below_snapshot = (
-                stats.max_flush_bytes < snapshot_pickle_bytes
+            # The bootstrap ships the whole database in the wire format the
+            # deltas use, so every delta flush must undercut it.
+            delta_below_bootstrap = (
+                stats.max_flush_bytes < stats.bootstrap_bytes_shipped
             )
-            agree = rebuild_agree and sharded_agree
             all_agree = all_agree and agree
-            all_deltas_below_snapshot = (
-                all_deltas_below_snapshot and delta_below_snapshot
+            all_deltas_below_bootstrap = (
+                all_deltas_below_bootstrap and delta_below_bootstrap
             )
             worker_rows.append(
                 {
                     "workers": workers,
-                    "rebuild_seconds": rebuild_seconds,
-                    "rebuilds": rebuild_session.stats.rebuilds,
-                    "snapshot_bytes_shipped": (
-                        rebuild_session.stats.snapshot_bytes_shipped
-                    ),
                     "sharded_seconds": sharded_seconds,
-                    "speedup_delta_vs_rebuild": (
-                        rebuild_seconds / sharded_seconds
+                    "speedup_vs_sequential": (
+                        sequential_seconds / sharded_seconds
                         if sharded_seconds
                         else None
                     ),
@@ -573,8 +439,7 @@ def run_sharded_benchmark(
                     "delta_facts_shipped": stats.delta_facts_shipped,
                     "max_flush_bytes": stats.max_flush_bytes,
                     "bootstrap_bytes_shipped": stats.bootstrap_bytes_shipped,
-                    "snapshot_pickle_bytes": snapshot_pickle_bytes,
-                    "delta_below_snapshot": delta_below_snapshot,
+                    "delta_below_bootstrap": delta_below_bootstrap,
                     "shard_decides": stats.shard_decides,
                     "parent_decides": stats.parent_decides,
                     "cross_shard_fallbacks": stats.cross_shard_fallbacks,
@@ -600,7 +465,7 @@ def run_sharded_benchmark(
         "repeats": repeats,
         "results": results,
         "all_agree": all_agree,
-        "all_deltas_below_snapshot": all_deltas_below_snapshot,
+        "all_deltas_below_bootstrap": all_deltas_below_bootstrap,
     }
 
 
@@ -744,12 +609,6 @@ def run_columnar_benchmark(
                 columnar_seconds = _best_of(
                     repeats, lambda: columnar_session.certain_answers(query)
                 )
-                # Worker-snapshot wire sizes: integer columns + raw values
-                # versus the pickled fact object graph.
-                snapshot_bytes = len(
-                    pickle.dumps(columnar_session.store.snapshot())
-                )
-                fact_graph_bytes = len(pickle.dumps(db.facts))
                 store_stats = columnar_session.store.memory_stats()
         results.append(
             {
@@ -762,11 +621,6 @@ def run_columnar_benchmark(
                 "columnar_seconds": columnar_seconds,
                 "speedup_vs_object": (
                     object_seconds / columnar_seconds if columnar_seconds else None
-                ),
-                "snapshot_pickle_bytes": snapshot_bytes,
-                "fact_graph_pickle_bytes": fact_graph_bytes,
-                "snapshot_shrink_factor": (
-                    fact_graph_bytes / snapshot_bytes if snapshot_bytes else None
                 ),
                 "store_memory": store_stats,
             }
@@ -1034,9 +888,7 @@ def _emit_columnar_store(args: argparse.Namespace, output: pathlib.Path) -> int:
             f"candidates={row['candidate_answers']:5d} "
             f"object={row['object_seconds']:.4f}s "
             f"columnar={row['columnar_seconds']:.4f}s "
-            f"speedup={row['speedup_vs_object']:.1f}x "
-            f"snapshot={row['snapshot_pickle_bytes']}B "
-            f"({row['snapshot_shrink_factor']:.1f}x smaller)"
+            f"speedup={row['speedup_vs_object']:.1f}x"
         )
     intern = report["intern_table"]
     print(
@@ -1100,38 +952,6 @@ def _emit_fo_rewriting(args: argparse.Namespace, output: pathlib.Path) -> int:
     return 0
 
 
-def _emit_parallel_answers(args: argparse.Namespace, output: pathlib.Path) -> int:
-    if args.sizes:
-        candidates = args.sizes[0]  # chain count for this suite
-    else:
-        candidates = PARALLEL_SMOKE_CANDIDATES if args.smoke else PARALLEL_FULL_CANDIDATES
-    report = run_parallel_benchmark(candidates, repeats=1 if args.smoke else 3)
-    output.write_text(json.dumps(report, indent=2) + "\n")
-    print(
-        f"sequential: {report['sequential_seconds']:.4f}s over "
-        f"{report['candidate_answers']} candidates ({report['facts']} facts, "
-        f"{report['cpu_count']} cpus)"
-    )
-    for row in report["results"]:
-        print(
-            f"workers={row['workers']} parallel={row['parallel_seconds']:.4f}s "
-            f"speedup={row['speedup_vs_sequential']:.2f}x agree={row['agree']}"
-        )
-    fast_path = report["purify_fast_path"]
-    print(
-        f"purify fast path: {fast_path['copies']} copies over "
-        f"{fast_path['repurify_runs']} re-purifications"
-    )
-    print(f"wrote {output}")
-    if not report["all_agree"]:
-        print("ERROR: parallel and sequential answers disagree", file=sys.stderr)
-        return 1
-    if not fast_path["zero_copies"]:
-        print("ERROR: purify copied an already-purified database", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _emit_sharded_runtime(args: argparse.Namespace, output: pathlib.Path) -> int:
     if args.sizes:
         sizes: Sequence[int] = args.sizes
@@ -1150,10 +970,10 @@ def _emit_sharded_runtime(args: argparse.Namespace, output: pathlib.Path) -> int
         for worker_row in row["workers"]:
             print(
                 f"  workers={worker_row['workers']} "
-                f"rebuild={worker_row['rebuild_seconds']:.4f}s "
                 f"sharded={worker_row['sharded_seconds']:.4f}s "
-                f"speedup={worker_row['speedup_delta_vs_rebuild']:.2f}x "
-                f"snapshot_shipped={worker_row['snapshot_bytes_shipped']}B "
+                f"speedup_vs_sequential="
+                f"{worker_row['speedup_vs_sequential']:.2f}x "
+                f"bootstrap_shipped={worker_row['bootstrap_bytes_shipped']}B "
                 f"delta_shipped={worker_row['delta_bytes_shipped']}B "
                 f"max_flush={worker_row['max_flush_bytes']}B "
                 f"agree={worker_row['agree']}"
@@ -1161,13 +981,13 @@ def _emit_sharded_runtime(args: argparse.Namespace, output: pathlib.Path) -> int
     print(f"wrote {output}")
     if not report["all_agree"]:
         print(
-            "ERROR: sharded/rebuild answers disagree with sequential replay",
+            "ERROR: sharded answers disagree with the sequential replay",
             file=sys.stderr,
         )
         return 1
-    if not report["all_deltas_below_snapshot"]:
+    if not report["all_deltas_below_bootstrap"]:
         print(
-            "ERROR: a delta flush outweighed a full snapshot "
+            "ERROR: a delta flush outweighed the bootstrap payload "
             "(delta shipping is not O(delta))",
             file=sys.stderr,
         )
@@ -1854,7 +1674,6 @@ def _emit_fault_recovery(args: argparse.Namespace, output: pathlib.Path) -> int:
 
 _DEFAULT_OUTPUTS = {
     "fo_rewriting": "BENCH_fo_rewriting.json",
-    "parallel_answers": "BENCH_parallel_answers.json",
     "sharded_runtime": "BENCH_sharded_runtime.json",
     "incremental_views": "BENCH_incremental_views.json",
     "columnar_store": "BENCH_columnar_store.json",
@@ -1871,7 +1690,6 @@ def main(argv: Sequence[str] = ()) -> int:
         "--suite",
         choices=(
             "fo_rewriting",
-            "parallel_answers",
             "sharded_runtime",
             "incremental_views",
             "columnar_store",
@@ -1892,7 +1710,7 @@ def main(argv: Sequence[str] = ()) -> int:
         nargs="*",
         default=None,
         help="explicit scaling sizes (fo_rewriting: domain sizes; "
-        "parallel_answers: the first value is the planted-chain count)",
+        "sharded_runtime: planted same-key pairs)",
     )
     parser.add_argument(
         "--output",
@@ -1906,8 +1724,6 @@ def main(argv: Sequence[str] = ()) -> int:
         output = (
             pathlib.Path(__file__).resolve().parents[1] / _DEFAULT_OUTPUTS[args.suite]
         )
-    if args.suite == "parallel_answers":
-        return _emit_parallel_answers(args, output)
     if args.suite == "sharded_runtime":
         return _emit_sharded_runtime(args, output)
     if args.suite == "incremental_views":

@@ -10,7 +10,6 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from repro import (
     CertaintySession,
-    ParallelCertaintySession,
     ShardedCertaintySession,
     UncertainDatabase,
     ViewManager,
@@ -88,22 +87,7 @@ def main() -> None:
         print("certain FO rewriting:", formula)
         print("db |= rewriting:", session.evaluate_formula(formula))
 
-    # 6. Scaling out: the candidate groundings of certain_answers are
-    #    independent CERTAINTY instances, so a ParallelCertaintySession
-    #    shards them across a process pool.  Each worker receives one
-    #    immutable snapshot of the database (facts are immutable, so the
-    #    snapshot is exact) and decides its chunk with the ordinary
-    #    sequential machinery — the answer set is guaranteed identical.
-    #    Small inputs skip the pool automatically; mutations between calls
-    #    are detected and trigger a fresh snapshot.
-    with ParallelCertaintySession(db, max_workers=4) as parallel_session:
-        parallel_answers = parallel_session.certain_answers(open_query)
-        names = sorted(value.value for (value,) in parallel_answers)
-        print("\nparallel certain answers (4 workers):", names)
-        print("identical to the sequential set:", parallel_answers == answers)
-        # One-shot equivalent: certain_answers_parallel(db, open_query).
-
-    # 7. Keeping certain answers fresh: under mutation-heavy traffic,
+    # 6. Keeping certain answers fresh: under mutation-heavy traffic,
     #    recomputing certain_answers per write wastes almost all of its
     #    work.  A ViewManager materializes the answer set once, records
     #    which *blocks* each candidate's compiled rewriting actually read
@@ -126,7 +110,7 @@ def main() -> None:
         print("matches a cold recompute:",
               view.answers == frozenset(certain_answers(db, open_query)))
 
-    # 8. The columnar store: under the hood, every session above ran on the
+    # 7. The columnar store: under the hood, every session above ran on the
     #    interned columnar backend.  Constants are interned once into dense
     #    integer ids (a process-wide append-only table), each relation is
     #    stored as integer columns with per-block id slices, and every hot
@@ -134,23 +118,20 @@ def main() -> None:
     #    enumeration, purify sweeps, batched deciding — runs on tuples of
     #    small ints instead of Constant objects (5-10x on batched
     #    certain_answers; see BENCH_columnar_store.json).  Read sets shrink
-    #    to dense block ids, and parallel workers receive flat id arrays
-    #    plus raw values instead of pickled fact graphs.  The object-level
-    #    path remains the differential reference: pass backend="object" to
+    #    to dense block ids.  The object-level path remains the
+    #    differential reference: pass backend="object" to
     #    CertaintySession/ViewManager to run on plain fact dictionaries —
     #    answers are guaranteed identical.
     with CertaintySession(db) as session:              # backend="columnar"
         store = session.store
         print("\ncolumnar store:", store)
         print("store memory:", store.memory_stats())
-        snapshot = store.snapshot()
-        print("worker snapshot:", snapshot)
         with CertaintySession(db, backend="object") as reference:
             print("backends agree:",
                   session.certain_answers(open_query)
                   == reference.certain_answers(open_query))
 
-    # 9. Every band on the id kernels: the columnar backend is not limited
+    # 8. Every band on the id kernels: the columnar backend is not limited
     #    to the FO band.  The Theorem 3 terminal-cycle recursion, the
     #    Theorem 4 cycle-query solver and the coNP brute-force repair
     #    search all dispatch to id-space twins when the session index is
@@ -185,18 +166,18 @@ def main() -> None:
             ptime_db.add(ptime_query.atoms[0].relation.fact("w1", "w2"))
         print("full-refresh causes:", manager.full_refresh_causes())
 
-    # 10. Sharding the engine.  A ShardedCertaintySession partitions the
-    #     database by hash of block key across long-lived worker processes,
-    #     each holding a persistent shard replica.  Mutations never respawn
-    #     the pool: observer hooks accumulate per-shard deltas (newly
-    #     interned constants plus integer row ids), flushed on the next
-    #     dispatch — O(changed facts), not O(database).  A candidate is
-    #     decided on the shard owning its blocks; workers re-validate by
-    #     checking the recorded read set stayed shard-local, and any
-    #     candidate whose support spans shards (here: Emp blocks key on
-    #     name, Dept blocks on dept, so they rarely co-locate) falls back
-    #     to a parent-side decide — visible in stats.cross_shard_fallbacks.
-    #     Answers are always identical to the sequential session's.
+    # 9. Sharding the engine.  A ShardedCertaintySession partitions the
+    #    database by hash of block key across long-lived worker processes,
+    #    each holding a persistent shard replica.  Mutations never respawn
+    #    the pool: observer hooks accumulate per-shard deltas (newly
+    #    interned constants plus integer row ids), flushed on the next
+    #    dispatch — O(changed facts), not O(database).  A candidate is
+    #    decided on the shard owning its blocks; workers re-validate by
+    #    checking the recorded read set stayed shard-local, and any
+    #    candidate whose support spans shards (here: Emp blocks key on
+    #    name, Dept blocks on dept, so they rarely co-locate) falls back
+    #    to a parent-side decide — visible in stats.cross_shard_fallbacks.
+    #    Answers are always identical to the sequential session's.
     with ShardedCertaintySession(db, n_shards=2, min_shard_candidates=1) as sharded:
         print("\nsharded answers:", sorted(t[0].value for t in sharded.certain_answers(open_query)))
         db.add(schema["Emp"].fact("kay", "os"))        # delta, not a rebuild
@@ -206,7 +187,7 @@ def main() -> None:
               f"delta bytes: {stats.delta_bytes_shipped}, "
               f"cross-shard fallbacks: {stats.cross_shard_fallbacks}")
 
-    # 11. Serving certain answers.  A CertaintyService hosts isolated
+    # 10. Serving certain answers.  A CertaintyService hosts isolated
     #     tenants — each gets a private InternTable (its own constant id
     #     space; tenants can never observe each other's ids), database,
     #     session, and bounded-staleness views — behind band-aware
@@ -250,7 +231,7 @@ def main() -> None:
         print("service totals:", {k: totals[k] for k in
               ("tenants", "facts", "intern_bytes", "inline_served", "queued")})
 
-    # 12. Surviving restarts.  A DurableStore attached to a database
+    # 11. Surviving restarts.  A DurableStore attached to a database
     #     observes every committed mutation: checkpoint() writes a
     #     checksummed columnar segment snapshot (raw intern values + the
     #     array('q') id columns), and each commit thereafter appends an
@@ -287,20 +268,20 @@ def main() -> None:
               == certain_answers(durable_db, open_query))
         recovered.close()
 
-    # 13. Surviving failures.  The same stack stays correct while its
+    # 12. Surviving failures.  The same stack stays correct while its
     #     components die mid-request.  repro.faults injects deterministic
     #     faults at the real failure points — worker kills and stalls,
     #     dropped dispatch pipes, torn WAL writes, fsync errors — and the
     #     runtime is built to contain them: the shard supervisor serves
     #     the affected candidates inline, restarts the dead worker with a
     #     fresh bootstrap (backoff-gated), and if a shard keeps dying
-    #     degrades sharded -> parallel -> serial, probing its way back up
-    #     once the faults clear.  Two deadlines bound every dispatch: the
-    #     worker's dispatch window (missing it kills the worker) and the
-    #     caller's end-to-end request budget (blowing it raises
-    #     DeadlineExceeded but leaves healthy workers alive — their late
-    #     replies are fenced by per-command sequence ids, never paired
-    #     with a later request).  The service's per-tenant circuit breaker
+    #     degrades sharded -> serial, serving every candidate on the
+    #     parent and probing its way back up once the faults clear.  Two
+    #     deadlines bound every dispatch: the worker's dispatch window
+    #     (missing it kills the worker) and the caller's end-to-end
+    #     request budget (blowing it raises DeadlineExceeded but leaves
+    #     healthy workers alive — their late replies are fenced by
+    #     per-command sequence ids, never paired with a later request).  The service's per-tenant circuit breaker
     #     sheds queued-band load (CircuitOpen) while FO-band requests stay
     #     inline.  Answers under any fault schedule equal a fault-free
     #     recompute — failures cost latency, never correctness.

@@ -113,11 +113,9 @@ from .engine import (
     CacheStats,
     CertaintySession,
     DeadlineExceeded,
-    ParallelCertaintySession,
     PlanCache,
     QueryPlan,
     ShardedCertaintySession,
-    certain_answers_parallel,
     certain_answers_sharded,
     compile_plan,
     default_plan_cache,
@@ -157,7 +155,6 @@ from .service import (
 from .store import (
     ColumnarFactIndex,
     ColumnarFactStore,
-    ColumnarSnapshot,
     InternTable,
     global_intern_table,
 )
@@ -196,7 +193,6 @@ __all__ = [
     "Classification",
     "ColumnarFactIndex",
     "ColumnarFactStore",
-    "ColumnarSnapshot",
     "ComplexityBand",
     "ConjunctiveQuery",
     "Constant",
@@ -213,7 +209,6 @@ __all__ = [
     "IntractableQueryError",
     "JoinTree",
     "MaterializedCertainView",
-    "ParallelCertaintySession",
     "PlanCache",
     "QueryPlan",
     "RelationSchema",
@@ -231,7 +226,6 @@ __all__ = [
     "__version__",
     "build_join_tree",
     "certain_answers",
-    "certain_answers_parallel",
     "certain_answers_sharded",
     "certain_brute_force",
     "certain_cycle_query",

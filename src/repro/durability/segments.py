@@ -2,8 +2,7 @@
 
 A *segment* is one immutable file holding the full committed state of a
 :class:`~repro.store.columnar.ColumnarFactStore` plus the intern-table
-values its ids decode through — the durable twin of the in-memory
-:class:`~repro.store.columnar.ColumnarSnapshot` wire format.  Layout::
+values its ids decode through.  Layout::
 
     [header]  magic  format  epoch  mutation_version  meta_len  body_crc
     [body]    meta blob  ·  per relation, per position: [u64 n][n × int64]
@@ -20,11 +19,9 @@ per column, reading one ``frombytes`` — a memcpy, not a parse.
 
 Segments are written to a temporary name and atomically renamed into
 place, so a crash mid-checkpoint never damages the previous segment.
-Like :class:`~repro.store.columnar.ColumnarSnapshot`, only raw values and
-ids are stored — never object hashes — so segments are safe across
-``PYTHONHASHSEED`` boundaries.  Byte order is the writer's native one
-(durability is a single-machine concern; cross-machine shipping goes
-through the pickled snapshot wire format instead).
+Only raw values and ids are stored — never object hashes — so segments
+are safe across ``PYTHONHASHSEED`` boundaries.  Byte order is the
+writer's native one (durability is a single-machine concern).
 """
 
 from __future__ import annotations

@@ -17,29 +17,23 @@ of database engines:
 The module-level one-shot APIs (``repro.solve``, ``repro.is_certain``,
 ``repro.certain_answers``) keep their signatures and delegate here.
 
-For many-candidate open queries, :class:`ParallelCertaintySession` (and the
-one-shot :func:`certain_answers_parallel`) shard the candidate-grounding
-loop across a process pool — each worker receives one immutable database
-snapshot and decides its chunk with the ordinary sequential machinery, so
-the answer set is identical to the sequential session's.
-
-Under write-bearing traffic, :class:`ShardedCertaintySession` (and the
-one-shot :func:`certain_answers_sharded`) replaces snapshot-per-rebuild
-with *long-lived* workers: the database partitions by a stable hash of
-block key (:func:`shard_of_key`), mutations ship as O(delta) integer rows
-plus newly-interned constant values, and candidates scatter to the shards
+The one multi-process path is :class:`ShardedCertaintySession` (and the
+one-shot :func:`certain_answers_sharded`): *long-lived* workers hold a
+partition of the database by a stable hash of block key
+(:func:`shard_of_key`), mutations ship as O(delta) integer rows plus
+newly-interned constant values, and candidates scatter to the shards
 owning their supporting blocks — cross-shard decisions fall back to the
-parent, keeping the answer set identical.
+parent, keeping the answer set identical to the sequential session's.  A
+session whose workers keep failing degrades to serial serving on the
+parent (:data:`DEGRADATION_LADDER`).
 
 Execution runs on the interned columnar backend by default
 (:mod:`repro.store`): integer-row kernels, compiled candidate enumeration,
-batched set-at-a-time deciding, block-id read sets, and compact columnar
-worker snapshots.  ``backend="object"`` keeps the fact-dictionary
-reference path.
+batched set-at-a-time deciding, and block-id read sets.
+``backend="object"`` keeps the fact-dictionary reference path.
 """
 
 from .cache import CacheStats, PlanCache, default_plan_cache
-from .parallel import ParallelCertaintySession, certain_answers_parallel
 from .plan import QueryPlan, compile_plan
 from .session import CertaintySession
 from .shards import (
@@ -55,11 +49,9 @@ __all__ = [
     "CertaintySession",
     "DEGRADATION_LADDER",
     "DeadlineExceeded",
-    "ParallelCertaintySession",
     "PlanCache",
     "QueryPlan",
     "ShardedCertaintySession",
-    "certain_answers_parallel",
     "certain_answers_sharded",
     "compile_plan",
     "default_plan_cache",

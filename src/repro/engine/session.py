@@ -272,8 +272,8 @@ class CertaintySession:
         """The candidates whose grounding is certain, in input order.
 
         This is the per-candidate half of :meth:`certain_answers`, split out
-        so the parallel session can shard one enumeration across workers:
-        each worker calls ``decide_candidates`` on its own chunk and the
+        so the sharded session can scatter one enumeration across workers:
+        each worker calls ``decide_candidates`` on its own bucket and the
         shards union back into the same set the sequential loop produces.
 
         When *support* is supplied, every decided candidate is mapped to the

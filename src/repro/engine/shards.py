@@ -1,11 +1,8 @@
 """Delta-shipped shard runtime: long-lived block-hash-sharded workers.
 
-:class:`~repro.engine.parallel.ParallelCertaintySession` treats every
-mutation as fatal: a stale snapshot tears the whole pool down and re-ships
-the full columnar snapshot, so write-bearing workloads pay O(database)
-re-serialization per dispatch.  This module replaces the
-snapshot-per-rebuild model with a *partitioned, continuously maintained*
-one:
+This is the engine's only multi-process path.  Instead of shipping a
+snapshot of the database to every worker, it keeps *partitioned,
+continuously maintained* replicas:
 
 * the database is partitioned by a **stable hash of the block key** into N
   shards (:func:`shard_of_key`) — relation-name-agnostic, so same-key
@@ -43,6 +40,14 @@ non-FO solvers record *static* per-atom support — fully pinned key masks
 are validated like blocks (mask ⇒ whole block, Lemma 1 granularity);
 wildcard masks, relation scans and domain reads always fall back.  A
 single-shard session is a full replica, so validation is vacuous there.
+
+Failure containment
+-------------------
+A dead, erroring or stalled worker costs latency, never an answer: its
+candidates re-decide on the parent, and a supervisor restarts it with a
+fresh bootstrap after an exponential backoff.  A shard that keeps failing
+degrades the session down :data:`DEGRADATION_LADDER` to serial serving on
+the parent, with periodic probes back up to sharded serving.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
+import sys
 import time
 import traceback
 import zlib
@@ -57,7 +63,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -75,7 +80,6 @@ from ..model.symbols import Constant, is_constant
 from ..query.conjunctive import ConjunctiveQuery
 from ..store import InternTable
 from .cache import PlanCache
-from .parallel import _pool_mp_context
 from .session import CertaintySession
 
 #: Candidate tuples below this count decide inline: one pipe round-trip
@@ -96,10 +100,43 @@ _RelationSig = Tuple[str, int, int]  # (name, arity, key_size)
 #: One wire delta group: a relation signature plus its integer rows.
 _RowGroup = Tuple[str, int, int, Tuple[Tuple[int, ...], ...]]
 
+#: Seconds a freshly spawned worker gets to acknowledge its bootstrap
+#: partition (never less than the dispatch deadline).  A cold start —
+#: forkserver spawn plus ``import repro`` — can outlast a dispatch window
+#: tuned for steady-state replies.
+STARTUP_DEADLINE = 30.0
+
 #: Graceful-degradation ladder: a session whose workers keep failing steps
-#: down one level at a time; a probe every few degraded dispatches tries
-#: to climb back to sharded serving.
-DEGRADATION_LADDER = ("sharded", "parallel", "serial")
+#: down to serial serving on the parent; a probe every few degraded
+#: dispatches tries to climb back to sharded serving.
+DEGRADATION_LADDER = ("sharded", "serial")
+
+
+def _pool_mp_context() -> Optional[multiprocessing.context.BaseContext]:
+    """The start-method context for shard workers.
+
+    ``fork`` (the Linux default) duplicates the parent mid-flight, including
+    any *held* lock — and this engine holds locks (plan cache, formula memo,
+    classify counter) precisely when other threads are busy, so a fork racing
+    a compile could hand workers a lock nobody will ever release.
+    ``forkserver`` forks workers from a clean, single-threaded server
+    process instead (and is still far cheaper than ``spawn``); platforms
+    without it (Windows) fall back to their default, which is the equally
+    safe ``spawn``.
+
+    One carve-out: forkserver (like spawn) re-imports the parent's
+    ``__main__`` in each worker, which is impossible when the parent runs
+    from stdin or an embedded interpreter (``__main__.__file__`` names no
+    real file) — workers would crash at startup.  Those parents fall back
+    to the platform default (``fork``), which needs no re-import.
+    """
+    main_file = getattr(sys.modules.get("__main__"), "__file__", None)
+    if main_file is not None and not os.path.exists(main_file):
+        return None
+    try:
+        return multiprocessing.get_context("forkserver")
+    except ValueError:  # pragma: no cover - Windows
+        return None
 
 
 class DeadlineExceeded(TimeoutError):
@@ -175,17 +212,18 @@ class ShardStats:
         detected worker failures: dead pipes, error replies, and missed
         dispatch deadlines (each also schedules a backoff-gated restart);
     ``deadline_timeouts``
-        dispatches where a worker missed its reply deadline and was
-        declared dead (a slow or stalled worker, contained per shard);
+        commands where a worker missed its reply deadline (the dispatch
+        deadline, or the startup budget for a bootstrap) and was declared
+        dead (a slow or stalled worker, contained per shard);
     ``stale_replies_dropped``
         replies discarded because their sequence id belonged to a request
         aborted earlier (a caller deadline expired mid-gather) — fencing
         that keeps an old verdict from pairing with a new candidate bucket;
     ``degradations``
-        steps taken down the sharded→parallel→serial ladder after a shard
+        steps taken down the sharded→serial ladder after a shard
         exhausted its restart budget;
     ``degraded_decides``
-        candidates served while degraded (threaded-parallel or serial);
+        candidates served serially on the parent while degraded;
     ``heartbeats``
         explicit :meth:`ShardedCertaintySession.heartbeat` sweeps.
     """
@@ -529,7 +567,8 @@ class ShardedCertaintySession:
         declares it dead (``None`` disables — waits forever).  Contains a
         stalled or wedged worker to one shard: its bucket re-decides on
         the parent, the process is killed, and a backoff-gated restart is
-        scheduled.
+        scheduled.  A bootstrap reply gets at least
+        :data:`STARTUP_DEADLINE` seconds, since it includes worker startup.
     restart_backoff / max_backoff:
         Base and cap of the exponential restart backoff: after ``k``
         consecutive failures of one shard, the next restart attempt waits
@@ -537,7 +576,7 @@ class ShardedCertaintySession:
         backoff the shard's candidates serve from the parent inline.
     degrade_after_failures:
         Consecutive failures of any single shard after which the session
-        **degrades** one step down the sharded→parallel→serial ladder
+        **degrades** to serial serving on the parent
         (counted in ``stats.degradations``).  Failure counts reset on any
         successful reply from the shard, so only persistent inability to
         serve escalates.
@@ -617,9 +656,8 @@ class ShardedCertaintySession:
         self._probe_interval = max(1, degraded_probe_interval)
         self._failures = [0] * self._n_shards
         self._backoff_until = [0.0] * self._n_shards
-        self._degraded: Optional[str] = None  # None | "parallel" | "serial"
+        self._degraded: Optional[str] = None  # None | "serial"
         self._degraded_since_probe = 0
-        self._parallel_fallback = None
         #: query -> candidate -> owning shard (or _PARENT), learned from
         #: validated decisions; a cheap guess seeds unknown candidates.
         self._routing: Dict[ConjunctiveQuery, Dict[Tuple[Constant, ...], int]] = {}
@@ -633,7 +671,6 @@ class ShardedCertaintySession:
         if self._closed:
             return
         self._teardown_workers()
-        self._close_parallel_fallback()
         self._db.unregister_observer(self._router)
         self._inner.close()
         self._closed = True
@@ -662,14 +699,6 @@ class ShardedCertaintySession:
         self._workers = None
         self._pending = [_PendingDelta() for _ in range(self._n_shards)]
 
-    def _close_parallel_fallback(self) -> None:
-        if self._parallel_fallback is not None:
-            try:
-                self._parallel_fallback.close()
-            except Exception:  # pragma: no cover - best-effort teardown
-                pass
-            self._parallel_fallback = None
-
     # -- views -------------------------------------------------------------------
 
     @property
@@ -691,6 +720,11 @@ class ShardedCertaintySession:
     def pool_started(self) -> bool:
         """``True`` while the long-lived workers are alive."""
         return self._workers is not None
+
+    @property
+    def session(self) -> CertaintySession:
+        """The parent's inline session (candidate enumeration, fallbacks)."""
+        return self._inner
 
     @property
     def store(self):
@@ -752,7 +786,7 @@ class ShardedCertaintySession:
 
     @property
     def degraded_mode(self) -> Optional[str]:
-        """``None`` while sharded; ``"parallel"``/``"serial"`` once degraded."""
+        """``None`` while sharded; ``"serial"`` once degraded."""
         return self._degraded
 
     # -- sequential delegates ----------------------------------------------------
@@ -839,6 +873,8 @@ class ShardedCertaintySession:
         except Exception:
             self._note_failure(shard)
             return
+        if self._workers[shard] is None:
+            return  # the bootstrap failed; _start_shard noted it
         if not initial:
             self.stats.worker_restarts += 1
         # A successful spawn + bootstrap flush is real service: the worker
@@ -847,7 +883,14 @@ class ShardedCertaintySession:
         self._backoff_until[shard] = 0.0
 
     def _start_shard(self, shard: int) -> None:
-        """Spawn one worker and bootstrap it with its shard's partition."""
+        """Spawn one worker and bootstrap it with its shard's partition.
+
+        The bootstrap reply may take up to :data:`STARTUP_DEADLINE`
+        seconds (or the dispatch deadline, if longer): it covers the
+        worker's cold start, not only the delta apply.  A bootstrap that
+        fails or times out is noted like any other worker failure and
+        leaves the shard down.
+        """
         assert self._workers is not None
         handle = self._spawn_worker(shard)
         self._workers[shard] = handle
@@ -860,77 +903,70 @@ class ShardedCertaintySession:
             relation = fact.relation
             sig = (relation.name, relation.arity, relation.key_size)
             pending.record(sig, self._wire_table.intern_many(fact.terms), True)
-        self._flush_shard(shard, bootstrap=True)
+        seq = self._flush_shard(shard, bootstrap=True)
+        if seq is None:
+            return
+        budget = self._dispatch_deadline
+        if budget is not None:
+            budget = max(budget, STARTUP_DEADLINE)
+        reply = self._recv_from(shard, seq, None, dispatch_timeout=budget)
+        if reply is not None and reply[0] != "ok":
+            self._note_failure(shard)
 
-    def _flush_shard(self, shard: int, bootstrap: bool = False) -> None:
-        """Ship one shard's pending delta; raise on any worker problem."""
+    def _flush_shard(self, shard: int, bootstrap: bool = False) -> Optional[int]:
+        """Send one shard its pending delta plus the intern values it lacks.
+
+        Returns the command's sequence id for the caller to await, or
+        ``None`` when there was nothing to ship or the pipe was dead (the
+        failure is then already noted).  The bootstrap send skips the
+        ``shard.pipe`` fault site: fault plans are pinned by arrival
+        count, and that site counts dispatch-time sends only.
+        """
         assert self._workers is not None
         worker = self._workers[shard]
         assert worker is not None
         pending = self._pending[shard]
         values = self._wire_table.values_since(worker.watermark)
         if not pending and not values:
-            return
+            return None
         added, discarded = pending.take()
-        seq = worker.next_seq
-        worker.next_seq = seq + 1
-        payload = pickle.dumps(
-            (seq, "delta", worker.watermark, values, added, discarded),
-            protocol=pickle.HIGHEST_PROTOCOL,
+        sent = self._send_to(
+            shard,
+            ("delta", worker.watermark, values, added, discarded),
+            pipe_fault=not bootstrap,
         )
-        worker.conn.send_bytes(payload)
+        if sent is None:
+            return None
+        seq, nbytes = sent
         worker.watermark += len(values)
-        facts = sum(len(group[3]) for group in added + discarded)
         if bootstrap:
-            self.stats.bootstrap_bytes_shipped += len(payload)
+            self.stats.bootstrap_bytes_shipped += nbytes
         else:
             self.stats.delta_flushes += 1
-            self.stats.delta_bytes_shipped += len(payload)
-            self.stats.delta_facts_shipped += facts
-            self.stats.max_flush_bytes = max(self.stats.max_flush_bytes, len(payload))
-        timeout = self._dispatch_deadline
-        if timeout is not None and not worker.conn.poll(timeout):
-            raise _WorkerFailure(f"shard {shard} delta flush timed out")
-        reply = worker.conn.recv()
-        if reply[0] != seq or reply[1] != "ok":
-            raise _WorkerFailure(reply[2] if len(reply) > 2 else reply)
+            self.stats.delta_bytes_shipped += nbytes
+            self.stats.delta_facts_shipped += sum(
+                len(group[3]) for group in added + discarded
+            )
+            self.stats.max_flush_bytes = max(self.stats.max_flush_bytes, nbytes)
+        return seq
 
-    def _flush_deltas(
-        self, bootstrap: bool = False, deadline: Optional[float] = None
-    ) -> None:
+    def _flush_deltas(self, deadline: Optional[float] = None) -> None:
         """Ship pending deltas (and new intern values) to every live stale shard.
 
         Failure-contained: a shard whose pipe drops, whose worker dies
         mid-apply, or whose reply misses the dispatch deadline is marked
         dead (supervised restart later re-bootstraps it from the live
-        database) and the flush continues for every other shard.
+        database) and the flush continues for every other shard.  Sends
+        complete before any receive, so the shards apply concurrently.
         """
         assert self._workers is not None
         flushed: List[Tuple[int, int]] = []  # (shard, command seq)
         for shard, worker in enumerate(self._workers):
             if worker is None:
                 continue
-            pending = self._pending[shard]
-            values = self._wire_table.values_since(worker.watermark)
-            if not pending and not values:
-                continue
-            added, discarded = pending.take()
-            sent = self._send_to(
-                shard, ("delta", worker.watermark, values, added, discarded)
-            )
-            if sent is None:
-                continue
-            seq, nbytes = sent
-            worker.watermark += len(values)
-            flushed.append((shard, seq))
-            facts = sum(len(group[3]) for group in added + discarded)
-            if bootstrap:
-                self.stats.bootstrap_bytes_shipped += nbytes
-            else:
-                self.stats.delta_flushes += 1
-                self.stats.delta_bytes_shipped += nbytes
-                self.stats.delta_facts_shipped += facts
-                self.stats.max_flush_bytes = max(self.stats.max_flush_bytes, nbytes)
+            seq = self._flush_shard(shard)
+            if seq is not None:
+                flushed.append((shard, seq))
         for shard, seq in flushed:
             reply = self._recv_from(shard, seq, deadline)
             if reply is None:
@@ -943,7 +979,7 @@ class ShardedCertaintySession:
     # -- supervision -------------------------------------------------------------
 
     def _send_to(
-        self, shard: int, command: Tuple[Any, ...]
+        self, shard: int, command: Tuple[Any, ...], pipe_fault: bool = True
     ) -> Optional[Tuple[int, int]]:
         """Envelope and send one command to a live shard.
 
@@ -960,7 +996,7 @@ class ShardedCertaintySession:
         seq = worker.next_seq
         worker.next_seq = seq + 1
         payload = pickle.dumps((seq,) + command, protocol=pickle.HIGHEST_PROTOCOL)
-        fault = _fire_fault("shard.pipe", shard=shard)
+        fault = _fire_fault("shard.pipe", shard=shard) if pipe_fault else None
         if fault is not None and fault.kind == "drop":
             try:
                 worker.conn.close()
@@ -1080,19 +1116,14 @@ class ShardedCertaintySession:
             self._degrade()
 
     def _degrade(self) -> None:
-        """Step down the sharded→parallel→serial ladder (teardown deferred).
+        """Step down the sharded→serial ladder (teardown deferred).
 
-        One rung per failure episode: the failure ledger resets on entry,
-        so N shards dying together cost one step, not N — each tier gets
-        its own full budget before the next step down.
+        One step per failure episode: the failure ledger resets on entry,
+        so N shards dying together cost one degradation, not N.
         """
-        if self._degraded is None:
-            self._degraded = "parallel"
-        elif self._degraded == "parallel":
-            self._degraded = "serial"
-            self._close_parallel_fallback()
-        else:
+        if self._degraded is not None:
             return
+        self._degraded = "serial"
         self.stats.degradations += 1
         self._degraded_since_probe = 0
         self._failures = [0] * self._n_shards
@@ -1169,7 +1200,7 @@ class ShardedCertaintySession:
         Failure containment: individual worker deaths are absorbed by the
         supervisor (dead shards' buckets re-decide on the parent inline),
         repeated failures step the session down the
-        sharded→parallel→serial :data:`DEGRADATION_LADDER`, and only an
+        sharded→serial :data:`DEGRADATION_LADDER`, and only an
         exhausted *deadline* escapes as :class:`DeadlineExceeded`.
         """
         self._check_open()
@@ -1216,7 +1247,7 @@ class ShardedCertaintySession:
         support: Optional[Dict[Tuple[Constant, ...], ReadSet]],
         deadline: Optional[float],
     ) -> List[Tuple[Constant, ...]]:
-        """Serve one dispatch below the sharded tier, probing back up.
+        """Serve one dispatch serially on the parent, probing back up.
 
         Every ``degraded_probe_interval`` dispatches the session clears
         its failure ledger and retries the sharded path once; a clean run
@@ -1226,12 +1257,10 @@ class ShardedCertaintySession:
             raise DeadlineExceeded("request deadline expired in degraded mode")
         self._degraded_since_probe += 1
         if self._degraded_since_probe > self._probe_interval:
-            mode = self._degraded
             self._degraded = None
             self._degraded_since_probe = 0
             self._failures = [0] * self._n_shards
             self._backoff_until = [0.0] * self._n_shards
-            self._close_parallel_fallback()
             try:
                 result = self.decide_candidates(
                     query,
@@ -1241,10 +1270,10 @@ class ShardedCertaintySession:
                     deadline=deadline,
                 )
             except DeadlineExceeded:
-                self._degraded = mode
+                self._degraded = "serial"
                 raise
             except (_WorkerFailure, BrokenPipeError, EOFError, OSError):
-                self._degraded = mode
+                self._degraded = "serial"
             else:
                 if self._degraded is None and (
                     self._workers is None
@@ -1252,41 +1281,15 @@ class ShardedCertaintySession:
                 ):
                     # Every answer came from the parent fallback: the pool
                     # never actually recovered, so the probe failed.
-                    self._degraded = mode
+                    self._degraded = "serial"
                 return result
         self.stats.degraded_decides += len(candidates)
-        if self._degraded == "parallel":
-            try:
-                session = self._parallel_session()
-                certain = session.decide_candidates(
-                    query, candidates, allow_exponential=allow, support=support
-                )
-                self._portabilize(support)
-                return certain
-            except DeadlineExceeded:
-                raise
-            except Exception:
-                self._degrade()  # thread tier failed too: drop to serial
         certain = self._inner.decide_candidates(
             query, candidates, allow_exponential=allow, support=support
         )
         self._portabilize(support)
         self.stats.parent_decides += len(candidates)
         return certain
-
-    def _parallel_session(self):
-        """The lazily-built thread-mode fallback session (degraded tier 2)."""
-        if self._parallel_fallback is None:
-            from ..store.intern import InternTable
-            from .parallel import ParallelCertaintySession
-
-            self._parallel_fallback = ParallelCertaintySession(
-                self._db,
-                mode="thread",
-                allow_exponential=self._allow_exponential,
-                intern_table=InternTable(),
-            )
-        return self._parallel_fallback
 
     def _scatter(
         self,

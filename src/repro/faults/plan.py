@@ -30,9 +30,8 @@ Sites and the kinds they honour:
                              and the row application of a delta flush —
                              the watermark-consistency crash window
 ``shard.pipe``               ``drop`` (the parent closes the worker pipe
-                             before sending)
-``parallel.dispatch``        ``error`` (the process-pool dispatch raises
-                             ``BrokenExecutor``)
+                             before sending a dispatch-time command;
+                             bootstrap sends do not count as arrivals)
 ``wal.write``                ``torn`` (only a prefix of the frame lands,
                              then the append raises ``OSError``)
 ``wal.fsync``                ``error`` (``fsync`` raises ``OSError``)

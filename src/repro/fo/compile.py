@@ -173,7 +173,7 @@ class ReadSet:
             f"{len(self.key_masks)} masks, {len(self.relations)} relations)"
         )
 
-    # ReadSets cross process boundaries (parallel support capture).
+    # ReadSets cross process boundaries (shard workers ship support back).
     def __getstate__(self):
         return (
             self.blocks,

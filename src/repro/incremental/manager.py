@@ -14,10 +14,10 @@ is registered as an observer *before* the manager, so by the time a view
 refreshes, the index (which candidate enumeration, delta joins, and the
 compiled rewritings all read) already reflects the mutation.
 
-Large dirty sets can optionally be fanned out across a
-:class:`~repro.engine.parallel.ParallelCertaintySession` (``parallel_workers``):
-worker-captured read sets are shipped back with the verdicts, so the
-support index stays exact under parallel maintenance.
+Large dirty sets can optionally be fanned out across the long-lived
+workers of a :class:`~repro.engine.shards.ShardedCertaintySession`
+(``shard_workers``): worker-captured read sets are shipped back with the
+verdicts, so the support index stays exact under sharded maintenance.
 
 Like :class:`~repro.model.database.UncertainDatabase` itself, the manager
 assumes a single writer: mutations (and hence maintenance) run on the
@@ -30,7 +30,6 @@ import time
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..engine.cache import PlanCache
-from ..engine.parallel import ParallelCertaintySession
 from ..engine.session import CertaintySession
 from ..engine.shards import ShardedCertaintySession
 from ..fo.compile import ReadSet
@@ -62,12 +61,6 @@ class ViewManager(DatabaseObserver):
     full_refresh_threshold:
         Dirty fraction above which a view abandons incremental maintenance
         for a full refresh (default ``0.5``).
-    parallel_workers:
-        When set, dirty sets of at least *parallel_min_dirty* candidates
-        are decided through a process-pool
-        :class:`ParallelCertaintySession` with this worker count.  Note the
-        pool re-snapshots the database after mutations, so fan-out pays off
-        when per-batch decision work is large.
     shard_workers:
         When set, sharded maintenance mode: dirty sets of at least
         *parallel_min_dirty* candidates are decided through a
@@ -76,13 +69,12 @@ class ViewManager(DatabaseObserver):
         workers as O(delta) integer rows — the pool is never rebuilt — and
         each worker re-decides the dirty candidates whose supporting
         blocks it owns, shipping back verdicts plus portable read sets, so
-        the support index stays exact.  Mutually exclusive with
-        *parallel_workers*.
+        the support index stays exact.
     parallel_min_dirty:
         Candidate-count floor for fanning out (default ``64``).
     intern_table:
-        Scoped intern table of the owned session (and of any parallel /
-        sharded maintenance session).  Ignored when *session* is supplied —
+        Scoped intern table of the owned session (and of the sharded
+        maintenance session).  Ignored when *session* is supplied —
         the supplied session's table governs.
     staleness:
         When set, **deferred maintenance mode**: mutations merge into one
@@ -113,7 +105,6 @@ class ViewManager(DatabaseObserver):
         plan_cache: Optional[PlanCache] = None,
         allow_exponential: bool = False,
         full_refresh_threshold: float = 0.5,
-        parallel_workers: Optional[int] = None,
         parallel_min_dirty: int = 64,
         backend: str = "columnar",
         shard_workers: Optional[int] = None,
@@ -123,10 +114,6 @@ class ViewManager(DatabaseObserver):
     ) -> None:
         if not 0.0 <= full_refresh_threshold <= 1.0:
             raise ValueError("full_refresh_threshold must lie in [0, 1]")
-        if parallel_workers is not None and shard_workers is not None:
-            raise ValueError(
-                "parallel_workers and shard_workers are mutually exclusive"
-            )
         self._db = db
         if session is None:
             session = CertaintySession(
@@ -142,30 +129,17 @@ class ViewManager(DatabaseObserver):
                 raise ValueError("the supplied session wraps a different database")
             self._owns_session = False
             # The supplied session's policy governs all maintenance, so the
-            # parallel fan-out below must not apply a different one.
+            # sharded fan-out below must not apply a different one.
             allow_exponential = session.allow_exponential
         self._session = session
         self._full_refresh_threshold = full_refresh_threshold
-        self._parallel: Optional[ParallelCertaintySession] = None
         self._parallel_min_dirty = parallel_min_dirty
-        if parallel_workers is not None:
-            # Created before the manager registers itself, so the parallel
-            # session's mutation counter (and its inline index) are notified
-            # first and snapshots are never stale at refresh time.
-            self._parallel = ParallelCertaintySession(
-                db,
-                max_workers=parallel_workers,
-                mode="process",
-                min_parallel_candidates=parallel_min_dirty,
-                allow_exponential=allow_exponential,
-                intern_table=intern_table,
-            )
         self._sharded: Optional[ShardedCertaintySession] = None
         if shard_workers is not None:
-            # Same ordering rule as the parallel session: the sharded
-            # session's delta router (and its inline index) register before
-            # the manager, so every pending delta is already routed by the
-            # time a view refresh dispatches to the shard pool.
+            # Created before the manager registers itself: the sharded
+            # session's delta router (and its inline index) are notified
+            # first, so every pending delta is already routed by the time
+            # a view refresh dispatches to the shard pool.
             self._sharded = ShardedCertaintySession(
                 db,
                 n_shards=shard_workers,
@@ -191,8 +165,6 @@ class ViewManager(DatabaseObserver):
         if self._closed:
             return
         self._db.unregister_observer(self)
-        if self._parallel is not None:
-            self._parallel.close()
         if self._sharded is not None:
             self._sharded.close()
         if self._owns_session:
@@ -451,7 +423,7 @@ class ViewManager(DatabaseObserver):
         allow_exponential: Optional[bool],
         support_index=None,
     ) -> List[Candidate]:
-        """Decide candidates sequentially, or fan out when the set is large.
+        """Decide candidates sequentially, or shard them when the set is large.
 
         *support_index* (the calling view's
         :class:`~repro.incremental.support.SupportIndex`) is a routing hint
@@ -468,16 +440,6 @@ class ViewManager(DatabaseObserver):
                 allow_exponential=allow_exponential,
                 support=support,
                 support_index=support_index,
-            )
-        if (
-            self._parallel is not None
-            and len(candidates) >= self._parallel_min_dirty
-        ):
-            return self._parallel.decide_candidates(
-                query,
-                candidates,
-                allow_exponential=allow_exponential,
-                support=support,
             )
         return self._session.decide_candidates(
             query,

@@ -24,7 +24,7 @@ Maintenance strategy per mutation batch (a
    (:func:`~repro.incremental.delta.delta_candidates`) finds them without
    re-running the full enumeration;
 4. **re-decision** — the dirty candidates are re-decided through the shared
-   ``decide_candidates`` loop (optionally fanned out over the parallel
+   ``decide_candidates`` loop (optionally fanned out over the sharded
    session for large dirty sets), refreshing their support entries;
 5. **fallbacks** — views over self-join (per-grounding) plans, or batches
    dirtying more than ``full_refresh_threshold`` of the tracked

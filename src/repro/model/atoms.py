@@ -166,7 +166,7 @@ class Atom:
         # is salted per interpreter (PYTHONHASHSEED), so an unpickled atom
         # carrying its origin process's hash would be == to a locally built
         # atom yet land in a different hash bucket — silently breaking set
-        # and dict membership (e.g. facts shipped to parallel workers).
+        # and dict membership (e.g. query atoms shipped to shard workers).
         return (self.relation, self.terms)
 
     def __setstate__(self, state) -> None:

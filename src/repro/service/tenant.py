@@ -86,23 +86,12 @@ class Tenant:
             self.durable.attach(self.db)
         else:
             self.db = UncertainDatabase(facts, schema=schema)
-        self.session = CertaintySession(
-            self.db,
-            plan_cache=plan_cache,
-            allow_exponential=allow_exponential,
-            intern_table=self.intern_table,
-        )
-        manager_kwargs = {} if clock is None else {"clock": clock}
-        self.views = ViewManager(
-            self.db,
-            session=self.session,
-            staleness=staleness if staleness is not None else StalenessPolicy(),
-            **manager_kwargs,
-        )
         #: Optional supervised sharded session: open queries fan out over
         #: ``shard_workers`` worker processes with per-shard failure
         #: containment and graceful degradation (see
-        #: :class:`~repro.engine.shards.ShardedCertaintySession`).
+        #: :class:`~repro.engine.shards.ShardedCertaintySession`).  Its
+        #: inline session is the tenant's session, so the database carries
+        #: one index and scans and lookups share one candidate memo.
         self.sharded: Optional[ShardedCertaintySession] = None
         if shard_workers is not None:
             # The tenant's clock threads down to shard dispatch so ticket
@@ -115,6 +104,21 @@ class Tenant:
                 intern_table=self.intern_table,
                 clock=clock,
             )
+            self.session = self.sharded.session
+        else:
+            self.session = CertaintySession(
+                self.db,
+                plan_cache=plan_cache,
+                allow_exponential=allow_exponential,
+                intern_table=self.intern_table,
+            )
+        manager_kwargs = {} if clock is None else {"clock": clock}
+        self.views = ViewManager(
+            self.db,
+            session=self.session,
+            staleness=staleness if staleness is not None else StalenessPolicy(),
+            **manager_kwargs,
+        )
         self.admission_stats = AdmissionStats()
         self._lock = threading.RLock()
         self._closed = False

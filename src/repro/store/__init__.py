@@ -6,7 +6,7 @@ The package has three layers:
   mapping every store encodes through (one id space per process);
 * :mod:`repro.store.columnar` — :class:`ColumnarFactStore`, holding each
   relation as integer columns with O(1) membership, per-block id slices,
-  dense block ids, and cheap picklable snapshots;
+  and dense block ids;
 * :mod:`repro.store.index` / :mod:`repro.store.kernels` — the
   :class:`ColumnarFactIndex` execution backend (a drop-in
   :class:`~repro.query.evaluation.FactIndex` that mirrors into a store)
@@ -16,7 +16,7 @@ The object-level fact dictionaries remain the reference implementation;
 ``CertaintySession(db, backend="object")`` selects them explicitly.
 """
 
-from .columnar import ColumnarFactStore, ColumnarSnapshot
+from .columnar import ColumnarFactStore
 from .index import ColumnarFactIndex
 from .intern import InternTable, global_intern_table
 from .kernels import stale_block_keys, used_rows
@@ -24,7 +24,6 @@ from .kernels import stale_block_keys, used_rows
 __all__ = [
     "ColumnarFactIndex",
     "ColumnarFactStore",
-    "ColumnarSnapshot",
     "InternTable",
     "global_intern_table",
     "stale_block_keys",

@@ -23,17 +23,6 @@ Storage invariants
   block emptying out (and are also assigned to *probed but absent* blocks
   when a read-set recorder asks), so a read set recorded against a block id
   still matches a later insertion into that block.
-
-Snapshots
----------
-
-:meth:`ColumnarFactStore.snapshot` copies the id arrays (a C-level
-``memcpy`` per column) and the raw values of the term ids in use — no fact
-objects, no per-fact pickling.  The resulting :class:`ColumnarSnapshot` is
-the wire format the parallel session ships to worker processes; it decodes
-back into facts (or a fresh store) in any process regardless of hash salt,
-because only raw values travel (see the interning invariants in
-:mod:`repro.store.intern`).
 """
 
 from __future__ import annotations
@@ -41,7 +30,7 @@ from __future__ import annotations
 import sys
 import threading
 from array import array
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..model.atoms import Fact, RelationSchema
 from ..model.symbols import Constant
@@ -75,51 +64,6 @@ class _RelationColumns:
 
     def __len__(self) -> int:
         return len(self.row_index)
-
-
-class ColumnarSnapshot:
-    """An immutable, compactly picklable copy of a store's contents.
-
-    ``relations`` holds ``(name, arity, key_size, columns)`` per relation —
-    the columns are private ``array('q')`` copies — and ``values`` maps the
-    term ids in use to their raw wrapped values.  Only raw values cross
-    process boundaries; the receiving side re-interns locally.
-    """
-
-    __slots__ = ("relations", "values", "fact_count")
-
-    def __init__(
-        self,
-        relations: Tuple[Tuple[str, int, int, Tuple[array, ...]], ...],
-        values: Tuple[Tuple[int, Any], ...],
-        fact_count: int,
-    ) -> None:
-        self.relations = relations
-        self.values = values
-        self.fact_count = fact_count
-
-    def __getstate__(self):
-        return (self.relations, self.values, self.fact_count)
-
-    def __setstate__(self, state) -> None:
-        self.relations, self.values, self.fact_count = state
-
-    def __len__(self) -> int:
-        return self.fact_count
-
-    def __repr__(self) -> str:
-        return (
-            f"ColumnarSnapshot({self.fact_count} facts, "
-            f"{len(self.relations)} relations, {len(self.values)} constants)"
-        )
-
-    def iter_facts(self) -> Iterator[Fact]:
-        """Decode the snapshot back into fact objects (hash-salt safe)."""
-        constants = {term_id: Constant(value) for term_id, value in self.values}
-        for name, arity, key_size, columns in self.relations:
-            schema = RelationSchema(name, arity, key_size)
-            for i in range(len(columns[0]) if columns else 0):
-                yield Fact(schema, tuple(constants[col[i]] for col in columns))
 
 
 class ColumnarFactStore:
@@ -359,34 +303,6 @@ class ColumnarFactStore:
             schema = rel.schema
             for row in rel.row_index:
                 yield Fact(schema, decode(row))
-
-    # -- snapshots ---------------------------------------------------------------
-
-    def snapshot(self) -> ColumnarSnapshot:
-        """An immutable copy: column arrays (memcpy) + raw values in use."""
-        relations = []
-        used: Set[int] = set()
-        constant = self._table.constant
-        for name, rel in self._relations.items():
-            relations.append(
-                (
-                    name,
-                    rel.schema.arity,
-                    rel.schema.key_size,
-                    tuple(array("q", column) for column in rel.columns),
-                )
-            )
-            for row in rel.row_index:
-                used.update(row)
-        values = tuple((term_id, constant(term_id).value) for term_id in sorted(used))
-        return ColumnarSnapshot(tuple(relations), values, self._size)
-
-    @classmethod
-    def from_snapshot(
-        cls, snapshot: ColumnarSnapshot, table: Optional[InternTable] = None
-    ) -> "ColumnarFactStore":
-        """Rebuild a store (re-interned locally) from a snapshot."""
-        return cls(facts=tuple(snapshot.iter_facts()), table=table)
 
     @classmethod
     def from_columns(

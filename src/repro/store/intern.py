@@ -33,8 +33,8 @@ Interning invariants
 A process-wide default table (:func:`global_intern_table`) is shared by
 every :class:`~repro.store.columnar.ColumnarFactStore` unless a private
 table is supplied, so term ids agree across sessions, stores, and plans
-inside one process.  Worker processes rebuild their stores from shipped
-snapshots and intern against their own table; ids are process-local and
+inside one process.  Shard worker processes rebuild their stores from
+shipped deltas and intern against their own table; ids are process-local and
 never compared across processes (portable data — facts, candidates, read
 sets — is decoded before it crosses).
 """

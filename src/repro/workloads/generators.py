@@ -38,7 +38,11 @@ def random_valuation(
     query: ConjunctiveQuery, domain: Sequence[str], rng: random.Random
 ) -> Valuation:
     """A uniformly random valuation of the query variables over *domain*."""
-    return Valuation({v: Constant(rng.choice(domain)) for v in query.variables})
+    # Sorted: the RNG draws must not follow hash order, or one seed would
+    # yield different valuations under different PYTHONHASHSEEDs.
+    return Valuation(
+        {v: Constant(rng.choice(domain)) for v in sorted(query.variables, key=str)}
+    )
 
 
 def synthetic_instance(
@@ -69,8 +73,9 @@ def synthetic_instance(
         for _ in range(noise_per_relation):
             db.add(relation.fact(*[rng.choice(domain) for _ in range(relation.arity)]))
 
-    # Add conflicting facts: same key, fresh non-key values.
-    for fact in list(db.facts):
+    # Add conflicting facts: same key, fresh non-key values.  Sorted, as in
+    # random_valuation, so the draws do not follow hash order.
+    for fact in sorted(db.facts, key=str):
         relation = fact.relation
         if relation.is_all_key or rng.random() >= conflict_rate:
             continue

@@ -114,7 +114,7 @@ class TestSelfJoinDetection:
 class TestPickling:
     """Atoms must survive process boundaries with the hash/eq contract intact.
 
-    The parallel engine ships facts to worker processes whose string-hash
+    The shard runtime ships queries to worker processes whose string-hash
     salt (PYTHONHASHSEED) differs from the parent's.  A pickled atom must
     therefore NOT carry its origin process's cached hash: it would compare
     equal to a locally built atom yet miss it in sets and dicts — which

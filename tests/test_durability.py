@@ -26,18 +26,12 @@ from repro.durability import (
     write_segment,
 )
 from repro.incremental import ViewManager
-from repro.model.symbols import Variable
-from repro.query import ConjunctiveQuery, figure2_q1, figure4_query
+from repro.query import figure2_q1, figure4_query
 from repro.query.families import path_query
 from repro.service import CertaintyService
 from repro.store import ColumnarFactStore, InternTable
 from repro.workloads import apply_batch, mutation_stream, synthetic_instance
-
-
-def open_variant(query, variable_name):
-    variable = Variable(variable_name)
-    assert variable in query.variables
-    return ConjunctiveQuery(query.atoms, free_variables=[variable])
+from tests.helpers import open_variant
 
 
 def band_cases():

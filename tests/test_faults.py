@@ -24,7 +24,6 @@ from repro import (
     parse_query,
 )
 from repro.durability import DurabilityError, DurableStore
-from repro.engine.parallel import ParallelCertaintySession
 from repro.engine.shards import DeadlineExceeded
 from repro.faults import (
     SITE_KINDS,
@@ -34,8 +33,7 @@ from repro.faults import (
     active_injector,
     inject,
 )
-from repro.model.symbols import Variable
-from repro.query import ConjunctiveQuery, figure2_q1, figure4_query
+from repro.query import figure2_q1, figure4_query
 from repro.query.families import cycle_query_c, path_query
 from repro.core.complexity import ComplexityBand
 from repro.service import (
@@ -45,14 +43,9 @@ from repro.service import (
     CircuitOpen,
 )
 from repro.workloads import apply_batch, mutation_stream, synthetic_instance
+from tests.helpers import open_variant
 
 CHAOS_SHARD_COUNTS = (2, 4)
-
-
-def open_variant(query, variable_name):
-    variable = Variable(variable_name)
-    assert variable in query.variables
-    return ConjunctiveQuery(query.atoms, free_variables=[variable])
 
 
 def band_workloads():
@@ -318,8 +311,8 @@ class TestDegradationLadder:
         query = open_variant(path_query(3), "x1")
         db = synthetic_instance(query, seed=4, domain_size=6, witnesses=12)
         # Every command kills every worker, forever: restarts can never
-        # succeed, so the session must walk down the ladder — and still
-        # serve exact answers from the degraded tiers.
+        # succeed, so the session must degrade to serial serving — and
+        # still serve exact answers there.
         plan = FaultPlan([FaultSpec("shard.worker.command", "kill", at=1, count=0)])
         expected = certain_answers(db, query)
         with inject(plan):
@@ -336,20 +329,18 @@ class TestDegradationLadder:
                 # exhaust degrade_after_failures=2 and step the ladder down.
                 assert session.certain_answers(query) == expected
                 assert session.certain_answers(query) == expected
-                assert session.degraded_mode in ("parallel", "serial")
-                assert session.stats.degradations >= 1
-                first_mode = session.degraded_mode
+                assert session.degraded_mode == "serial"
+                assert session.stats.degradations == 1
                 for _ in range(4):  # degraded serving stays exact
                     assert session.certain_answers(query) == expected
                 assert session.stats.degraded_decides > 0
-                assert session.degraded_mode is not None
+                assert session.degraded_mode == "serial"
         # Faults gone: the next probe climbs back to sharded serving.
         with ShardedCertaintySession(
             db, n_shards=2, min_shard_candidates=1, restart_backoff=0.0
         ) as fresh:
             assert fresh.certain_answers(query) == expected
             assert fresh.degraded_mode is None
-        assert first_mode == "parallel"
 
     def test_probe_recovers_after_faults_clear(self):
         query = open_variant(path_query(3), "x1")
@@ -368,7 +359,7 @@ class TestDegradationLadder:
         ) as session:
             with inject(plan):
                 assert session.certain_answers(query) == expected
-                assert session.degraded_mode is not None
+                assert session.degraded_mode == "serial"
             # The injector is gone: within a couple of probes the session
             # must climb back to full sharded serving.
             for _ in range(4):
@@ -409,20 +400,6 @@ class TestDeadlines:
                 query, deadline=time.monotonic() + 30.0
             )
             assert answers == certain_answers(db, query)
-
-
-class TestParallelDispatchFault:
-    def test_broken_executor_recovers_with_a_fresh_pool(self):
-        query = open_variant(path_query(3), "x1")
-        db = synthetic_instance(query, seed=8, domain_size=6, witnesses=12)
-        expected = certain_answers(db, query)
-        plan = FaultPlan([FaultSpec("parallel.dispatch", "error", at=1)])
-        with inject(plan) as injector:
-            with ParallelCertaintySession(
-                db, mode="thread", min_parallel_candidates=1
-            ) as session:
-                assert session.certain_answers(query) == expected
-            assert ("parallel.dispatch", "error", 1) in injector.fired
 
 
 class TestDurabilityChaos:

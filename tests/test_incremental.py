@@ -35,8 +35,8 @@ from repro.certainty import (
 from repro.certainty.peeling import empty_base_case
 from repro.fo.compile import ReadSet, ReadSetRecorder
 from repro.incremental import SupportIndex, delta_candidates
-from repro.model.symbols import Constant, Variable
-from repro.query import ConjunctiveQuery, figure2_q1, figure4_query
+from repro.model.symbols import Constant
+from repro.query import figure2_q1, figure4_query
 from repro.query.families import path_query
 from repro.workloads import (
     apply_batch,
@@ -44,12 +44,7 @@ from repro.workloads import (
     mutation_stream,
     synthetic_instance,
 )
-
-
-def open_variant(query, variable_name):
-    variable = Variable(variable_name)
-    assert variable in query.variables
-    return ConjunctiveQuery(query.atoms, free_variables=[variable])
+from tests.helpers import open_variant
 
 
 def cold_answers(db, query, allow):
@@ -468,19 +463,6 @@ class TestSupportPrecision:
             assert view.stats.full_refreshes == full + 1
             assert view.answers == cold_answers(db, query, False)
 
-    def test_parallel_fanout_matches_sequential(self):
-        query = open_variant(path_query(3), "x1")
-        db = synthetic_instance(
-            query, seed=2, domain_size=6, witnesses=12, noise_per_relation=8
-        )
-        with ViewManager(db, parallel_workers=2, parallel_min_dirty=1) as manager:
-            view = manager.register(query)
-            assert view.answers == cold_answers(db, query, False)
-            for batch in mutation_stream(query, db, steps=4, seed=9, domain_size=6):
-                apply_batch(db, batch)
-                assert view.answers == cold_answers(db, query, False)
-                view.support.check_invariants()
-
 
 # --------------------------------------------------------------------------------
 # Candidate-set GC (vanished candidates leave without a full refresh)
@@ -628,20 +610,21 @@ class TestManagerLifecycle:
             with pytest.raises(ValueError):
                 ViewManager(other, session=session)
 
-    def test_supplied_session_policy_governs_parallel_fanout(self):
-        """A supplied session's allow_exponential must extend to the pool."""
+    def test_supplied_session_policy_governs_sharded_fanout(self):
+        """A supplied session's allow_exponential must extend to the shards."""
         query = open_variant(figure2_q1(), "z")
         db = synthetic_instance(query, seed=1, domain_size=3, witnesses=4)
         with CertaintySession(db, allow_exponential=True) as session:
             with ViewManager(
-                db, session=session, parallel_workers=2, parallel_min_dirty=1
+                db, session=session, shard_workers=2, parallel_min_dirty=1
             ) as manager:
                 view = manager.register(query)  # coarse: refreshes fan out
                 relation = query.atoms[0].relation
                 db.add(relation.fact(*["c0"] * relation.arity))
                 # Without the policy alignment this raises IntractableQueryError
-                # inside the parallel re-decision once the dirty set fans out.
+                # inside the sharded re-decision once the dirty set fans out.
                 assert view.answers == cold_answers(db, query, True)
+                assert manager.sharded_session.stats.dispatches > 0
 
     def test_refresh_all_prunes_stale_candidates(self):
         query, schema, db = emp_dept()

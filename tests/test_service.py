@@ -25,6 +25,7 @@ from repro.service import (
     CertaintyService,
 )
 from repro.service.admission import FutureTimeoutError
+from repro.store import ColumnarFactIndex
 from repro.workloads import multi_tenant_workload, replay_trace
 
 
@@ -284,6 +285,23 @@ def test_session_store_uses_private_table():
         store = tenant.session.store
         assert store is not None
         assert store.table is tenant.intern_table
+
+
+def test_sharded_tenant_keeps_one_session():
+    """A sharded tenant's database carries one index: the sharded session's
+    inline session is the tenant's session, not a second copy."""
+    with CertaintyService(shard_workers=2) as svc:
+        tenant = svc.create_tenant("a", facts=tenant_facts("a"))
+        indexes = [
+            observer
+            for observer in tenant.db._observers
+            if isinstance(observer, ColumnarFactIndex)
+        ]
+        assert len(indexes) == 1
+        assert tenant.session is tenant.sharded.session
+        assert svc.certain_answers("a", fo_query()) == certain_answers(
+            tenant.db, fo_query()
+        )
 
 
 # -- mutations, views, lifecycle -----------------------------------------------------

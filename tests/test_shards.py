@@ -9,13 +9,11 @@ dispatches reach the long-lived workers as O(delta) payloads, never as
 pool rebuilds or full snapshots.
 """
 
-import pickle
 import random
 
 import pytest
 
 from repro import (
-    ParallelCertaintySession,
     ShardedCertaintySession,
     UncertainDatabase,
     ViewManager,
@@ -28,8 +26,8 @@ from repro import (
 from repro.engine.shards import DeadlineExceeded, _read_set_is_local
 from repro.fo.compile import ReadSet
 from repro.incremental.support import SupportIndex
-from repro.model.symbols import Constant, Variable
-from repro.query import ConjunctiveQuery, figure2_q1, figure4_query
+from repro.model.symbols import Constant
+from repro.query import figure2_q1, figure4_query
 from repro.query.families import path_query
 from repro.workloads import (
     apply_batch,
@@ -38,15 +36,9 @@ from repro.workloads import (
     synthetic_instance,
     zipfian_instance,
 )
+from tests.helpers import open_variant
 
 SHARD_COUNTS = (1, 2, 4)
-
-
-def open_variant(query, variable_name):
-    """The query with one variable freed (same atoms, one free variable)."""
-    variable = Variable(variable_name)
-    assert variable in query.variables
-    return ConjunctiveQuery(query.atoms, free_variables=[variable])
 
 
 def band_workloads():
@@ -299,10 +291,13 @@ class TestDeltaShipping:
         )
         with ShardedCertaintySession(db, n_shards=2, min_shard_candidates=1) as s:
             s.certain_answers(query)
-            snapshot_bytes = len(pickle.dumps(s.store.snapshot()))
+            # The bootstrap shipped the whole partitioned database in the
+            # same wire format the deltas use: the full-snapshot yardstick.
+            snapshot_bytes = s.stats.bootstrap_bytes_shipped
             for batch in mutation_stream(query, db, steps=5, seed=9, batch_range=(1, 3)):
                 apply_batch(db, batch)
                 s.certain_answers(query)
+            assert s.stats.bootstraps == 1 and s.stats.worker_restarts == 0
             assert s.stats.delta_flushes > 0
             assert 0 < s.stats.max_flush_bytes < snapshot_bytes
             # Steady state ships the delta, not the database: even the sum
@@ -347,11 +342,6 @@ class TestShardedViewMaintenance:
             view.support.check_invariants()
             sharded = manager.sharded_session
             assert sharded is not None and sharded.stats.worker_restarts == 0
-
-    def test_shard_workers_excludes_parallel_workers(self):
-        db = UncertainDatabase()
-        with pytest.raises(ValueError):
-            ViewManager(db, parallel_workers=2, shard_workers=2)
 
     def test_support_index_routes_dirty_candidates(self):
         query = parse_query("R(x | y), S(x | z)", free=["x"])
@@ -413,60 +403,6 @@ class TestSupportIndexRouting:
         decodable = SupportIndex(block_key_decoder=lambda block_id: ("R", key))
         decodable.set(("c",), rs)
         assert decodable.route(("c",), fn) == shard_of_key(key, 2)
-
-
-class TestParallelRebuildCoalescing:
-    def _session(self, db):
-        return ParallelCertaintySession(
-            db,
-            max_workers=2,
-            mode="process",
-            min_parallel_candidates=1,
-            track_bytes=True,
-        )
-
-    def test_batch_bumps_version_once(self):
-        query = open_variant(path_query(3), "x1")
-        db = synthetic_instance(query, seed=1, domain_size=6, witnesses=12)
-        with self._session(db) as session:
-            before = session._version.version
-            relation = query.atoms[0].relation
-            with db.batch():
-                for i in range(10):
-                    db.add(relation.fact(f"m{i}", f"m{i + 1}"))
-            assert session._version.version == before + 1
-
-    def test_mutations_between_dispatches_cost_one_rebuild(self):
-        query = open_variant(path_query(3), "x1")
-        db = synthetic_instance(query, seed=1, domain_size=6, witnesses=12)
-        expected_rebuilds = 1  # the initial pool build
-        with self._session(db) as session:
-            session.certain_answers(query)
-            assert session.stats.rebuilds == expected_rebuilds
-            relation = query.atoms[0].relation
-            for round_ in range(2):
-                # M unbatched mutations + one batch between two dispatches...
-                for i in range(5):
-                    db.add(relation.fact(f"r{round_}_{i}", f"r{round_}_{i + 1}"))
-                with db.batch():
-                    db.add(relation.fact(f"rb{round_}", "x"))
-                    db.add(relation.fact(f"rc{round_}", "y"))
-                session.certain_answers(query)
-                expected_rebuilds += 1  # ...trigger exactly one rebuild
-                assert session.stats.rebuilds == expected_rebuilds
-            # Reads without interleaved writes never rebuild.
-            session.certain_answers(query)
-            assert session.stats.rebuilds == expected_rebuilds
-            assert session.stats.dispatches >= 4
-            assert session.stats.snapshot_bytes_shipped > 0
-
-    def test_serial_decides_counted(self):
-        query = open_variant(path_query(3), "x1")
-        db = synthetic_instance(query, seed=1, domain_size=6, witnesses=12)
-        with ParallelCertaintySession(db, max_workers=2, mode="serial") as session:
-            session.certain_answers(query)
-            assert session.stats.serial_decides > 0
-            assert session.stats.rebuilds == 0
 
 
 class TestSkewedGenerators:

@@ -2,12 +2,11 @@
 
 The central contract is *differential*: the columnar backend — interned
 term ids, integer-row kernels, block-id read sets, batched set-at-a-time
-deciding, columnar snapshots — must return byte-identical answers to the
-object-level reference implementation, across complexity bands, random
-workloads, mutation streams, and process boundaries.  On top of that:
-intern-table invariants (dense ids, append-only stability, hash-salt-safe
-serialization), store integrity under swap-remove deletion, and snapshot
-round-trips.
+deciding — must return byte-identical answers to the object-level
+reference implementation, across complexity bands, random workloads, and
+mutation streams.  On top of that: intern-table invariants (dense ids,
+append-only stability, hash-salt-safe serialization) and store integrity
+under swap-remove deletion.
 """
 
 import os
@@ -19,27 +18,20 @@ import sys
 import pytest
 
 from repro import CertaintySession, UncertainDatabase, parse_facts, parse_query
-from repro.engine import ParallelCertaintySession
 from repro.model.atoms import RelationSchema
 from repro.model.symbols import Constant, Variable
-from repro.query import ConjunctiveQuery, figure2_q1, figure4_query
+from repro.query import figure2_q1, figure4_query
 from repro.query.evaluation import FactIndex
 from repro.query.families import path_query
 from repro.store import (
     ColumnarFactIndex,
     ColumnarFactStore,
-    ColumnarSnapshot,
     InternTable,
     global_intern_table,
     stale_block_keys,
 )
 from repro.workloads import mutation_stream, apply_mutation, synthetic_instance
-
-
-def open_variant(query, variable_name):
-    variable = Variable(variable_name)
-    assert variable in query.variables
-    return ConjunctiveQuery(query.atoms, free_variables=[variable])
+from tests.helpers import open_variant
 
 
 # --------------------------------------------------------------------------------
@@ -229,29 +221,6 @@ class TestColumnarFactStore:
         with pytest.raises(ValueError):
             store.add_fact(RelationSchema("R", 2, 2).fact("a", "b"))
 
-    def test_snapshot_round_trip(self):
-        query = open_variant(path_query(3), "x1")
-        db = synthetic_instance(query, seed=1, domain_size=5, witnesses=6)
-        store = ColumnarFactStore(tuple(db.facts), table=InternTable())
-        snapshot = store.snapshot()
-        assert isinstance(snapshot, ColumnarSnapshot)
-        assert len(snapshot) == len(db)
-        assert set(snapshot.iter_facts()) == set(db.facts)
-        # The pickled wire format decodes identically.
-        shipped = pickle.loads(pickle.dumps(snapshot))
-        assert set(shipped.iter_facts()) == set(db.facts)
-        rebuilt = ColumnarFactStore.from_snapshot(shipped, table=InternTable())
-        assert {f for f in rebuilt.decode_facts()} == set(db.facts)
-
-    def test_snapshot_is_immutable_under_later_mutation(self):
-        R = _schema_r()
-        store = ColumnarFactStore(table=InternTable())
-        store.add_fact(R.fact("a", "1", "x"))
-        snapshot = store.snapshot()
-        store.add_fact(R.fact("b", "2", "y"))
-        store.discard_fact(R.fact("a", "1", "x"))
-        assert {f.terms for f in snapshot.iter_facts()} == {R.fact("a", "1", "x").terms}
-
     def test_memory_stats(self):
         R = _schema_r()
         store = ColumnarFactStore(table=InternTable())
@@ -429,45 +398,3 @@ class TestBackendDifferential:
             obj = plan.evaluate(db, index=FactIndex(db.facts))
             col = plan.evaluate(db, index=ColumnarFactIndex(db.facts))
             assert obj == col
-
-
-# --------------------------------------------------------------------------------
-# Parallel: columnar snapshots across process boundaries
-# --------------------------------------------------------------------------------
-
-
-class TestColumnarParallel:
-    def test_process_pool_matches_sequential_with_columnar_snapshot(self):
-        query = open_variant(path_query(3), "x1")
-        db = synthetic_instance(query, seed=2, domain_size=6, witnesses=12)
-        with CertaintySession(db) as sequential:
-            expected = sequential.certain_answers(query)
-        with ParallelCertaintySession(
-            db, max_workers=2, mode="process", min_parallel_candidates=1
-        ) as parallel:
-            assert parallel._inner.store is not None  # snapshot path active
-            assert parallel.certain_answers(query) == expected
-
-    def test_worker_read_sets_come_back_portable(self):
-        query = open_variant(path_query(3), "x1")
-        db = synthetic_instance(query, seed=4, domain_size=6, witnesses=12)
-        with ParallelCertaintySession(
-            db, max_workers=2, mode="process", min_parallel_candidates=1
-        ) as parallel:
-            candidates = parallel._inner.candidate_answers(query)
-            support = {}
-            parallel.decide_candidates(query, candidates, support=support)
-        assert set(support) == set(candidates)
-        for read_set in support.values():
-            # Worker-local block ids must never leak across the boundary.
-            assert not read_set.block_ids
-            if not read_set.is_global:
-                assert read_set.blocks or read_set.relations
-
-    def test_snapshot_pickle_is_smaller_than_fact_graph(self):
-        query = open_variant(path_query(3), "x1")
-        db = synthetic_instance(query, seed=5, domain_size=6, witnesses=40)
-        store = ColumnarFactStore(tuple(db.facts), table=InternTable())
-        object_bytes = len(pickle.dumps(db.facts))
-        columnar_bytes = len(pickle.dumps(store.snapshot()))
-        assert columnar_bytes < object_bytes

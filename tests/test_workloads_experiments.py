@@ -1,5 +1,10 @@
 """Tests for the workload generators, paper instances, and experiment harness."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.certainty import certain_brute_force, is_certain, is_purified
@@ -29,6 +34,31 @@ class TestGenerators:
         first = synthetic_instance(query, seed=3)
         second = synthetic_instance(query, seed=3)
         assert first.facts == second.facts
+
+    def test_synthetic_instance_is_the_same_under_other_hash_seeds(self):
+        """A seed names one instance in every process: the generator's RNG
+        draws must not follow set iteration order, which string hashing
+        salts per interpreter."""
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        probe = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "from repro.query.families import path_query\n"
+            "from repro.workloads import synthetic_instance\n"
+            "db = synthetic_instance(path_query(3), seed=2, domain_size=6, witnesses=12)\n"
+            "print(sorted(map(str, db.facts)))\n"
+        )
+        outputs = set()
+        for hash_seed in ("1", "2"):
+            result = subprocess.run(
+                [sys.executable, "-c", probe],
+                env={**os.environ, "PYTHONHASHSEED": hash_seed},
+                capture_output=True,
+                text=True,
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.add(result.stdout)
+        assert len(outputs) == 1
 
     def test_synthetic_instance_covers_all_relations(self):
         query = fuxman_miller_cfree_example()
