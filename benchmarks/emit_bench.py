@@ -1,6 +1,6 @@
 """Emit benchmark JSON reports recording the engine's performance trajectory.
 
-Eight suites:
+Seven suites:
 
 ``fo_rewriting`` (default) → ``BENCH_fo_rewriting.json``
     Times the certain first-order rewriting of Theorem 1 under the two
@@ -24,17 +24,6 @@ Eight suites:
     mutated block (plus delta-discovered new candidates) — the block-local
     maintenance the paper's FO rewritings make possible.
 
-``columnar_store`` → ``BENCH_columnar_store.json``
-    Times batched ``certain_answers`` on the interned columnar backend
-    (integer-row kernels, compiled candidate enumeration, set-at-a-time
-    batched deciding) against the object-level reference backend on the
-    same scaling workload, asserting in-run that the two backends return
-    identical answer sets at every size.  Also records the store's
-    per-component memory footprint and the process-wide intern-table
-    statistics.  ``benchmarks/check_bench_regression.py`` guards CI against
-    the recorded speedups regressing more than 2× versus the committed
-    baseline.
-
 ``sharded_runtime`` → ``BENCH_sharded_runtime.json``
     Times the delta-shipped shard runtime
     (:class:`repro.engine.ShardedCertaintySession`: long-lived block-hash
@@ -52,16 +41,17 @@ Eight suites:
     sequential session (``cpu_count`` is recorded alongside).
 
 ``all_bands`` → ``BENCH_all_bands.json``
-    Times the columnar id kernels against the object reference path on one
-    workload per complexity band of the trichotomy: the FO band (compiled
-    rewriting on an open path query), the PTIME-not-FO band (Theorem 3
-    terminal-cycle recursion on the Figure 4 query), the PTIME cycle-query
-    band (Theorem 4 on ``C(3)`` ring instances), and the coNP band (the
-    pruned brute-force repair search on Figure 2's ``q1`` over gadget
-    instances whose conflicts live only in ``T``, keeping the search tree
-    linear on both backends).  Every size asserts in-run that the two
-    backends return identical verdicts/answer sets before any timing is
-    recorded.
+    Times one workload per complexity band of the trichotomy through an
+    engine session, reporting absolute best-of-3 ``seconds`` per (band,
+    size): the FO band (compiled rewriting on an open path query), the
+    PTIME-not-FO band (Theorem 3 terminal-cycle recursion on the Figure 4
+    query), the PTIME cycle-query band (Theorem 4 on ``C(3)`` ring
+    instances), and the coNP band (the pruned brute-force repair search on
+    Figure 2's ``q1`` over gadget instances whose conflicts live only in
+    ``T``, keeping the search tree linear).  The coNP band also decides a
+    certain variant whose answer is known by construction and asserts it.
+    Absolute times are machine-dependent, so no regression guard compares
+    them.
 
 ``service_load`` → ``BENCH_service_load.json``
     Drives N concurrent tenants (deterministic mixed read/write traces,
@@ -138,7 +128,6 @@ from repro.query import parse_query
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.families import figure2_q1, figure4_query, path_query
 from repro.service import INLINE, CertaintyService
-from repro.store import global_intern_table
 from repro.workloads import (
     apply_batch,
     bursty_mutation_stream,
@@ -575,74 +564,10 @@ def run_incremental_benchmark(
     }
 
 
-#: Planted-chain counts for the columnar_store suite.  The small sizes are
-#: shared with the smoke run so the committed baseline always covers the
-#: sizes the CI regression guard compares against.
-COLUMNAR_FULL_SIZES = (16, 48, 64, 256, 1024)
-COLUMNAR_SMOKE_SIZES = (16, 48)
-
-
-def run_columnar_benchmark(
-    sizes: Sequence[int], repeats: int = 3, seed: int = 13
-) -> Dict:
-    """Columnar vs object backend on batched certain answers, cross-checked.
-
-    Every size runs both backends on the *same* database and asserts the
-    answer sets are identical before any timing is recorded, so a kernel
-    bug can never masquerade as a speedup.
-    """
-    query = parallel_bench_query()
-    results: List[Dict] = []
-    all_agree = True
-    for chains in sizes:
-        db = parallel_bench_instance(query, chains, seed=seed)
-        with CertaintySession(db, backend="object") as object_session:
-            with CertaintySession(db, backend="columnar") as columnar_session:
-                object_answers = object_session.certain_answers(query)
-                columnar_answers = columnar_session.certain_answers(query)
-                agree = object_answers == columnar_answers
-                all_agree = all_agree and agree
-                candidate_count = len(columnar_session.candidate_answers(query))
-                object_seconds = _best_of(
-                    repeats, lambda: object_session.certain_answers(query)
-                )
-                columnar_seconds = _best_of(
-                    repeats, lambda: columnar_session.certain_answers(query)
-                )
-                store_stats = columnar_session.store.memory_stats()
-        results.append(
-            {
-                "planted_chains": chains,
-                "facts": len(db),
-                "candidate_answers": candidate_count,
-                "certain_answers": len(columnar_answers),
-                "agree": agree,
-                "object_seconds": object_seconds,
-                "columnar_seconds": columnar_seconds,
-                "speedup_vs_object": (
-                    object_seconds / columnar_seconds if columnar_seconds else None
-                ),
-                "store_memory": store_stats,
-            }
-        )
-    return {
-        "benchmark": "columnar_store",
-        "query": str(query),
-        "cpu_count": os.cpu_count(),
-        "repeats": repeats,
-        "results": results,
-        "all_agree": all_agree,
-        "largest_size_speedup": (
-            results[-1]["speedup_vs_object"] if results else None
-        ),
-        "intern_table": global_intern_table().memory_stats(),
-    }
-
-
 #: Scale parameter per band for the all_bands suite (chains / planted
 #: witnesses / ring copies / conflict gadgets, depending on the band).  The
-#: smoke sizes are a prefix of the full sizes so the committed baseline
-#: always covers the sizes the CI regression guard compares against.
+#: smoke sizes are a prefix of the full sizes, so a smoke report is
+#: comparable with the committed baseline cell by cell.
 ALL_BANDS_FULL_SIZES = (8, 16, 64, 256)
 ALL_BANDS_SMOKE_SIZES = (8, 16)
 
@@ -668,15 +593,14 @@ def conp_band_instance(gadgets: int, falsifiable: bool = True) -> UncertainDatab
     gadget's witness.  The repair search therefore walks forced singleton
     choices followed by one binary choice per ``T`` block, and its pruning
     (a branch with a completed witness can never falsify) makes the tree
-    *linear* in the gadget count on both backends — the falsifying repair
-    picks the bad claim in every ``T`` block.
+    *linear* in the gadget count — the falsifying repair picks the bad
+    claim in every ``T`` block.
 
     With ``falsifiable=False`` an unbreakable witness over ``.``-prefixed
-    constants is inserted first: its names sort before every gadget name
-    (``.`` < digits) and its constants intern first, so both the object
-    path's string-ordered and the columnar path's id-ordered block sweeps
-    decide its singleton blocks first, complete the witness, and prune
-    every branch immediately — the certain verdict is also linear.
+    constants is inserted first: its constants intern first, so the
+    id-ordered block sweep decides its singleton blocks first, completes
+    the witness, and prunes every branch immediately — the certain verdict
+    is also linear.
     """
     query = figure2_q1()
     schema = {atom.relation.name: atom.relation for atom in query.atoms}
@@ -697,54 +621,29 @@ def conp_band_instance(gadgets: int, falsifiable: bool = True) -> UncertainDatab
     return db
 
 
-def _time_backends(
+def _time_band(
     query: ConjunctiveQuery,
     db: UncertainDatabase,
     repeats: int,
     allow_exponential: bool = False,
 ) -> Dict:
-    """Decide *query* on both backends, assert identity, time best-of-*repeats*."""
+    """Decide *query* through one session and time best-of-*repeats*."""
     row: Dict = {"facts": len(db)}
-    with CertaintySession(
-        db, backend="object", allow_exponential=allow_exponential
-    ) as object_session:
-        with CertaintySession(
-            db, backend="columnar", allow_exponential=allow_exponential
-        ) as columnar_session:
-            if query.is_boolean:
-                object_result = object_session.is_certain(query)
-                columnar_result = columnar_session.is_certain(query)
-                object_run = lambda: object_session.is_certain(query)  # noqa: E731
-                columnar_run = lambda: columnar_session.is_certain(query)  # noqa: E731
-                row["certain"] = columnar_result
-            else:
-                object_result = object_session.certain_answers(query)
-                columnar_result = columnar_session.certain_answers(query)
-                object_run = lambda: object_session.certain_answers(query)  # noqa: E731
-                columnar_run = lambda: columnar_session.certain_answers(query)  # noqa: E731
-                row["certain_answers"] = len(columnar_result)
-            agree = object_result == columnar_result
-            assert agree, f"backends disagree on {query}"
-            row["agree"] = agree
-            object_seconds = _best_of(repeats, object_run)
-            columnar_seconds = _best_of(repeats, columnar_run)
-    row["object_seconds"] = object_seconds
-    row["columnar_seconds"] = columnar_seconds
-    row["speedup_vs_object"] = (
-        object_seconds / columnar_seconds if columnar_seconds else None
-    )
+    with CertaintySession(db, allow_exponential=allow_exponential) as session:
+        if query.is_boolean:
+            row["certain"] = session.is_certain(query)
+            run = lambda: session.is_certain(query)  # noqa: E731
+        else:
+            row["certain_answers"] = len(session.certain_answers(query))
+            run = lambda: session.certain_answers(query)  # noqa: E731
+        row["seconds"] = _best_of(repeats, run)
     return row
 
 
 def run_all_bands_benchmark(
     sizes: Sequence[int], repeats: int = 3, seed: int = 13
 ) -> Dict:
-    """Columnar vs object path, one workload per band, identity-checked.
-
-    Every (band, size) cell decides the same database on both backends and
-    asserts the verdicts/answer sets are identical before timing, so a
-    kernel bug in any band can never masquerade as a speedup.
-    """
+    """Absolute per-(band, size) decision times, one workload per band."""
     # The coNP repair search recurses one frame per relevant block; the
     # gadget instances keep the tree linear but still ~5 blocks deep per
     # gadget, so 256 gadgets need more than CPython's default 1000 frames.
@@ -754,7 +653,7 @@ def run_all_bands_benchmark(
 
     fo_query = parallel_bench_query()
     fo_rows = [
-        {"size": size, **_time_backends(
+        {"size": size, **_time_band(
             fo_query, parallel_bench_instance(fo_query, size, seed=seed), repeats
         )}
         for size in sizes
@@ -770,7 +669,7 @@ def run_all_bands_benchmark(
 
     fig4 = figure4_query()
     fig4_rows = [
-        {"size": size, **_time_backends(fig4, figure4_band_instance(size), repeats)}
+        {"size": size, **_time_band(fig4, figure4_band_instance(size), repeats)}
         for size in sizes
     ]
     bands.append(
@@ -787,9 +686,7 @@ def run_all_bands_benchmark(
         cycle_query, cycle_db = ring_instance(
             3, copies=size, chords=max(2, size // 4), with_sk=False, seed=7
         )
-        cycle_rows.append(
-            {"size": size, **_time_backends(cycle_query, cycle_db, repeats)}
-        )
+        cycle_rows.append({"size": size, **_time_band(cycle_query, cycle_db, repeats)})
     bands.append(
         {
             "band": "ptime_cycle_query",
@@ -804,23 +701,14 @@ def run_all_bands_benchmark(
     for size in sizes:
         row = {
             "size": size,
-            **_time_backends(
-                q1, conp_band_instance(size), repeats, allow_exponential=True
-            ),
+            **_time_band(q1, conp_band_instance(size), repeats, allow_exponential=True),
         }
-        # Cross-check the certain variant too (untimed): the unbreakable
-        # witness must yield True on both backends via immediate pruning.
+        # Decide the certain variant too (untimed): the unbreakable witness
+        # makes it certain by construction.
         certain_db = conp_band_instance(size, falsifiable=False)
-        with CertaintySession(
-            certain_db, backend="object", allow_exponential=True
-        ) as object_session:
-            with CertaintySession(
-                certain_db, backend="columnar", allow_exponential=True
-            ) as columnar_session:
-                object_verdict = object_session.is_certain(q1)
-                columnar_verdict = columnar_session.is_certain(q1)
-        assert object_verdict and columnar_verdict, "certain variant must be certain"
-        row["certain_variant_agree"] = object_verdict == columnar_verdict
+        with CertaintySession(certain_db, allow_exponential=True) as session:
+            assert session.is_certain(q1), "certain variant must be certain"
+        row["certain_variant_agree"] = True
         conp_rows.append(row)
     bands.append(
         {
@@ -830,18 +718,11 @@ def run_all_bands_benchmark(
             "results": conp_rows,
         }
     )
-
-    for band in bands:
-        band["all_agree"] = all(r["agree"] for r in band["results"])
-        band["largest_size_speedup"] = (
-            band["results"][-1]["speedup_vs_object"] if band["results"] else None
-        )
     return {
         "benchmark": "all_bands",
         "cpu_count": os.cpu_count(),
         "repeats": repeats,
         "bands": bands,
-        "all_agree": all(band["all_agree"] for band in bands),
     }
 
 
@@ -850,8 +731,6 @@ def _emit_all_bands(args: argparse.Namespace, output: pathlib.Path) -> int:
         sizes: Sequence[int] = args.sizes
     else:
         sizes = ALL_BANDS_SMOKE_SIZES if args.smoke else ALL_BANDS_FULL_SIZES
-    # Always best-of-3: the CI regression guard compares speedup ratios
-    # against the committed baseline, and single samples are too noisy.
     report = run_all_bands_benchmark(sizes, repeats=3)
     output.write_text(json.dumps(report, indent=2) + "\n")
     for band in report["bands"]:
@@ -860,45 +739,9 @@ def _emit_all_bands(args: argparse.Namespace, output: pathlib.Path) -> int:
             verdict = row.get("certain", row.get("certain_answers"))
             print(
                 f"  size={row['size']:5d} facts={row['facts']:6d} "
-                f"result={verdict!s:5s} object={row['object_seconds']:.4f}s "
-                f"columnar={row['columnar_seconds']:.4f}s "
-                f"speedup={row['speedup_vs_object']:.1f}x"
+                f"result={verdict!s:5s} seconds={row['seconds']:.4f}"
             )
     print(f"wrote {output}")
-    if not report["all_agree"]:
-        print("ERROR: columnar and object backends disagree", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _emit_columnar_store(args: argparse.Namespace, output: pathlib.Path) -> int:
-    if args.sizes:
-        sizes: Sequence[int] = args.sizes
-    else:
-        sizes = COLUMNAR_SMOKE_SIZES if args.smoke else COLUMNAR_FULL_SIZES
-    # Always best-of-3: the CI regression guard compares this run's speedup
-    # ratios against the committed baseline, and a single millisecond-scale
-    # sample on a shared runner is too noisy to guard on (the smoke sizes
-    # cost well under a second even with repeats).
-    report = run_columnar_benchmark(sizes, repeats=3)
-    output.write_text(json.dumps(report, indent=2) + "\n")
-    for row in report["results"]:
-        print(
-            f"chains={row['planted_chains']:5d} facts={row['facts']:6d} "
-            f"candidates={row['candidate_answers']:5d} "
-            f"object={row['object_seconds']:.4f}s "
-            f"columnar={row['columnar_seconds']:.4f}s "
-            f"speedup={row['speedup_vs_object']:.1f}x"
-        )
-    intern = report["intern_table"]
-    print(
-        f"intern table: {intern['constants']} constants, "
-        f"{intern['total_bytes']} bytes"
-    )
-    print(f"wrote {output}")
-    if not report["all_agree"]:
-        print("ERROR: columnar and object backends disagree", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -1676,7 +1519,6 @@ _DEFAULT_OUTPUTS = {
     "fo_rewriting": "BENCH_fo_rewriting.json",
     "sharded_runtime": "BENCH_sharded_runtime.json",
     "incremental_views": "BENCH_incremental_views.json",
-    "columnar_store": "BENCH_columnar_store.json",
     "all_bands": "BENCH_all_bands.json",
     "service_load": "BENCH_service_load.json",
     "durability": "BENCH_durability.json",
@@ -1692,7 +1534,6 @@ def main(argv: Sequence[str] = ()) -> int:
             "fo_rewriting",
             "sharded_runtime",
             "incremental_views",
-            "columnar_store",
             "all_bands",
             "service_load",
             "durability",
@@ -1728,8 +1569,6 @@ def main(argv: Sequence[str] = ()) -> int:
         return _emit_sharded_runtime(args, output)
     if args.suite == "incremental_views":
         return _emit_incremental_views(args, output)
-    if args.suite == "columnar_store":
-        return _emit_columnar_store(args, output)
     if args.suite == "all_bands":
         return _emit_all_bands(args, output)
     if args.suite == "service_load":

@@ -20,6 +20,8 @@ from repro import (
     parse_facts,
     parse_query,
 )
+from repro.certainty import certain_by_enumeration
+from repro.query import ground_free_variables
 
 
 def main() -> None:
@@ -111,42 +113,43 @@ def main() -> None:
               view.answers == frozenset(certain_answers(db, open_query)))
 
     # 7. The columnar store: under the hood, every session above ran on the
-    #    interned columnar backend.  Constants are interned once into dense
+    #    interned columnar store.  Constants are interned once into dense
     #    integer ids (a process-wide append-only table), each relation is
     #    stored as integer columns with per-block id slices, and every hot
     #    kernel — compiled-rewriting joins and anti-joins, candidate
     #    enumeration, purify sweeps, batched deciding — runs on tuples of
-    #    small ints instead of Constant objects (5-10x on batched
-    #    certain_answers; see BENCH_columnar_store.json).  Read sets shrink
-    #    to dense block ids.  The object-level path remains the
-    #    differential reference: pass backend="object" to
-    #    CertaintySession/ViewManager to run on plain fact dictionaries —
-    #    answers are guaranteed identical.
-    with CertaintySession(db) as session:              # backend="columnar"
+    #    small ints instead of Constant objects.  Read sets shrink to dense
+    #    block ids.  The paper's definition is the check on all of it: a
+    #    tuple is certain iff every repair satisfies its grounding, which
+    #    certain_by_enumeration decides literally (exponential in the
+    #    number of conflicting blocks, so tiny databases only).
+    with CertaintySession(db) as session:
         store = session.store
         print("\ncolumnar store:", store)
         print("store memory:", store.memory_stats())
-        with CertaintySession(db, backend="object") as reference:
-            print("backends agree:",
-                  session.certain_answers(open_query)
-                  == reference.certain_answers(open_query))
+        answers = session.certain_answers(open_query)
+        print("matches repair enumeration:", all(
+            (candidate in answers) == certain_by_enumeration(
+                db, ground_free_variables(open_query, [c.value for c in candidate])
+            )
+            for candidate in session.candidate_answers(open_query)
+        ))
 
-    # 8. Every band on the id kernels: the columnar backend is not limited
-    #    to the FO band.  The Theorem 3 terminal-cycle recursion, the
-    #    Theorem 4 cycle-query solver and the coNP brute-force repair
-    #    search all dispatch to id-space twins when the session index is
-    #    columnar — partitioning, pair-purification, fact-graph
-    #    construction and the pruned repair search run on integer rows,
-    #    and purification threads columnar indexes through arbitrarily
-    #    deep residual recursions.  Every solver also records *static*
-    #    per-atom support (blocks, key masks, or whole relations), so
+    # 8. Every band on the id kernels, not just the FO band.  The
+    #    Theorem 3 terminal-cycle recursion, the Theorem 4 cycle-query
+    #    solver and the coNP brute-force repair search all run on the
+    #    session's columnar index — partitioning, pair-purification,
+    #    fact-graph construction and the pruned repair search run on
+    #    integer rows, and purification threads columnar indexes through
+    #    arbitrarily deep residual recursions.  Every solver also records
+    #    *static* per-atom support (blocks, key masks, or whole relations), so
     #    materialized views stay fine-grained on every band: a mutation
     #    outside a decision's support never forces a band-opaque full
     #    refresh.  Sessions additionally memoise candidate enumeration,
     #    keyed on the database's mutation_version — a counter that bumps
     #    on every effective mutation (once per batch), giving a one-int
     #    staleness check.  BENCH_all_bands.json records the per-band
-    #    speedups, with in-run identity checks against backend="object".
+    #    decision times.
     from repro.query import figure4_query
     from repro.workloads import synthetic_instance
 

@@ -1,13 +1,17 @@
-"""Exponential but always-correct CERTAINTY solver (the oracle).
+"""Exponential but always-correct CERTAINTY solvers.
 
 ``CERTAINTY(q)`` is in coNP for first-order ``q``: a "no" certificate is a
-repair falsifying the query.  The brute-force solver searches for such a
-falsifying repair.  It is used as ground truth for every polynomial solver
-in the test suite and in the agreement experiments, and as the fallback for
-queries classified coNP-complete or open.
+repair falsifying the query.  Two solvers live here:
 
-Two optimisations keep it usable on small-to-medium instances without
-affecting correctness:
+* :func:`certain_by_enumeration` — the definition itself: enumerate every
+  repair and check that each one satisfies ``q``.  It is the oracle the
+  test suite checks every other solver against, on small instances;
+* :func:`certain_brute_force` — the pruned search for a falsifying repair,
+  running on the id-rows of a columnar index.  It is the engine's solver
+  for queries classified coNP-complete or open.
+
+Two optimisations keep the pruned search usable on small-to-medium
+instances without affecting correctness:
 
 * witnesses (valuation images ``θ(q) ⊆ db``) are computed once; a repair
   satisfies ``q`` iff it fully contains one of them;
@@ -19,7 +23,7 @@ affecting correctness:
 Witness bookkeeping is *incremental*: instead of rescanning every witness at
 every search node, each witness carries two counters — the number of its
 blocks still undecided and the number of decided blocks that rejected one of
-its facts — updated in O(witnesses-per-block) when a block choice is made or
+its rows — updated in O(witnesses-per-block) when a block choice is made or
 undone, alongside global broken/complete tallies that make the pruning
 checks O(1).
 """
@@ -32,10 +36,10 @@ from ..model.atoms import Fact
 from ..model.database import BlockKey, UncertainDatabase
 from ..model.repairs import enumerate_repairs
 from ..query.conjunctive import ConjunctiveQuery
-from ..query.evaluation import satisfies, witnesses
-from ..store.columnar import ColumnarFactStore, IntKey, IntRow
+from ..query.evaluation import satisfies
+from ..store.columnar import IntKey, IntRow
 from ..store.kernels import witness_row_sets
-from .context import SolverContext
+from .context import SolverContext, scratch_index
 
 
 class BruteForceResult:
@@ -55,8 +59,10 @@ class BruteForceResult:
 def certain_by_enumeration(db: UncertainDatabase, query: ConjunctiveQuery) -> bool:
     """Decide certainty by enumerating every repair (no pruning).
 
-    Exponential in the number of conflicting blocks; kept as the most
-    literal transcription of the definition for use in tests on tiny inputs.
+    Exponential in the number of conflicting blocks: the most literal
+    transcription of the definition, and the oracle of the test suite on
+    tiny inputs.  It reads fact objects only, sharing no code with the
+    columnar solvers it checks.
     """
     return all(satisfies(repair, query) for repair in enumerate_repairs(db))
 
@@ -77,121 +83,20 @@ def brute_force_with_certificate(
 ) -> BruteForceResult:
     """Decide certainty and, when the answer is "no", exhibit a falsifying repair.
 
-    *context*, when given, supplies a shared fact index over *db* so the
-    witness computation avoids re-indexing the database.  When that index
-    is columnar, the witness computation and the entire repair search run
-    on id-rows (:func:`_brute_force_ids`); the falsifying certificate is
-    decoded back to fact objects only on a "no" answer.
+    *context*, when given, supplies a shared columnar index over *db*;
+    otherwise a private one is built.  The witness computation and the
+    entire repair search run on the index's id-rows; the falsifying
+    certificate is decoded back to fact objects only on a "no" answer:
+    witnesses are frozensets of ``(name, id-row)`` pairs, blocks are
+    ``(name, key ids)`` and per-block choices iterate the store's block
+    slices.
     """
     if query.is_empty:
         return BruteForceResult(True, None)
-    shared_index = context.index_for(db) if context is not None else None
-    store = getattr(shared_index, "store", None)
-    if store is not None:
-        return _brute_force_ids(db, query, store)
-    witness_sets = witnesses(query, shared_index if shared_index is not None else db.facts)
-    if not witness_sets:
-        # No repair can satisfy the query; any repair falsifies it.
-        repair = next(enumerate_repairs(db))
-        return BruteForceResult(False, repair)
-
-    # Blocks that contain at least one fact used by some witness.
-    relevant_blocks: List[BlockKey] = []
-    seen_blocks: Set[BlockKey] = set()
-    for witness in witness_sets:
-        for fact in witness:
-            if fact.block_key not in seen_blocks:
-                seen_blocks.add(fact.block_key)
-                relevant_blocks.append(fact.block_key)
-    relevant_blocks.sort(key=lambda key: (key[0], tuple(str(c) for c in key[1])))
-
-    choice: Dict[BlockKey, Fact] = {}
-
-    # Per-witness counters, updated incrementally on block choice/unchoice:
-    # ``undecided[w]`` blocks of witness w not yet decided, ``broken[w]``
-    # decided blocks that rejected one of w's facts.  ``block_witnesses``
-    # maps each block to the witnesses it intersects (with the facts of that
-    # witness inside the block — a self-join witness can hold several).
-    block_witnesses: Dict[BlockKey, List[Tuple[int, List[Fact]]]] = {}
-    undecided: List[int] = []
-    broken: List[int] = []
-    for w_index, witness in enumerate(witness_sets):
-        per_block: Dict[BlockKey, List[Fact]] = {}
-        for fact in witness:
-            per_block.setdefault(fact.block_key, []).append(fact)
-        undecided.append(len(per_block))
-        broken.append(0)
-        for key, facts in per_block.items():
-            block_witnesses.setdefault(key, []).append((w_index, facts))
-
-    total = len(witness_sets)
-    num_broken = 0  # witnesses with broken[w] > 0
-    num_complete = 0  # witnesses with broken[w] == 0 and undecided[w] == 0
-
-    def choose(block_key: BlockKey, chosen: Fact) -> None:
-        nonlocal num_broken, num_complete
-        for w_index, facts in block_witnesses.get(block_key, ()):
-            undecided[w_index] -= 1
-            if any(fact != chosen for fact in facts):
-                broken[w_index] += 1
-                if broken[w_index] == 1:
-                    num_broken += 1
-            elif undecided[w_index] == 0 and broken[w_index] == 0:
-                num_complete += 1
-
-    def unchoose(block_key: BlockKey, chosen: Fact) -> None:
-        nonlocal num_broken, num_complete
-        for w_index, facts in block_witnesses.get(block_key, ()):
-            if any(fact != chosen for fact in facts):
-                broken[w_index] -= 1
-                if broken[w_index] == 0:
-                    num_broken -= 1
-            elif undecided[w_index] == 0 and broken[w_index] == 0:
-                num_complete -= 1
-            undecided[w_index] += 1
-
-    def search(position: int) -> Optional[Dict[BlockKey, Fact]]:
-        if num_complete:
-            return None  # some witness fully selected: this branch satisfies q
-        if num_broken == total:
-            return dict(choice)  # every witness destroyed: falsifying repair found
-        if position == len(relevant_blocks):
-            return dict(choice)
-        block_key = relevant_blocks[position]
-        for fact in sorted(db.block(block_key), key=str):
-            choice[block_key] = fact
-            choose(block_key, fact)
-            found = search(position + 1)
-            if found is not None:
-                return found
-            unchoose(block_key, fact)
-            del choice[block_key]
-        return None
-
-    partial = search(0)
-    if partial is None:
-        return BruteForceResult(True, None)
-    # Extend the partial choice over relevant blocks to a full repair.
-    repair: Set[Fact] = set(partial.values())
-    for block in db.blocks():
-        key = next(iter(block)).block_key
-        if key not in partial:
-            repair.add(sorted(block, key=str)[0])
-    return BruteForceResult(False, frozenset(repair))
-
-
-def _brute_force_ids(
-    db: UncertainDatabase,
-    query: ConjunctiveQuery,
-    store: ColumnarFactStore,
-) -> BruteForceResult:
-    """The pruned repair search over the columnar store's id-rows.
-
-    Same search tree and pruning as the object path, but witnesses are
-    frozensets of ``(name, id-row)`` pairs, blocks are ``(name, key ids)``
-    and per-block choices iterate the store's block slices — no fact objects
-    are touched until a falsifying certificate must be decoded.
-    """
+    index = context.index_for(db) if context is not None else None
+    if index is None:
+        index = scratch_index(db.facts)
+    store = index.store
     witness_sets = witness_row_sets(query, store)
     if not witness_sets:
         # No repair can satisfy the query; any repair falsifies it.
@@ -220,7 +125,11 @@ def _brute_force_ids(
 
     choice: Dict[_BlockId, IntRow] = {}
 
-    # Identical incremental bookkeeping to the object path, on int tuples.
+    # Per-witness counters, updated incrementally on block choice/unchoice:
+    # ``undecided[w]`` blocks of witness w not yet decided, ``broken[w]``
+    # decided blocks that rejected one of w's rows.  ``block_witnesses``
+    # maps each block to the witnesses it intersects (with the rows of that
+    # witness inside the block — a self-join witness can hold several).
     block_witnesses: Dict[_BlockId, List[Tuple[int, List[IntRow]]]] = {}
     undecided: List[int] = []
     broken: List[int] = []

@@ -8,19 +8,23 @@ bundles those structures so they can be computed once — by the engine's
 
 All solver entry points accept ``context=None`` and behave exactly as
 before when no context is given, so the one-shot APIs are unaffected.
+Without a shared index a solver builds its own through
+:func:`scratch_index`, the one place that chooses the intern table of
+solver-private indexes.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional
 
 from ..attacks.graph import AttackGraph
 from ..core.classify import Classification
+from ..model.atoms import Fact
 from ..model.database import UncertainDatabase
 from ..query.conjunctive import ConjunctiveQuery
-from ..query.evaluation import FactIndex
 from ..query.families import CycleQueryShape, cycle_query_shape
+from ..store import ColumnarFactIndex, InternTable
 
 #: Cap on the number of memoised attack graphs / cycle shapes per context.
 #: Residual queries produced by the peeling recursion are distinct per
@@ -37,7 +41,7 @@ class SolverContext:
     Parameters
     ----------
     db:
-        The *root* database the context's shared :class:`FactIndex` covers.
+        The *root* database the context's shared index covers.
         Solvers work on purified copies internally; the shared index is only
         substituted when a solver is asked about this exact database object.
     index:
@@ -50,7 +54,7 @@ class SolverContext:
     def __init__(
         self,
         db: Optional[UncertainDatabase] = None,
-        index: Optional[FactIndex] = None,
+        index: Optional[ColumnarFactIndex] = None,
         classification: Optional[Classification] = None,
     ) -> None:
         self.db = db
@@ -93,8 +97,22 @@ class SolverContext:
                 self._shapes[query] = shape
         return shape  # type: ignore[return-value]
 
-    def index_for(self, db: UncertainDatabase) -> Optional[FactIndex]:
+    def index_for(self, db: UncertainDatabase) -> Optional[ColumnarFactIndex]:
         """The shared index when *db* is the context's root database."""
         if self.db is not None and db is self.db:
             return self.index
         return None
+
+
+def scratch_index(facts: Iterable[Fact]) -> ColumnarFactIndex:
+    """A solver-private columnar index over *facts*, on a fresh intern table.
+
+    Every index a solver builds for itself goes through here: one-shot
+    calls without a session, purification's private copies, compiled
+    formulas evaluated against a bare database, and the default index of
+    :class:`~repro.fo.evaluate.FormulaEvaluator`.  The fresh table keeps
+    such throwaway indexes from growing the process-wide table, which never
+    rotates, and from retaining rows in a session's table, whose live
+    fraction drives epoch rotation; the table dies with the index.
+    """
+    return ColumnarFactIndex(facts, table=InternTable())

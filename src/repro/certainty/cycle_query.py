@@ -29,7 +29,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..model.atoms import RelationSchema
 from ..model.database import UncertainDatabase
-from ..model.symbols import Constant
 from ..query.conjunctive import ConjunctiveQuery
 from ..query.families import CycleQueryShape, cycle_query_shape
 from ..store.columnar import ColumnarFactStore
@@ -37,10 +36,8 @@ from .context import SolverContext
 from .exceptions import UnsupportedQueryError
 from .purify import purify_with_index
 
-#: Graph vertex: (ring position starting at 0, constant).  The columnar
-#: path uses (position, term id) instead — every algorithm below is generic
-#: over hashable, str-sortable vertices.
-_Node = Tuple[int, Constant]
+#: Graph vertex: (ring position starting at 0, term id).
+_Node = Tuple[int, int]
 
 
 def certain_cycle_query(
@@ -51,7 +48,8 @@ def certain_cycle_query(
     """Decide ``db ∈ CERTAINTY(q)`` for a query of the ``C(k)``/``AC(k)`` shape.
 
     *context* optionally supplies the memoised cycle shape and a shared fact
-    index for purification.
+    index for purification.  The fact graph is built from the id-rows of
+    the purified index.
     """
     shape = context.cycle_shape(query) if context is not None else cycle_query_shape(query)
     if shape is None:
@@ -61,9 +59,7 @@ def certain_cycle_query(
     )
     if not purified:
         return False
-    # On the columnar backend the purified index carries a store over the
-    # purified facts; the fact graph is then built straight from id-rows.
-    graph = _FactGraph(purified, shape, store=getattr(purified_index, "store", None))
+    graph = _FactGraph(shape, purified_index.store)
     components = graph.strongly_connected_components()
     for component in components:
         if not graph.component_falsifiable(component):
@@ -72,48 +68,27 @@ def certain_cycle_query(
 
 
 class _FactGraph:
-    """The k-partite fact graph of Theorem 4, with per-component decisions."""
+    """The k-partite fact graph of Theorem 4, with per-component decisions.
 
-    def __init__(
-        self,
-        db: UncertainDatabase,
-        shape: CycleQueryShape,
-        store: Optional[ColumnarFactStore] = None,
-    ) -> None:
+    Vertices are (ring position, term id) pairs and edges are the id-rows
+    of the purified ring relations, read straight from the columnar store.
+    """
+
+    def __init__(self, shape: CycleQueryShape, store: ColumnarFactStore) -> None:
         self.shape = shape
         self.k = shape.k
         self.adjacency: Dict[_Node, Set[_Node]] = defaultdict(set)
         self.witness_cycles: Optional[Set[Tuple[_Node, ...]]] = None
-        if store is not None:
-            # Columnar path: vertices are (position, term id) and the whole
-            # graph is assembled from the store's id-rows without decoding.
-            for position, atom in enumerate(shape.ring_atoms):
-                for row in store.relation_rows(atom.relation.name):
-                    source = (position, row[0])
-                    target = ((position + 1) % self.k, row[1])
-                    self.adjacency[source].add(target)
-                    self.adjacency.setdefault(target, set())
-            if shape.sk_atom is not None:
-                self.witness_cycles = set()
-                for row in store.relation_rows(shape.sk_atom.relation.name):
-                    values = dict(zip(shape.sk_atom.terms, row))
-                    nodes = tuple(
-                        (position, values[variable])
-                        for position, variable in enumerate(shape.variables)
-                    )
-                    self.witness_cycles.add(nodes)
-            return
         for position, atom in enumerate(shape.ring_atoms):
-            for fact in db.relation_facts(atom.relation.name):
-                source_value, target_value = fact.terms
-                source: _Node = (position, source_value)
-                target: _Node = ((position + 1) % self.k, target_value)
+            for row in store.relation_rows(atom.relation.name):
+                source = (position, row[0])
+                target = ((position + 1) % self.k, row[1])
                 self.adjacency[source].add(target)
                 self.adjacency.setdefault(target, set())
         if shape.sk_atom is not None:
             self.witness_cycles = set()
-            for fact in db.relation_facts(shape.sk_atom.relation.name):
-                values = {var: value for var, value in zip(shape.sk_atom.terms, fact.terms)}
+            for row in store.relation_rows(shape.sk_atom.relation.name):
+                values = dict(zip(shape.sk_atom.terms, row))
                 nodes = tuple(
                     (position, values[variable])
                     for position, variable in enumerate(shape.variables)

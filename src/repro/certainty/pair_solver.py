@@ -29,7 +29,10 @@ that is not a join pair, which happens iff the component contains either an
 anti-parallel pair of edges with *different* labels, or an elementary cycle
 (on block vertices) of length greater than two.  Hence ``db ∈ CERTAINTY(q)``
 iff some component has neither — which the solver checks in polynomial time.
-The solver is validated against the brute-force oracle in the test suite.
+Everything runs on the id-rows of a columnar store: the Theorem 3 base case
+hands in one partition at a time, and the one-shot entry points build a
+private index first.  The solver is validated against repair enumeration
+in the test suite.
 """
 
 from __future__ import annotations
@@ -39,32 +42,27 @@ from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from ..attacks.cycles import has_strong_cycle
 from ..attacks.graph import AttackGraph
-from ..model.atoms import Atom, Fact
 from ..model.database import UncertainDatabase
-from ..model.symbols import Constant, is_constant
 from ..query.conjunctive import ConjunctiveQuery
 from ..store.columnar import ColumnarFactStore, IntKey, IntRow
 from ..store.kernels import AtomMatcher
 from .exceptions import IntractableQueryError, UnsupportedQueryError
-from .peeling import match_full_atom, peel_certain, empty_base_case
-from .purify import purify
+from .peeling import peel_certain, empty_base_case
+from .purify import purify_with_index
 
-#: Vertex of the block digraph: (side, key constants) where side is "F" or
-#: "G"; the id-space path uses key id-tuples instead of constants (every
-#: algorithm below is generic over hashable, str-sortable vertices).
-_Node = Tuple[str, Tuple[Constant, ...]]
+#: Vertex of the block digraph: (side, key id-tuple) where side is "F" or "G".
+_Node = Tuple[str, IntKey]
 
 
 class _Edge:
-    """A fact viewed as an edge of the block digraph."""
+    """An id-row viewed as an edge of the block digraph."""
 
-    __slots__ = ("source", "target", "label", "fact")
+    __slots__ = ("source", "target", "label")
 
-    def __init__(self, source: _Node, target: _Node, label: Tuple[Constant, ...], fact: Fact) -> None:
+    def __init__(self, source: _Node, target: _Node, label: IntRow) -> None:
         self.source = source
         self.target = target
         self.label = label
-        self.fact = fact
 
 
 def is_two_atom_query(query: ConjunctiveQuery) -> bool:
@@ -92,30 +90,21 @@ def certain_two_atom(db: UncertainDatabase, query: ConjunctiveQuery) -> bool:
 
 
 def certain_weak_cycle_pair(db: UncertainDatabase, query: ConjunctiveQuery) -> bool:
-    """The graph-marking decision procedure for a weak attack cycle ``F ⇄ G``."""
+    """The graph-marking decision procedure for a weak attack cycle ``F ⇄ G``.
+
+    Purifies *db* (Lemma 1) on a private columnar index, then decides on
+    its id-rows through :func:`certain_weak_cycle_pair_rows`.
+    """
     if not is_two_atom_query(query):
         raise UnsupportedQueryError("certain_weak_cycle_pair expects exactly two atoms")
+    store = purify_with_index(db, query)[1].store
     first, second = query.atoms
-    for one, other in ((first, second), (second, first)):
-        if not one.key_variables.issubset(other.variables):
-            raise UnsupportedQueryError(
-                f"key({one}) is not contained in vars({other}); "
-                "the query does not have a weak attack cycle"
-            )
-    purified = purify(db, query)
-    if not purified:
-        return False
-
-    edges, adjacency = _build_block_graph(purified, first, second)
-    components = _strongly_connected_components(adjacency)
-    for component in components:
-        if len(component) < 2:
-            # An isolated vertex cannot appear: every edge lies on a 2-cycle
-            # after purification.  Treat it defensively as non-falsifiable.
-            return True
-        if not _component_falsifiable(component, edges, adjacency):
-            return True
-    return False
+    return certain_weak_cycle_pair_rows(
+        store,
+        query,
+        store.relation_rows(first.relation.name),
+        store.relation_rows(second.relation.name),
+    )
 
 
 def certain_weak_cycle_pair_rows(
@@ -124,13 +113,14 @@ def certain_weak_cycle_pair_rows(
     first_rows: Sequence[IntRow],
     second_rows: Sequence[IntRow],
 ) -> bool:
-    """Id-space twin of :func:`certain_weak_cycle_pair` over columnar rows.
+    """The graph-marking decision procedure over columnar rows.
 
     *first_rows* / *second_rows* are the id-rows (drawn from *store*) over
-    the relations of the query's two atoms; the Theorem 3 base case hands in
-    one partition at a time.  Pair purification, block-digraph construction
-    and the per-component decision all run on int tuples — nothing is
-    decoded back into fact objects.
+    the relations of the query's two atoms, taken from a database purified
+    relative to the query; the Theorem 3 base case hands in one partition
+    at a time.  Pair purification, block-digraph construction and the
+    per-component decision all run on int tuples — nothing is decoded back
+    into fact objects.
     """
     if not is_two_atom_query(query):
         raise UnsupportedQueryError("certain_weak_cycle_pair_rows expects exactly two atoms")
@@ -186,7 +176,9 @@ def certain_weak_cycle_pair_rows(
     if not blocks[0] or not blocks[1]:
         return False
 
-    # Same block digraph as `_build_block_graph`, on id-tuple vertices.
+    # The block digraph: one vertex per block, one edge per row, from the
+    # row's block to the partner block its values determine, labelled with
+    # its values for the shared non-key variables.
     edges: List[_Edge] = []
     adjacency: Dict[_Node, Set[_Node]] = defaultdict(set)
     tags = ("F", "G")
@@ -199,7 +191,7 @@ def certain_weak_cycle_pair_rows(
             for row in rows:
                 target: _Node = (partner_tag, matcher.project(row, partner.key_terms))
                 label = matcher.values(row, extra)
-                edges.append(_Edge(source, target, label, row))
+                edges.append(_Edge(source, target, label))
                 adjacency[source].add(target)
                 adjacency.setdefault(target, set())
 
@@ -211,39 +203,7 @@ def certain_weak_cycle_pair_rows(
     return False
 
 
-# -- graph construction ------------------------------------------------------------
-
-
-def _build_block_graph(
-    db: UncertainDatabase,
-    first: Atom,
-    second: Atom,
-) -> Tuple[List[_Edge], Dict[_Node, Set[_Node]]]:
-    shared = first.variables & second.variables
-    key_vars = first.key_variables | second.key_variables
-    extra = sorted(shared - key_vars, key=lambda v: v.name)
-
-    edges: List[_Edge] = []
-    adjacency: Dict[_Node, Set[_Node]] = defaultdict(set)
-
-    def add_side(own: Atom, own_side: str, partner: Atom, partner_side: str) -> None:
-        for fact in db.relation_facts(own.relation.name):
-            binding = match_full_atom(own, fact)
-            if binding is None:
-                continue  # cannot happen on a purified database
-            source: _Node = (own_side, fact.key_terms)
-            target_key = tuple(
-                term if is_constant(term) else binding[term] for term in partner.key_terms
-            )
-            target: _Node = (partner_side, target_key)
-            label = tuple(binding[v] for v in extra)
-            edges.append(_Edge(source, target, label, fact))
-            adjacency[source].add(target)
-            adjacency.setdefault(target, set())
-
-    add_side(first, "F", second, "G")
-    add_side(second, "G", first, "F")
-    return edges, adjacency
+# -- graph algorithms ----------------------------------------------------------------
 
 
 def _strongly_connected_components(adjacency: Dict[_Node, Set[_Node]]) -> List[FrozenSet[_Node]]:
@@ -310,7 +270,7 @@ def _component_falsifiable(
     local_edges = [e for e in edges if e.source in component and e.target in component]
 
     # Case (a): an anti-parallel pair of facts with different labels.
-    labels: Dict[Tuple[_Node, _Node], Set[Tuple[Constant, ...]]] = defaultdict(set)
+    labels: Dict[Tuple[_Node, _Node], Set[IntRow]] = defaultdict(set)
     for edge in local_edges:
         labels[(edge.source, edge.target)].add(edge.label)
     for (source, target), label_set in labels.items():

@@ -23,7 +23,9 @@ recursion, taken from the proof of Theorem 3:
 
 The recursion is polynomial in the size of the database for a fixed query
 (the branching factor at each level is bounded by the number of blocks and
-facts, and the depth is bounded by the number of atoms).
+facts, and the depth is bounded by the number of atoms).  Every level runs
+on a columnar index: purification returns one covering its result, and the
+recursion threads it into the residual calls and the base case.
 """
 
 from __future__ import annotations
@@ -35,19 +37,18 @@ from ..model.atoms import Atom, Fact
 from ..model.database import UncertainDatabase
 from ..model.symbols import Constant, Variable, is_constant
 from ..query.conjunctive import ConjunctiveQuery
-from ..query.evaluation import FactIndex
 from ..query.substitution import substitute_atom, substitute_query
+from ..store.index import ColumnarFactIndex
 from .context import SolverContext
 from .exceptions import UnsupportedQueryError
 from .purify import purify_with_index
 
 #: A base-case handler decides certainty for a (purified) database and a
 #: query whose attack graph has no unattacked atom.  The final argument is
-#: an up-to-date fact index over the database (``None`` when the recursion
-#: had none to thread); columnar-aware handlers read its ``store`` to run
-#: on id-rows.
+#: an up-to-date columnar index over the database, whose ``store`` the
+#: handler reads to run on id-rows.
 BaseCaseHandler = Callable[
-    [UncertainDatabase, ConjunctiveQuery, AttackGraph, Optional[FactIndex]], bool
+    [UncertainDatabase, ConjunctiveQuery, AttackGraph, ColumnarFactIndex], bool
 ]
 
 
@@ -96,9 +97,8 @@ def peel_certain(
     db: UncertainDatabase,
     query: ConjunctiveQuery,
     base_case: BaseCaseHandler,
-    _purified: bool = False,
     context: Optional[SolverContext] = None,
-    index: Optional[FactIndex] = None,
+    index: Optional[ColumnarFactIndex] = None,
 ) -> bool:
     """Decide ``db ∈ CERTAINTY(q)`` by the unattacked-atom recursion.
 
@@ -110,37 +110,22 @@ def peel_certain(
     when given, must cover exactly the facts of *db*: the recursion threads
     the indexes returned by :func:`purify_with_index` through its residual
     calls, so deep recursions never rebuild an index over an unchanged
-    database — and sessions on the columnar backend keep id-space purify
-    sweeps at every level.
+    database.
     """
     if query.has_self_join:
         raise UnsupportedQueryError("the peeling recursion requires a self-join-free query")
     if query.is_empty:
         return True
-    if index is not None:
-        shared_index = index
-    else:
-        shared_index = context.index_for(db) if context is not None else None
-    if _purified:
-        current, current_index = db, shared_index
-    else:
-        current, current_index = purify_with_index(db, query, index=shared_index)
+    if index is None and context is not None:
+        index = context.index_for(db)
+    current, level_index = purify_with_index(db, query, index=index)
     if not current:
         return False
 
     graph = context.attack_graph(query) if context is not None else AttackGraph(query)
     unattacked = graph.unattacked_atoms()
     if not unattacked:
-        return base_case(current, query, graph, current_index)
-
-    # One index per recursion level: `purify_with_index` returned (or was
-    # handed) an index covering `current`, and purify never mutates a
-    # caller-supplied index, so every per-block re-purification below can
-    # share it.  The index keeps the caller's backend, so sessions on the
-    # columnar backend sweep block-id arrays throughout the recursion.
-    if current_index is None:
-        current_index = FactIndex(current.facts)
-    level_index = current_index
+        return base_case(current, query, graph, level_index)
 
     # Deterministically pick the unattacked atom with the fewest key variables
     # (cheapest branching), breaking ties by string representation.
@@ -150,6 +135,10 @@ def peel_certain(
     candidate_blocks = [
         block for block in current.blocks_of_relation(atom.relation.name)
     ]
+    # One index per recursion level: `purify_with_index` returned (or was
+    # handed) an index covering `current`, and purify never mutates a
+    # caller-supplied index, so every per-block re-purification below can
+    # share it.
     for block in sorted(candidate_blocks, key=lambda b: min(str(f) for f in b)):
         key_values = next(iter(block)).key_terms
         key_binding = match_key_pattern(atom, key_values)
@@ -190,7 +179,7 @@ def empty_base_case(
     db: UncertainDatabase,
     query: ConjunctiveQuery,
     graph: AttackGraph,
-    index: Optional[FactIndex] = None,
+    index: ColumnarFactIndex,
 ) -> bool:
     """Base case for the first-order solver: it must never be reached.
 

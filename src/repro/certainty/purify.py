@@ -19,18 +19,25 @@ is returned when no removal happens), and the working fact index is
 maintained incrementally across removal sweeps instead of being rebuilt per
 sweep.  :func:`purify_copy_count` exposes how many defensive copies were
 made, so benchmarks and tests can assert the zero-copy fast path.
+
+The sweeps run on the id-rows of a columnar index
+(:func:`~repro.store.kernels.stale_block_keys`).  :func:`relevant_facts`
+and :func:`is_purified` transcribe Lemma 1 over fact objects instead; they
+are the definition the sweeps are tested against.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from ..model.atoms import Fact
 from ..model.database import UncertainDatabase
 from ..query.conjunctive import ConjunctiveQuery
 from ..query.evaluation import FactIndex, iterate_valuations
+from ..store.index import ColumnarFactIndex
 from ..store.kernels import stale_block_keys
+from .context import scratch_index
 
 #: Process-wide count of databases copied by :func:`purify` (diagnostics).
 _copy_count = 0
@@ -48,9 +55,8 @@ def purify_index_build_counts() -> Dict[str, int]:
     block removal forces a private index over the copied database.  The
     peeling recursion threads the returned indexes through its residual
     calls, so deep recursions should show O(levels) builds — not one per
-    purify call; the differential tests assert exactly that, and that the
-    built class matches the session backend (columnar indexes all the way
-    down).
+    purify call; the tests assert exactly that, and that every built index
+    is columnar.
     """
     with _copy_count_lock:
         return dict(_index_build_counts)
@@ -103,6 +109,7 @@ def relevant_facts(
 ) -> FrozenSet[Fact]:
     """The facts of *db* that occur in at least one witness ``θ(q) ⊆ db``.
 
+    Lemma 1 by definition, over fact objects and the backtracking evaluator.
     When *index* is given it must be an up-to-date index over the facts of
     *db* (it is then used instead of building a fresh one).
     """
@@ -118,7 +125,7 @@ def relevant_facts(
 def purify(
     db: UncertainDatabase,
     query: ConjunctiveQuery,
-    index: Optional[FactIndex] = None,
+    index: Optional[ColumnarFactIndex] = None,
 ) -> UncertainDatabase:
     """Return a purified database relative to *query* (Lemma 1).
 
@@ -141,17 +148,18 @@ def purify(
 def purify_with_index(
     db: UncertainDatabase,
     query: ConjunctiveQuery,
-    index: Optional[FactIndex] = None,
-) -> Tuple[UncertainDatabase, Optional[FactIndex]]:
+    index: Optional[ColumnarFactIndex] = None,
+) -> Tuple[UncertainDatabase, Optional[ColumnarFactIndex]]:
     """:func:`purify`, also returning an index covering the result.
 
-    The returned index is the caller's *index* when the zero-copy fast path
-    applies, or the incrementally maintained private index over the purified
-    copy otherwise — same backend class as the input index, so columnar
-    callers keep columnar sweeps through arbitrarily deep residual
-    recursions.  The peeling recursion threads it into its inner purify
-    calls instead of rebuilding object indexes per level.  The index is
-    only ``None`` when the query is empty and no index was supplied.
+    The returned index is the caller's *index* (or, without one, a private
+    index over *db*) when the zero-copy fast path applies, or the
+    incrementally maintained private index over the purified copy
+    otherwise.  The peeling recursion threads it into its inner purify
+    calls instead of rebuilding indexes per level.  Private indexes come
+    from :func:`~repro.certainty.context.scratch_index`, so they never grow
+    the caller's intern table.  The index is only ``None`` when the query
+    is empty and no index was supplied.
 
     The returned index is detached (not registered as an observer), so it
     stays valid only while the returned database is left unmutated — which
@@ -164,23 +172,15 @@ def purify_with_index(
     if index is not None:
         current_index = index
     else:
-        current_index = FactIndex(db.facts)
-        _note_index_build(FactIndex)
+        current_index = scratch_index(db.facts)
+        _note_index_build(ColumnarFactIndex)
     current = db
     working: Optional[UncertainDatabase] = None
     try:
         while True:
-            store = getattr(current_index, "store", None)
-            if store is not None:
-                # Columnar index: sweep the per-block id arrays directly
-                # (integer backtracking + integer row sets) and decode only
-                # the stale block keys.
-                stale_blocks: Iterable = stale_block_keys(query, store)
-            else:
-                used = relevant_facts(current, query, current_index)
-                stale_blocks = {
-                    fact.block_key for fact in current.facts if fact not in used
-                }
+            # Sweep the per-block id arrays (integer backtracking + integer
+            # row sets) and decode only the stale block keys.
+            stale_blocks = stale_block_keys(query, current_index.store)
             if not stale_blocks:
                 return current, current_index
             if working is None:
@@ -189,10 +189,9 @@ def purify_with_index(
                 if shared_index:
                     # The caller's index must stay untouched: build one
                     # private index over the copy (once — it is maintained
-                    # incrementally from here on).  The copy keeps the
-                    # caller's backend so later sweeps stay integer-encoded.
-                    current_index = type(current_index)(working.facts)
-                    _note_index_build(type(current_index))
+                    # incrementally from here on).
+                    current_index = scratch_index(working.facts)
+                    _note_index_build(ColumnarFactIndex)
                 working.register_observer(current_index)
                 current = working
             for block_key in stale_blocks:

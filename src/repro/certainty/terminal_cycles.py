@@ -30,15 +30,15 @@ from ..attacks.cycles import (
 from ..attacks.graph import AttackGraph
 from ..model.atoms import Atom, Fact
 from ..model.database import UncertainDatabase
-from ..model.symbols import Constant, Variable
+from ..model.symbols import Variable
 from ..query.conjunctive import ConjunctiveQuery
-from ..query.evaluation import FactIndex, satisfies
-from ..store.columnar import ColumnarFactStore, IntRow
+from ..store.columnar import IntRow
+from ..store.index import ColumnarFactIndex
 from ..store.kernels import AtomMatcher, has_witness
 from .context import SolverContext
 from .exceptions import IntractableQueryError, UnsupportedQueryError
-from .pair_solver import certain_two_atom, certain_weak_cycle_pair_rows
-from .peeling import empty_base_case, match_full_atom, peel_certain
+from .pair_solver import certain_weak_cycle_pair_rows
+from .peeling import empty_base_case, peel_certain
 
 
 def applies_to(query: ConjunctiveQuery, context: Optional[SolverContext] = None) -> bool:
@@ -73,50 +73,17 @@ def _weak_terminal_base_case(
     db: UncertainDatabase,
     query: ConjunctiveQuery,
     graph: AttackGraph,
-    index: Optional[FactIndex] = None,
+    index: ColumnarFactIndex,
 ) -> bool:
-    """Base case of Theorem 3: disjoint weak terminal 2-cycles.
+    """Base case of Theorem 3 over the id-rows of the purified database.
 
-    On the columnar backend (the peeling recursion threads an index whose
-    ``store`` holds the purified database as id-rows) the whole base case —
-    partitioning, pair purification, block-digraph marking and the final
-    Sublemma 5 check — runs on int tuples via
-    :func:`_weak_terminal_base_case_ids`.
+    The peeling recursion threads an index whose ``store`` holds the
+    purified database.  Rows are partitioned by shared-variable id vectors
+    through :class:`~repro.store.kernels.AtomMatcher` (no fact decoding),
+    and the attack graph of each cycle's pair query is classified once per
+    cycle instead of once per partition.
     """
-    store = getattr(index, "store", None)
-    if store is not None:
-        return _weak_terminal_base_case_ids(query, graph, store)
-    cycles = _disjoint_two_cycles(graph)
-    shared_variables = _cross_cycle_variables(query, cycles)
-
-    certified: Set[Fact] = set()
-    for first, second in cycles:
-        pair_query = query.restricted_to([first, second])
-        pair_shared = sorted(
-            (first.variables | second.variables) & shared_variables,
-            key=lambda v: v.name,
-        )
-        partitions = _partitions(db, first, second, pair_shared)
-        for facts in partitions.values():
-            partition_db = UncertainDatabase(facts)
-            if certain_two_atom(partition_db, pair_query):
-                certified.update(facts)
-    return satisfies(certified, query)
-
-
-def _weak_terminal_base_case_ids(
-    query: ConjunctiveQuery,
-    graph: AttackGraph,
-    store: ColumnarFactStore,
-) -> bool:
-    """Id-space Theorem 3 base case over the columnar store of the database.
-
-    Mirrors the object path exactly, with two execution-level improvements:
-    rows are partitioned by shared-variable id vectors through
-    :class:`~repro.store.kernels.AtomMatcher` (no fact decoding), and the
-    attack graph of each cycle's pair query is classified once per cycle
-    instead of once per partition.
-    """
+    store = index.store
     cycles = _disjoint_two_cycles(graph)
     shared_variables = _cross_cycle_variables(query, cycles)
 
@@ -127,6 +94,10 @@ def _weak_terminal_base_case_ids(
             (first.variables | second.variables) & shared_variables,
             key=lambda v: v.name,
         )
+        # Two rows of different partitions are never key-equal (the shared
+        # variables are key variables of both atoms, Lemma 7), so every
+        # repair of the pair sub-database decomposes into independent
+        # repairs per partition.
         matchers = (AtomMatcher(first, store), AtomMatcher(second, store))
         partitions: Dict[IntRow, Tuple[List[IntRow], List[IntRow]]] = {}
         for side, matcher in enumerate(matchers):
@@ -134,7 +105,7 @@ def _weak_terminal_base_case_ids(
                 if not matcher.match(row):
                     # The base case is always entered with a purified
                     # database, so non-matching rows do not occur; skip
-                    # defensively (mirrors the object path).
+                    # defensively.
                     continue
                 vector = matcher.values(row, pair_shared)
                 entry = partitions.get(vector)
@@ -209,28 +180,3 @@ def _cross_cycle_variables(
         for variable in first.variables | second.variables:
             occurrence[variable] += 1
     return frozenset(v for v, count in occurrence.items() if count > 1)
-
-
-def _partitions(
-    db: UncertainDatabase,
-    first: Atom,
-    second: Atom,
-    shared: Sequence[Variable],
-) -> Dict[Tuple[Constant, ...], List[Fact]]:
-    """Group the facts over the two cycle relations by their shared-variable vector.
-
-    Two facts of different partitions are never key-equal (the shared
-    variables are key variables of both atoms, Lemma 7), so every repair of
-    the pair sub-database decomposes into independent repairs per partition.
-    """
-    partitions: Dict[Tuple[Constant, ...], List[Fact]] = defaultdict(list)
-    for atom in (first, second):
-        for fact in db.relation_facts(atom.relation.name):
-            binding = match_full_atom(atom, fact)
-            if binding is None:
-                # The base case is always entered with a purified database, so
-                # non-matching facts do not occur; skip defensively.
-                continue
-            vector = tuple(binding[v] for v in shared)
-            partitions[vector].append(fact)
-    return partitions

@@ -27,10 +27,9 @@ parent, keeping the answer set identical to the sequential session's.  A
 session whose workers keep failing degrades to serial serving on the
 parent (:data:`DEGRADATION_LADDER`).
 
-Execution runs on the interned columnar backend by default
-(:mod:`repro.store`): integer-row kernels, compiled candidate enumeration,
-batched set-at-a-time deciding, and block-id read sets.
-``backend="object"`` keeps the fact-dictionary reference path.
+Execution runs on the interned columnar store (:mod:`repro.store`):
+integer-row kernels, compiled candidate enumeration, batched set-at-a-time
+deciding, and block-id read sets.
 """
 
 from .cache import CacheStats, PlanCache, default_plan_cache

@@ -75,25 +75,22 @@ def _record_query_support(
     flip the verdict.
 
     Per atom this records: a single block when every key term is a constant
-    (as a dense block id on the columnar backend — interning the id even
-    when the block is currently absent, so later insertions still match); a
-    key mask when only some key terms are constants; the whole relation
-    when none are.
+    (as a dense block id of the session store — interning the id even when
+    the block is currently absent, so later insertions still match); a key
+    mask when only some key terms are constants, or when no session index
+    covers *db* (a mask without wildcards names one block, in object
+    space); the whole relation when no key term is a constant.
     """
     index = context.index_for(db) if context is not None else None
-    store = getattr(index, "store", None)
     for atom in target.atoms:
         name = atom.relation.name
         key_terms = atom.key_terms
-        if all(is_constant(term) for term in key_terms):
-            if store is not None:
-                intern = store.table.intern
-                block_id = store.block_id(
-                    name, tuple(intern(term) for term in key_terms)
-                )
-                recorder.record_block_id(name, block_id)
-            else:
-                recorder.record_block(name, tuple(key_terms))
+        if index is not None and all(is_constant(term) for term in key_terms):
+            intern = index.store.table.intern
+            block_id = index.store.block_id(
+                name, tuple(intern(term) for term in key_terms)
+            )
+            recorder.record_block_id(name, block_id)
         elif any(is_constant(term) for term in key_terms):
             recorder.record_key_mask(
                 name,
@@ -271,8 +268,8 @@ class QueryPlan:
         the whole (inconsistent) database; this compiles the query itself —
         ``∃ bound-vars. ∧ atoms`` — into the same set-at-a-time relational
         machinery the rewritings run on, so enumeration shares the
-        integer-encoded kernels (and their per-block probes) instead of the
-        object-level backtracking join.  Built lazily, cached on the plan.
+        integer-encoded kernels and their per-block probes.  Built lazily,
+        cached on the plan.
         """
         plan = self._candidate_plan
         if plan is None:
@@ -380,6 +377,14 @@ class QueryPlan:
     ) -> bool:
         """FO dispatch: evaluate the compiled rewriting, peel as fallback."""
         index = context.index_for(db) if context is not None else None
+        if index is None and recorder is not None:
+            # Probes into a private index would record block ids the caller
+            # cannot resolve; record the static per-atom support instead
+            # (of the source query when no grounding is given: its free
+            # variables widen the support to masks, which stays sound).
+            target = grounding if grounding is not None else self.source_query
+            _record_query_support(recorder, target, db, context)
+            recorder = None
         if self.fo_candidate_vars is not None and self.fo_rewriting is not None:
             if candidate is None and grounding is None:
                 # Representative execution of a non-Boolean plan: bind the

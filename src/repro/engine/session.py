@@ -2,7 +2,7 @@
 
 A :class:`CertaintySession` is the per-database execution half of the
 engine.  It wraps an :class:`~repro.model.database.UncertainDatabase`,
-builds a :class:`~repro.query.evaluation.FactIndex` over it **once**, and
+builds a :class:`~repro.store.index.ColumnarFactIndex` over it **once**, and
 registers the index as a database observer so every ``add``/``discard``/
 ``remove_block`` on the database updates the index incrementally instead of
 forcing a rebuild.  Queries are compiled into cached
@@ -21,13 +21,11 @@ evaluated directly against the session's incrementally maintained index —
 see :meth:`evaluate_formula` for evaluating arbitrary formulas the same
 way.
 
-By default sessions run on the **interned columnar backend**
-(:mod:`repro.store`): the index mirrors every fact into integer columns,
-compiled plans join and anti-join tuples of dense term ids, candidate
-enumeration runs through a compiled set-at-a-time plan, and open FO-band
-plans decide a whole ``certain_answers`` batch with a single plan
-execution.  ``backend="object"`` selects the original fact-dictionary
-path, kept as the differentially-tested reference implementation.
+Sessions run on the **interned columnar store** (:mod:`repro.store`): the
+index mirrors every fact into integer columns, compiled plans join and
+anti-join tuples of dense term ids, candidate enumeration runs through a
+compiled set-at-a-time plan, and open FO-band plans decide a whole
+``certain_answers`` batch with a single plan execution.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ from ..fo.formulas import Formula
 from ..model.database import UncertainDatabase
 from ..model.symbols import Constant
 from ..query.conjunctive import ConjunctiveQuery
-from ..query.evaluation import FactIndex, answer_tuples
 from ..query.substitution import ground_free_variables
 from ..store import ColumnarFactIndex, ColumnarFactStore, InternTable
 from .cache import PlanCache, default_plan_cache
@@ -63,14 +60,6 @@ class CertaintySession:
         by either layer benefit both.
     allow_exponential:
         Session-wide default for the brute-force escape hatch.
-    backend:
-        ``"columnar"`` (default) maintains a
-        :class:`~repro.store.index.ColumnarFactIndex`: compiled rewritings,
-        candidate enumeration and batched deciding run on interned integer
-        rows, and read sets are captured as dense block ids.  ``"object"``
-        keeps the pure fact-dictionary :class:`FactIndex` — the reference
-        implementation the columnar kernels are differentially tested
-        against.
     intern_table:
         The :class:`~repro.store.intern.InternTable` the columnar index
         encodes constants through.  Defaults to the process-wide table
@@ -78,8 +67,7 @@ class CertaintySession:
         ids comparable across sessions in one process.  A private table
         scopes the id space to this session — the isolation the
         multi-tenant service layer builds on: two sessions with private
-        tables never share (or grow) each other's id space.  Ignored by the
-        object backend, which never interns.
+        tables never share (or grow) each other's id space.
 
     Example
     -------
@@ -94,18 +82,10 @@ class CertaintySession:
         db: UncertainDatabase,
         plan_cache: Optional[PlanCache] = None,
         allow_exponential: bool = False,
-        backend: str = "columnar",
         intern_table: Optional[InternTable] = None,
     ) -> None:
-        if backend not in ("columnar", "object"):
-            raise ValueError(f"unknown backend {backend!r}: use 'columnar' or 'object'")
         self._db = db
-        self._backend = backend
-        self._index = (
-            ColumnarFactIndex(db.facts, table=intern_table)
-            if backend == "columnar"
-            else FactIndex(db.facts)
-        )
+        self._index = ColumnarFactIndex(db.facts, table=intern_table)
         db.register_observer(self._index)
         self._cache = plan_cache if plan_cache is not None else default_plan_cache()
         self._allow_exponential = allow_exponential
@@ -138,26 +118,19 @@ class CertaintySession:
         return self._db
 
     @property
-    def index(self) -> FactIndex:
+    def index(self) -> ColumnarFactIndex:
         """The incrementally maintained fact index over the database."""
         return self._index
 
     @property
-    def backend(self) -> str:
-        """The execution backend: ``"columnar"`` or ``"object"``."""
-        return self._backend
+    def store(self) -> ColumnarFactStore:
+        """The columnar store of the index."""
+        return self._index.store
 
     @property
-    def store(self) -> Optional[ColumnarFactStore]:
-        """The columnar store of the index (``None`` for the object backend)."""
-        return getattr(self._index, "store", None)
-
-    @property
-    def intern_table(self) -> Optional[InternTable]:
-        """The intern table the columnar store encodes through (``None`` for
-        the object backend)."""
-        store = self.store
-        return store.table if store is not None else None
+    def intern_table(self) -> InternTable:
+        """The intern table the columnar store encodes through."""
+        return self._index.store.table
 
     @property
     def plan_cache(self) -> PlanCache:
@@ -228,10 +201,9 @@ class CertaintySession:
         """The candidate tuples of *query* over the whole database, sorted.
 
         Candidates are the answers of the (inconsistent) database itself;
-        certain answers are always among them.  On the columnar backend the
-        enumeration runs through the compiled set-at-a-time candidate plan
-        (integer hash joins over the store); the object backend keeps the
-        reference backtracking join.
+        certain answers are always among them.  The enumeration runs
+        through the compiled set-at-a-time candidate plan (integer hash
+        joins over the store).
 
         Results are memoised per query, keyed on
         :attr:`~repro.model.database.UncertainDatabase.mutation_version`: a
@@ -248,14 +220,10 @@ class CertaintySession:
         cached = self._candidate_memo.get(query)
         if cached is not None and cached[0] == version:
             return list(cached[1])
-        if self._backend == "columnar":
-            plan = self.plan_for(query)
-            sat = plan.candidate_plan().satisfying_assignments(index=self._index)
-            free = query.free_variables
-            positions = [sat.schema.index(v) for v in free]
-            candidates = {tuple(row[p] for p in positions) for row in sat.rows}
-        else:
-            candidates = answer_tuples(query, self._index)
+        plan = self.plan_for(query)
+        sat = plan.candidate_plan().satisfying_assignments(index=self._index)
+        positions = [sat.schema.index(v) for v in query.free_variables]
+        candidates = {tuple(row[p] for p in positions) for row in sat.rows}
         result = sorted(candidates, key=lambda t: tuple(str(c) for c in t))
         if len(self._candidate_memo) >= 64:
             self._candidate_memo.clear()  # bound stale-version entries
@@ -282,12 +250,11 @@ class CertaintySession:
         from.  Decisions that leave the instrumented compiled-rewriting path
         yield opaque read sets (a sound "depends on everything").
 
-        On the columnar backend, plans carrying an *open* compiled
-        rewriting decide the whole batch with **one** set-at-a-time plan
-        execution (seed every candidate row, keep the satisfying subset)
-        when no per-candidate read sets were requested; per-candidate
-        evaluation remains for support capture, per-grounding plans, and
-        the object reference backend, and provably returns the same list
+        Plans carrying an *open* compiled rewriting decide the whole batch
+        with **one** set-at-a-time plan execution (seed every candidate
+        row, keep the satisfying subset) when no per-candidate read sets
+        were requested; per-candidate evaluation remains for support
+        capture and per-grounding plans, and provably returns the same list
         (each seeded row filters independently through the same plan).
         """
         self._check_open()
@@ -297,12 +264,7 @@ class CertaintySession:
         # executes the plan's own (compiled) query rather than a grounding.
         boolean = query.is_boolean
         batched = plan.batched_fo and not boolean
-        if (
-            batched
-            and support is None
-            and self._backend == "columnar"
-            and len(candidates) > 1
-        ):
+        if batched and support is None and len(candidates) > 1:
             return self._decide_batched(plan, candidates)
         certain: List[Tuple[Constant, ...]] = []
         for candidate in candidates:

@@ -1443,9 +1443,9 @@ class ShardedCertaintySession:
         self, support: Optional[Dict[Tuple[Constant, ...], ReadSet]]
     ) -> None:
         """Decode parent-store block ids in *support* into portable keys."""
-        store = self._inner.store
-        if support is None or store is None:
+        if support is None:
             return
+        store = self._inner.store
         for candidate, read_set in support.items():
             support[candidate] = read_set.to_portable(store)
 

@@ -10,8 +10,8 @@ assignment tuples over its free variables**, computed bottom-up with
 relational operations:
 
 * an atom ``R(t⃗)`` becomes a scan of the per-relation (or, when the key is
-  ground or bound by the surrounding plan, per-block) entries of a
-  :class:`~repro.query.evaluation.FactIndex`;
+  ground or bound by the surrounding plan, per-block) id-rows of the
+  columnar store behind a :class:`~repro.store.index.ColumnarFactIndex`;
 * ``∃x φ`` becomes a projection of the plan of ``φ``;
 * conjunction becomes a sequence of (hash-)joins on shared free variables,
   seeded by the *guarded* conjuncts (those whose satisfying set is bounded
@@ -28,6 +28,12 @@ is the common shape emitted by :mod:`repro.fo.rewrite` (every quantified
 variable is bounded by a positive atom).  Active-domain enumeration survives
 only as a rare fallback (tracked by ``EvalContext.domain_expansions``) for
 formulas such as ``∀x ¬R(x | x)`` that no real rewriting produces.
+
+Every relation row that flows through a plan is a tuple of interned term
+ids; constants are encoded on the way in and decoded only for results
+returned to callers.  The naive
+:class:`~repro.fo.evaluate.FormulaEvaluator` (``compiled=False``) is the
+executable definition these plans are tested against.
 
 Compiled plans are memoised per formula object (formulas hash by identity),
 so re-evaluating the same rewriting against many databases compiles once.
@@ -53,7 +59,7 @@ from ..model.atoms import Atom
 from ..model.database import BlockKey, UncertainDatabase
 from ..model.symbols import Constant, Variable, is_constant
 from ..model.valuation import Valuation
-from ..query.evaluation import FactIndex
+from ..store.index import ColumnarFactIndex
 from .formulas import (
     And,
     AtomFormula,
@@ -68,8 +74,9 @@ from .formulas import (
     Top,
 )
 
-#: A row of a relation: one constant per schema column.
-Row = Tuple[Constant, ...]
+#: A row of a relation: interned term ids inside a plan (constants once
+#: :meth:`CompiledFormula.satisfying_assignments` has decoded them).
+Row = Tuple
 
 #: A key-position mask: one entry per primary-key position — a
 #: :class:`Constant` the position must equal, or ``None`` (wildcard).
@@ -87,18 +94,19 @@ class ReadSet:
     replays identically.  This is the dependency unit of the incremental
     view subsystem (:mod:`repro.incremental`).
 
-    ``blocks``
-        block keys probed through the per-block index (including *empty*
-        probes — an insertion into a probed-but-empty block changes what
-        the probe returns, so it must dirty the verdict);
     ``block_ids``
-        the same dependency, recorded as dense integer block ids when the
-        execution ran on a columnar backend (see
-        :meth:`repro.store.columnar.ColumnarFactStore.block_id`) — one
-        small int per probe instead of a ``(name, constants)`` tuple, which
-        is what keeps support indexes compact under heavy candidate counts.
-        Ids are only meaningful against the store that issued them; use
-        :meth:`to_portable` before shipping a read set across processes;
+        blocks probed through the per-block index (including *empty*
+        probes — an insertion into a probed-but-empty block changes what
+        the probe returns, so it must dirty the verdict), as dense integer
+        block ids (see :meth:`repro.store.columnar.ColumnarFactStore.block_id`)
+        — one small int per probe instead of a ``(name, constants)`` tuple,
+        which is what keeps support indexes compact under heavy candidate
+        counts.  Ids are only meaningful against the store that issued
+        them; use :meth:`to_portable` before shipping a read set across
+        processes;
+    ``blocks``
+        the same dependency as portable ``(name, key)`` block keys: what
+        :meth:`to_portable` decodes ``block_ids`` into;
     ``relations``
         relations read through full scans (any mutation of the relation may
         change the result);
@@ -203,21 +211,17 @@ class ReadSetRecorder:
     immutable :class:`ReadSet` of that execution.
     """
 
-    __slots__ = ("blocks", "block_ids", "relations", "key_masks", "domain_read", "opaque")
+    __slots__ = ("block_ids", "relations", "key_masks", "domain_read", "opaque")
 
     def __init__(self) -> None:
-        self.blocks: Set[BlockKey] = set()
         self.block_ids: Set[Tuple[str, int]] = set()
         self.relations: Set[str] = set()
         self.key_masks: Set[Tuple[str, KeyMask]] = set()
         self.domain_read = False
         self.opaque = False
 
-    def record_block(self, name: str, key: Tuple[Constant, ...]) -> None:
-        self.blocks.add((name, key))
-
     def record_block_id(self, name: str, block_id: int) -> None:
-        """Record a probe by dense block id (columnar backend)."""
+        """Record a probe by dense block id."""
         self.block_ids.add((name, block_id))
 
     def record_key_mask(self, name: str, mask: KeyMask) -> None:
@@ -238,9 +242,6 @@ class ReadSetRecorder:
         """The immutable read set collected so far."""
         # Blocks of fully scanned relations are subsumed by the relation
         # entry; dropping them keeps support indexes small.
-        blocks = frozenset(
-            key for key in self.blocks if key[0] not in self.relations
-        )
         block_ids = frozenset(
             block_id
             for name, block_id in self.block_ids
@@ -250,7 +251,6 @@ class ReadSetRecorder:
             entry for entry in self.key_masks if entry[0] not in self.relations
         )
         return ReadSet(
-            blocks=blocks,
             block_ids=block_ids,
             relations=frozenset(self.relations),
             key_masks=key_masks,
@@ -350,8 +350,9 @@ def _semijoin(rel: Relation, keep: Relation) -> Relation:
 class EvalContext:
     """Per-database state for one or more compiled-plan evaluations.
 
-    Bundles the :class:`FactIndex` the atom scans read, the active domain
-    used by the (rare) unguarded fallbacks, and instrumentation counters:
+    Bundles the :class:`~repro.store.index.ColumnarFactIndex` whose store
+    the atom scans read, the active domain used by the (rare) unguarded
+    fallbacks, and instrumentation counters:
 
     ``domain_expansions``
         number of times a plan node had to enumerate the active domain for
@@ -366,12 +367,11 @@ class EvalContext:
     domain derivations — so callers can learn which parts of the database a
     verdict depended on.
 
-    When *index* is a :class:`~repro.store.index.ColumnarFactIndex` the
-    context is *encoded*: atom leaves scan id-rows from the columnar store,
-    the quantification domain is a tuple of term ids, plan constants are
-    interned on first use, and every relation row that flows through the
-    plan is a tuple of small ints.  The same plan nodes serve both
-    backends — only the leaves and the constant encoding differ.
+    Atom leaves scan id-rows from the store, the quantification domain is a
+    tuple of term ids, plan constants are interned on first use, and every
+    relation row that flows through the plan is a tuple of small ints.  An
+    index without a ``store`` (a plain
+    :class:`~repro.query.evaluation.FactIndex`) raises :class:`TypeError`.
     """
 
     __slots__ = (
@@ -388,13 +388,17 @@ class EvalContext:
 
     def __init__(
         self,
-        index: FactIndex,
+        index: ColumnarFactIndex,
         domain: Optional[Iterable[Constant]] = None,
         recorder: Optional[ReadSetRecorder] = None,
     ) -> None:
+        store = getattr(index, "store", None)
+        if store is None:
+            raise TypeError(
+                f"compiled plans run on a ColumnarFactIndex, not {type(index).__name__}"
+            )
         self.index = index
-        #: The columnar store when the index has one (the encoded backend).
-        self.store = getattr(index, "store", None)
+        self.store = store
         self.recorder = recorder
         # An explicitly supplied domain may be *smaller* than the set of
         # constants in the facts; quantifier nodes must then re-check that
@@ -404,46 +408,32 @@ class EvalContext:
         if domain is None:
             # Guarded plans never consult the domain, so deriving it from
             # the (possibly large) index is deferred until first use.
-            self._domain: Optional[Tuple] = None
-        elif self.store is not None:
-            intern = self.store.table.intern
-            self._domain = tuple(sorted({intern(c) for c in domain}))
+            self._domain: Optional[Tuple[int, ...]] = None
         else:
-            self._domain = tuple(sorted(set(domain), key=str))
+            intern = store.table.intern
+            self._domain = tuple(sorted({intern(c) for c in domain}))
         self._domain_set: Optional[FrozenSet] = None
         self.domain_expansions = 0
         self.atom_scans = 0
         self.block_lookups = 0
 
-    def encode_constant(self, constant: Constant):
-        """*constant* in the row value space of this context.
+    def encode_constant(self, constant: Constant) -> int:
+        """The interned term id of *constant*.
 
-        Identity for the object backend; the interned term id for the
-        encoded backend (interning is sound for constants absent from the
-        database: a fresh id equals no stored id, exactly as a fresh
-        constant equals no stored constant).
+        Interning is sound for constants absent from the database: a fresh
+        id equals no stored id, exactly as a fresh constant equals no
+        stored constant.
         """
-        if self.store is not None:
-            return self.store.table.intern(constant)
-        return constant
+        return self.store.table.intern(constant)
 
     @property
-    def domain(self) -> Tuple:
-        """The quantification domain (computed from the index on first use).
-
-        Term ids for the encoded backend, constants for the object backend.
-        """
+    def domain(self) -> Tuple[int, ...]:
+        """The quantification domain as term ids (derived on first use)."""
         if self.recorder is not None and not self.explicit_domain:
             # A domain derived from the index depends on *every* fact.
             self.recorder.record_domain()
         if self._domain is None:
-            if self.store is not None:
-                self._domain = tuple(sorted(self.store.term_ids()))
-            else:
-                values: Set[Constant] = set()
-                for fact in self.index:
-                    values.update(fact.terms)
-                self._domain = tuple(sorted(values, key=str))
+            self._domain = tuple(sorted(self.store.term_ids()))
         return self._domain
 
     @property
@@ -456,12 +446,12 @@ class EvalContext:
     def for_database(
         cls,
         db: UncertainDatabase,
-        index: Optional[FactIndex] = None,
+        index: Optional[ColumnarFactIndex] = None,
         domain: Optional[Iterable[Constant]] = None,
     ) -> "EvalContext":
         """A context over *db*, reusing *index* when supplied (else building one)."""
         if index is None:
-            index = FactIndex(db.facts)
+            index = _scratch_index(db)
         return cls(index, domain=domain)
 
     def in_domain(self, rel: Relation, variables: Iterable[Variable]) -> Relation:
@@ -494,6 +484,14 @@ class EvalContext:
             for combo in itertools.product(self.domain, repeat=len(missing))
         }
         return Relation(schema, rows)
+
+
+def _scratch_index(db: UncertainDatabase) -> ColumnarFactIndex:
+    """A private index over *db* for evaluations handed no index."""
+    # Imported lazily: the certainty package imports this module.
+    from ..certainty.context import scratch_index
+
+    return scratch_index(db.facts)
 
 
 def push_negation(formula: Formula) -> Formula:
@@ -581,7 +579,7 @@ class BottomNode(PlanNode):
 
 
 class AtomNode(PlanNode):
-    """A scan of the fact index, matching the atom's term pattern."""
+    """A scan of the columnar store, matching the atom's term pattern."""
 
     __slots__ = ("atom", "_const_checks", "_first_position", "_repeat_checks", "_key_terms")
 
@@ -600,29 +598,20 @@ class AtomNode(PlanNode):
                 self._first_position[term] = position
         self._key_terms = atom.key_terms
 
-    def _match(self, fact_terms: Sequence[Constant]) -> Optional[Row]:
-        for position, constant in self._const_checks:
-            if fact_terms[position] != constant:
-                return None
-        for position, first in self._repeat_checks:
-            if fact_terms[position] != fact_terms[first]:
-                return None
-        return tuple(fact_terms[self._first_position[v]] for v in self.schema)
+    def produce(self, ctx: EvalContext, env: Optional[Relation] = None) -> Relation:
+        """Scan the store's id-rows matching the atom's term pattern.
 
-    def _produce_encoded(self, ctx: EvalContext, env: Optional[Relation]) -> Relation:
-        """The id-space scan: identical shape, integer rows end-to-end.
-
-        Mirrors the object path below term for term — per-block dict
-        probes when the key is bound, full row scans otherwise — but every
-        key, row and output tuple is made of interned term ids, and
-        read-set probes are recorded as dense block ids.
+        Probes one block per incoming row when the key is ground or fully
+        bound by *env*, and scans the whole relation otherwise.  Keys, rows
+        and output tuples are interned term ids, and read-set probes are
+        recorded as dense block ids.
         """
         store = ctx.store
         relation = self.atom.relation
         name = relation.name
         columns = store.relation_columns(name)
         # Rows of a same-name relation with a different arity can never
-        # match this atom (the object path filters them per fact).
+        # match this atom.
         arity_ok = columns is not None and columns.schema.arity == relation.arity
         intern = store.table.intern
         const_checks = [(pos, intern(c)) for pos, c in self._const_checks]
@@ -729,70 +718,6 @@ class AtomNode(PlanNode):
                         break
             if matched:
                 rows.add(tuple(terms[first_position[v]] for v in self.schema))
-        rel = Relation(self.schema, rows)
-        if env is not None:
-            rel = _join(env, rel)
-        return rel
-
-    def produce(self, ctx: EvalContext, env: Optional[Relation] = None) -> Relation:
-        if ctx.store is not None:
-            return self._produce_encoded(ctx, env)
-        relation = self.atom.relation
-        name = relation.name
-        # Guarded probe: the key is ground, or fully bound by the incoming rows.
-        if env is not None and env.rows:
-            env_positions = {v: p for p, v in enumerate(env.schema)}
-            key_getters = []
-            for term in self._key_terms:
-                if is_constant(term):
-                    key_getters.append((None, term))
-                elif term in env_positions:
-                    key_getters.append((env_positions[term], None))
-                else:
-                    key_getters.append(None)
-            if all(g is not None for g in key_getters):
-                ctx.block_lookups += 1
-                recorder = ctx.recorder
-                out_extra = [v for v in self.schema if v not in env_positions]
-                out_schema = env.schema + tuple(out_extra)
-                bound = [(env_positions[v], p) for v, p in self._first_position.items() if v in env_positions]
-                extra_pos = [self._first_position[v] for v in out_extra]
-                rows: Set[Row] = set()
-                for env_row in env.rows:
-                    key = tuple(
-                        env_row[pos] if const is None else const  # type: ignore[index]
-                        for pos, const in key_getters  # type: ignore[misc]
-                    )
-                    if recorder is not None:
-                        # Empty probes are recorded too: a later insertion
-                        # into this block changes what the probe returns.
-                        recorder.record_block(name, key)
-                    for fact in ctx.index.block(name, key):
-                        if fact.relation.arity != relation.arity:
-                            continue
-                        terms = fact.terms
-                        if self._match(terms) is None:
-                            continue
-                        if any(env_row[ep] != terms[fp] for ep, fp in bound):
-                            continue
-                        rows.add(env_row + tuple(terms[p] for p in extra_pos))
-                return Relation(out_schema, rows)
-        ctx.atom_scans += 1
-        if self._key_terms and all(is_constant(t) for t in self._key_terms):
-            if ctx.recorder is not None:
-                ctx.recorder.record_block(name, self._key_terms)
-            candidates: Iterable = ctx.index.block(name, self._key_terms)
-        else:
-            if ctx.recorder is not None:
-                ctx.recorder.record_relation(name)
-            candidates = ctx.index.relation(name)
-        rows = set()
-        for fact in candidates:
-            if fact.relation.arity != relation.arity:
-                continue
-            row = self._match(fact.terms)
-            if row is not None:
-                rows.add(row)
         rel = Relation(self.schema, rows)
         if env is not None:
             rel = _join(env, rel)
@@ -1066,7 +991,7 @@ class CompiledFormula:
         self,
         db: Optional[UncertainDatabase] = None,
         *,
-        index: Optional[FactIndex] = None,
+        index: Optional[ColumnarFactIndex] = None,
         domain: Optional[Iterable[Constant]] = None,
         valuation: Optional[Valuation] = None,
         context: Optional[EvalContext] = None,
@@ -1098,26 +1023,24 @@ class CompiledFormula:
         self,
         db: Optional[UncertainDatabase] = None,
         *,
-        index: Optional[FactIndex] = None,
+        index: Optional[ColumnarFactIndex] = None,
         domain: Optional[Iterable[Constant]] = None,
         context: Optional[EvalContext] = None,
     ) -> Relation:
         """The full satisfying set over the formula's free variables.
 
-        Rows always contain :class:`Constant` values: encoded executions
-        decode their id-rows through the store before returning.
+        Rows contain :class:`Constant` values: the id-rows of the execution
+        are decoded through the store before returning.
         """
         ctx = self._context(db, index, domain, context)
         sat = _project(self.root.produce(ctx, None), self.root.schema)
-        if ctx.store is not None:
-            decode = ctx.store.table.decode
-            return Relation(sat.schema, {decode(row) for row in sat.rows})
-        return sat
+        decode = ctx.store.table.decode
+        return Relation(sat.schema, {decode(row) for row in sat.rows})
 
     @staticmethod
     def _context(
         db: Optional[UncertainDatabase],
-        index: Optional[FactIndex],
+        index: Optional[ColumnarFactIndex],
         domain: Optional[Iterable[Constant]],
         context: Optional[EvalContext],
         recorder: Optional[ReadSetRecorder] = None,
@@ -1131,8 +1054,7 @@ class CompiledFormula:
         if index is not None:
             return EvalContext(index, domain=domain, recorder=recorder)
         if db is not None:
-            index = FactIndex(db.facts)
-            return EvalContext(index, domain=domain, recorder=recorder)
+            return EvalContext(_scratch_index(db), domain=domain, recorder=recorder)
         raise ValueError("evaluate needs a database, a fact index, or an EvalContext")
 
     def __repr__(self) -> str:

@@ -9,14 +9,15 @@ Two evaluation strategies are available:
 
 * the **compiled** strategy (the default): the formula is compiled once by
   :mod:`repro.fo.compile` into a bottom-up set-at-a-time relational plan —
-  atom leaves scan :class:`~repro.query.evaluation.FactIndex` entries,
-  quantifiers become projections and guarded anti-joins — so evaluation
-  cost tracks the data actually matching the formula's atoms instead of
+  atom leaves scan the id-rows of a
+  :class:`~repro.store.index.ColumnarFactIndex`, quantifiers become
+  projections and guarded anti-joins — so evaluation cost tracks the data
+  actually matching the formula's atoms instead of
   ``|adom|^quantifier-depth``;
 * the **naive** strategy (``compiled=False``): the textbook recursive
   model checker that enumerates the active domain for every quantified
   variable.  It is kept as the executable definition of the semantics and
-  as the reference side of the differential tests.
+  as the oracle the compiled plans are tested against.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from ..model.database import UncertainDatabase
 from ..model.symbols import Constant, Variable
 from ..model.valuation import Valuation
 from ..query.evaluation import FactIndex
-from .compile import EvalContext, compile_formula
+from .compile import EvalContext, _scratch_index, compile_formula
 from .formulas import (
     And,
     AtomFormula,
@@ -53,10 +54,12 @@ class FormulaEvaluator:
     domain:
         Quantification domain; defaults to the active domain of *db*.
     index:
-        An externally shared :class:`FactIndex` over *db* (e.g. the
-        incrementally maintained index of an engine session, via
-        ``SolverContext.index_for``).  When omitted, one is built from the
-        database's facts.
+        An externally shared index over *db* (e.g. the incrementally
+        maintained index of an engine session, via
+        ``SolverContext.index_for``).  When omitted, a private columnar
+        index is built from the database's facts.  The compiled strategy
+        needs a :class:`~repro.store.index.ColumnarFactIndex`; the naive
+        one reads any :class:`FactIndex`.
     compiled:
         When ``True`` (the default) formulas are evaluated through the
         set-at-a-time plans of :mod:`repro.fo.compile`; ``False`` selects
@@ -71,7 +74,7 @@ class FormulaEvaluator:
         compiled: bool = True,
     ) -> None:
         self.db = db
-        self.index = index if index is not None else FactIndex(db.facts)
+        self.index = index if index is not None else _scratch_index(db)
         self._explicit_domain = domain is not None
         # The active domain is only needed by the naive recursion (and by
         # the rare unguarded compiled fallbacks, which derive it from the

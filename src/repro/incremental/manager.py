@@ -53,11 +53,8 @@ class ViewManager(DatabaseObserver):
         An existing :class:`CertaintySession` over *db* to decide through.
         When omitted the manager opens (and owns) one; a supplied session
         stays the caller's to close.
-    plan_cache / allow_exponential / backend:
+    plan_cache / allow_exponential:
         Forwarded to the owned session (ignored when *session* is given).
-        *backend* selects the execution layer — ``"columnar"`` (default)
-        for integer-encoded kernels with block-id read sets, ``"object"``
-        for the reference fact-dictionary path.
     full_refresh_threshold:
         Dirty fraction above which a view abandons incremental maintenance
         for a full refresh (default ``0.5``).
@@ -106,7 +103,6 @@ class ViewManager(DatabaseObserver):
         allow_exponential: bool = False,
         full_refresh_threshold: float = 0.5,
         parallel_min_dirty: int = 64,
-        backend: str = "columnar",
         shard_workers: Optional[int] = None,
         intern_table: Optional[InternTable] = None,
         staleness: Optional[StalenessPolicy] = None,
@@ -120,7 +116,6 @@ class ViewManager(DatabaseObserver):
                 db,
                 plan_cache=plan_cache,
                 allow_exponential=allow_exponential,
-                backend=backend,
                 intern_table=intern_table,
             )
             self._owns_session = True

@@ -26,9 +26,10 @@ from ..model.symbols import Constant
 #: A candidate answer: one constant per free variable (``()`` for Boolean).
 Candidate = Tuple[Constant, ...]
 
-#: Entries of the inverted block map: object-space ``(name, key)`` block
-#: keys from the reference backend, or dense ``int`` block ids from the
-#: columnar backend (the two spaces never collide as dict keys).
+#: Entries of the inverted block map: dense ``int`` block ids from the
+#: deciding session's store, or portable ``(name, key)`` block keys from
+#: read sets shipped back by shard workers (``ReadSet.to_portable``); the
+#: two spaces never collide as dict keys.
 SupportKey = Union[BlockKey, int]
 
 #: Maps ``(relation name, key constants)`` to the columnar block id that a
@@ -52,8 +53,8 @@ class SupportIndex:
     directions are kept consistent by construction; :meth:`check_invariants`
     verifies this exhaustively (used by the test suite).
 
-    Read sets captured on the columnar backend carry dense integer block
-    ids instead of ``(name, key)`` tuples; a *block_id_resolver* (typically
+    Read sets captured by a session carry dense integer block ids instead
+    of ``(name, key)`` tuples; a *block_id_resolver* (typically
     :meth:`~repro.store.columnar.ColumnarFactStore.known_block_id` of the
     deciding session's store) translates the touched blocks of a mutation
     batch into that id space so :meth:`dirty_for` covers both.

@@ -182,12 +182,12 @@ class MaterializedCertainView:
         # groundings can collapse atoms, changing what the support covers.
         self._fine_grained = not plan.per_grounding
         self._coarse_cause = "per-grounding" if plan.per_grounding else None
-        # Columnar sessions capture read sets as dense block ids; give the
-        # support index the store's resolver so touched blocks translate.
-        store = getattr(manager.session, "store", None)
+        # Sessions capture read sets as dense block ids; give the support
+        # index the store's resolver so touched blocks translate.
+        store = manager.session.store
         self._support = SupportIndex(
-            block_id_resolver=store.known_block_id if store is not None else None,
-            block_key_decoder=store.decode_block_key if store is not None else None,
+            block_id_resolver=store.known_block_id,
+            block_key_decoder=store.decode_block_key,
         )
         self._verdicts: Dict[Candidate, bool] = {}
         self._answers: Set[Candidate] = set()
@@ -224,8 +224,8 @@ class MaterializedCertainView:
     def fine_grained(self) -> bool:
         """``True`` when mutations dirty candidates through the support index.
 
-        Every complexity band is fine-grained on both backends — FO-band
-        decisions capture probe-level read sets, the Theorem 3/4 solvers,
+        Every complexity band is fine-grained — FO-band decisions capture
+        probe-level read sets, the Theorem 3/4 solvers,
         the peeling fallback and brute force capture static per-atom
         support.  Only per-grounding self-join plans are coarse (every
         relevant mutation triggers a full refresh).
@@ -348,9 +348,8 @@ class MaterializedCertainView:
         if self._boolean:
             candidates: List[Candidate] = [()]
         else:
-            # Columnar sessions enumerate through the compiled candidate
-            # plan, the object backend through the reference backtracking
-            # join; both return the shared deterministic sorted order.
+            # The session enumerates through the compiled candidate plan, in
+            # its deterministic sorted order.
             candidates = session.candidate_answers(self._query)
         support_out: Optional[Dict[Candidate, ReadSet]] = (
             {} if self._fine_grained else None

@@ -10,8 +10,8 @@ A :class:`Tenant` bundles everything one customer of the
   and dropping the tenant releases the whole id space at once (the global
   table is append-only for the process lifetime);
 * an :class:`~repro.model.database.UncertainDatabase` plus a scoped
-  :class:`~repro.engine.session.CertaintySession` executing on the
-  columnar backend against the private table;
+  :class:`~repro.engine.session.CertaintySession` executing on a
+  columnar store against the private table;
 * a :class:`~repro.incremental.manager.ViewManager` in bounded-staleness
   (deferred) mode, so the tenant's write path never pays synchronous view
   maintenance beyond the session's O(1)-amortised index upkeep;

@@ -1,4 +1,4 @@
-"""Interned columnar fact storage: the integer-encoded execution backend.
+"""Interned columnar fact storage: the integer-encoded execution layer.
 
 The package has three layers:
 
@@ -8,12 +8,14 @@ The package has three layers:
   relation as integer columns with O(1) membership, per-block id slices,
   and dense block ids;
 * :mod:`repro.store.index` / :mod:`repro.store.kernels` — the
-  :class:`ColumnarFactIndex` execution backend (a drop-in
-  :class:`~repro.query.evaluation.FactIndex` that mirrors into a store)
-  and the id-space sweeps built on it.
+  :class:`ColumnarFactIndex` every session, solver and compiled plan runs
+  on (a :class:`~repro.query.evaluation.FactIndex` that mirrors into a
+  store) and the id-space sweeps built on it.
 
-The object-level fact dictionaries remain the reference implementation;
-``CertaintySession(db, backend="object")`` selects them explicitly.
+Correctness is checked against the paper's definitions, not against a
+second implementation: repair enumeration
+(:func:`~repro.certainty.brute_force.certain_by_enumeration`) and the naive
+:class:`~repro.fo.evaluate.FormulaEvaluator`.
 """
 
 from .columnar import ColumnarFactStore

@@ -1,19 +1,17 @@
-"""The columnar backend of :class:`~repro.query.evaluation.FactIndex`.
+"""The columnar fact index every session, solver and compiled plan runs on.
 
-A :class:`ColumnarFactIndex` is a drop-in fact index that *additionally*
-maintains a :class:`~repro.store.columnar.ColumnarFactStore` alongside the
-object-level dictionaries.  Object-level consumers (the backtracking
-evaluator, the Theorem 3/4 solvers, brute force, delta joins) keep reading
-facts exactly as before; integer-encoded consumers — the compiled relational
-plans of :mod:`repro.fo.compile`, the purify sweep, candidate enumeration,
-snapshot shipping — detect the ``store`` attribute and run on id-rows
-end-to-end.
+A :class:`ColumnarFactIndex` is a :class:`~repro.query.evaluation.FactIndex`
+that *additionally* maintains a
+:class:`~repro.store.columnar.ColumnarFactStore` alongside the object-level
+dictionaries.  The solvers of every band, the compiled relational plans of
+:mod:`repro.fo.compile`, the purify sweep, candidate enumeration and
+snapshot shipping read the ``store`` and run on id-rows end-to-end.  The
+object mirror still serves the incremental view's delta join
+(:mod:`repro.incremental.delta`) and its candidate garbage collection.
 
 The dual maintenance costs one extra encode (a few intern-table lookups)
 per mutation; every read on the hot query path is repaid many times over
-by integer hashing.  Sessions choose the backend via
-``CertaintySession(db, backend=...)``; the pure-object ``FactIndex`` remains
-the reference implementation.
+by integer hashing.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Integer-encoded execution kernels over the columnar store.
 
-The kernels here are the id-space twins of the object-level sweeps in
-:mod:`repro.certainty.purify`: they reuse the compiled slot-based
+The kernels here are the witness sweeps of the certainty solvers: they
+reuse the compiled slot-based
 :func:`~repro.query.evaluation.backtrack_plan` of a query, encode its
 constants through the store's intern table once per call, and then run the
 backtracking join entirely on integer rows — block probes are dict lookups

@@ -9,7 +9,6 @@ seeds (:meth:`FaultPlan.random`), so a failing schedule reproduces from
 its seed alone.
 """
 
-import os
 import threading
 import time
 from concurrent.futures import TimeoutError as FutureTimeoutError

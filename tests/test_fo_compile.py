@@ -53,6 +53,7 @@ from repro.query import (
     path_query,
 )
 from repro.query.evaluation import FactIndex
+from repro.store import ColumnarFactIndex
 from repro.workloads import figure1_database, figure1_query, uniform_random_instance
 
 from tests.helpers import random_instance
@@ -239,13 +240,18 @@ class TestMemoisation:
 
     def test_shared_index_is_used(self):
         db = UncertainDatabase([SCHEMAS[0].fact("a", "b")])
-        index = FactIndex(db.facts)
+        index = ColumnarFactIndex(db.facts)
         evaluator = FormulaEvaluator(db, index=index)
         assert evaluator.index is index
         atom = AtomFormula(SCHEMAS[0].atom(Constant("a"), Constant("b")))
         assert evaluator.evaluate(atom)
         # The naive path reads the index too (not db membership).
         assert FormulaEvaluator(db, index=index, compiled=False).evaluate(atom)
+        # Compiled plans run on id-rows only: a plain FactIndex has no store.
+        plain = FactIndex(db.facts)
+        assert FormulaEvaluator(db, index=plain, compiled=False).evaluate(atom)
+        with pytest.raises(TypeError):
+            FormulaEvaluator(db, index=plain).evaluate(atom)
 
 
 class TestCompiledRewritingSolver:

@@ -124,14 +124,14 @@ class TestPurifyFastPath:
         assert len(db) == 3  # input untouched
 
     def test_caller_supplied_index_is_never_mutated(self):
-        from repro.query.evaluation import FactIndex
+        from repro.store import ColumnarFactIndex
 
         q = parse_query("R(x | y), S(y | x)")
         schema = q.schema()
         db = UncertainDatabase(
             [schema["R"].fact("a", "b"), schema["S"].fact("b", "a"), schema["S"].fact("b", "c")]
         )
-        index = FactIndex(db.facts)
+        index = ColumnarFactIndex(db.facts)
         purified = purify(db, q, index=index)
         assert len(purified) < len(db)
         # The shared index still covers exactly the original facts.
@@ -140,12 +140,12 @@ class TestPurifyFastPath:
 
     def test_cascading_sweeps_with_shared_index(self, rng):
         """Multi-sweep removals agree with the no-index result."""
-        from repro.query.evaluation import FactIndex
+        from repro.store import ColumnarFactIndex
 
         q = parse_query("A(x | y), B(y | z), C(z | x)")
         for seed in range(10):
             db = random_instance(q, random.Random(seed), domain_size=3, facts_per_relation=4)
-            index = FactIndex(db.facts)
+            index = ColumnarFactIndex(db.facts)
             with_index = purify(db, q, index=index)
             without_index = purify(db, q)
             assert with_index.facts == without_index.facts
