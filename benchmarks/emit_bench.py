@@ -389,7 +389,7 @@ def run_sharded_benchmark(
         worker_rows: List[Dict] = []
         for workers in SHARDED_WORKER_COUNTS:
             sharded_seconds = float("inf")
-            sharded_session = None
+            fastest_session = None
             agree = True
             for _ in range(repeats):
                 seconds, per_step, session = _replay_stream(
@@ -402,9 +402,9 @@ def run_sharded_benchmark(
                 )
                 agree = agree and per_step == expected
                 if seconds < sharded_seconds:
-                    sharded_seconds, sharded_session = seconds, session
+                    sharded_seconds, fastest_session = seconds, session
 
-            stats = sharded_session.stats
+            stats = fastest_session.stats
             # The bootstrap ships the whole database in the wire format the
             # deltas use, so every delta flush must undercut it.
             delta_below_bootstrap = (

@@ -22,7 +22,7 @@ see :meth:`evaluate_formula` for evaluating arbitrary formulas the same
 way.
 
 Sessions run on the **interned columnar store** (:mod:`repro.store`): the
-index mirrors every fact into integer columns, compiled plans join and
+index holds every fact as integer columns, compiled plans join and
 anti-join tuples of dense term ids, candidate enumeration runs through a
 compiled set-at-a-time plan, and open FO-band plans decide a whole
 ``certain_answers`` batch with a single plan execution.

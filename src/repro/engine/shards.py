@@ -411,16 +411,13 @@ def _worker_decide(
     query: ConjunctiveQuery,
     candidates: Tuple[Tuple[Constant, ...], ...],
     allow_exponential: bool,
-    want_support: bool,
-) -> List[Tuple[bool, bool, Optional[ReadSet]]]:
+) -> List[Tuple[bool, bool]]:
     """Optimistically decide *candidates* on the shard; validate ownership.
 
-    Returns one ``(certain, valid, read_set)`` triple per candidate, in
-    input order.  ``valid`` is the ownership verdict of the captured read
-    set; invalid candidates' verdicts are meaningless and the parent
-    re-decides them.  Read sets are portable (decoded against the shard
-    store) and only shipped when *want_support* is set and the candidate
-    validated.
+    Returns one ``(certain, valid)`` pair per candidate, in input order.
+    ``valid`` is the ownership verdict of the read set captured during the
+    decision (made portable against the shard store first); invalid
+    candidates' verdicts are meaningless and the parent re-decides them.
     """
     support: Dict[Tuple[Constant, ...], ReadSet] = {}
     certain = set(
@@ -429,16 +426,15 @@ def _worker_decide(
         )
     )
     store = session.store
-    results: List[Tuple[bool, bool, Optional[ReadSet]]] = []
-    for candidate in candidates:
-        read_set = support[candidate]
-        if store is not None:
-            read_set = read_set.to_portable(store)
-        valid = _read_set_is_local(read_set, shard_id, n_shards)
-        results.append(
-            (candidate in certain, valid, read_set if want_support and valid else None)
+    return [
+        (
+            candidate in certain,
+            _read_set_is_local(
+                support[candidate].to_portable(store), shard_id, n_shards
+            ),
         )
-    return results
+        for candidate in candidates
+    ]
 
 
 def _shard_worker_main(
@@ -509,7 +505,7 @@ def _shard_worker_main(
                 )
                 conn.send((seq, "ok", facts))
             elif kind == "decide":
-                _, _, query, candidates, allow_exponential, want_support = command
+                _, _, query, candidates, allow_exponential = command
                 conn.send(
                     (
                         seq,
@@ -521,7 +517,6 @@ def _shard_worker_main(
                             query,
                             candidates,
                             allow_exponential,
-                            want_support,
                         ),
                     )
                 )
@@ -1180,22 +1175,16 @@ class ShardedCertaintySession:
         query: ConjunctiveQuery,
         candidates: Sequence[Tuple[Constant, ...]],
         allow_exponential: Optional[bool] = None,
-        support: Optional[Dict[Tuple[Constant, ...], ReadSet]] = None,
-        support_index=None,
         deadline: Optional[float] = None,
     ) -> List[Tuple[Constant, ...]]:
         """The certain candidates, in input order, scattered across shards.
 
         The sharded counterpart of
-        :meth:`CertaintySession.decide_candidates` — same contract, same
-        order.  When *support* is given it is filled with **portable**
-        per-candidate read sets (shard-captured for shard-local decisions,
-        parent-captured otherwise), so the incremental view subsystem can
-        maintain its support index under sharded fan-out.  *support_index*
-        (a :class:`~repro.incremental.support.SupportIndex`, duck-typed)
-        provides routing hints: candidates route to the shard owning the
-        blocks of their *previous* decision, which post-mutation is almost
-        always still the owner — and ownership validation catches the rest.
+        :meth:`CertaintySession.decide_candidates`: the same verdicts in the
+        same order, without read-set capture.  Candidates route to the
+        shard that decided them last (learned routing), else to the owner
+        of their first fully pinned atom key; ownership validation sends
+        every non-shard-local decision back to the parent.
 
         Failure containment: individual worker deaths are absorbed by the
         supervisor (dead shards' buckets re-decide on the parent inline),
@@ -1211,21 +1200,18 @@ class ShardedCertaintySession:
         )
         if len(candidates) < self._min_shard:
             certain = self._inner.decide_candidates(
-                query, candidates, allow_exponential=allow, support=support
+                query, candidates, allow_exponential=allow
             )
-            self._portabilize(support)
             self.stats.parent_decides += len(candidates)
             return certain
         if self._degraded is not None:
             if self._workers is not None:
                 self._teardown_workers()
-            return self._decide_degraded(query, candidates, allow, support, deadline)
+            return self._decide_degraded(query, candidates, allow, deadline)
         self._ensure_workers()
         try:
             self._flush_deltas(deadline=deadline)
-            return self._scatter(
-                query, candidates, allow, support, support_index, deadline
-            )
+            return self._scatter(query, candidates, allow, deadline)
         except DeadlineExceeded:
             raise
         except (_WorkerFailure, BrokenPipeError, EOFError, OSError):
@@ -1233,9 +1219,8 @@ class ShardedCertaintySession:
             # and serve this call from the always-correct parent session.
             self._restart_workers()
             certain = self._inner.decide_candidates(
-                query, candidates, allow_exponential=allow, support=support
+                query, candidates, allow_exponential=allow
             )
-            self._portabilize(support)
             self.stats.parent_decides += len(candidates)
             return certain
 
@@ -1244,7 +1229,6 @@ class ShardedCertaintySession:
         query: ConjunctiveQuery,
         candidates: Sequence[Tuple[Constant, ...]],
         allow: bool,
-        support: Optional[Dict[Tuple[Constant, ...], ReadSet]],
         deadline: Optional[float],
     ) -> List[Tuple[Constant, ...]]:
         """Serve one dispatch serially on the parent, probing back up.
@@ -1263,11 +1247,7 @@ class ShardedCertaintySession:
             self._backoff_until = [0.0] * self._n_shards
             try:
                 result = self.decide_candidates(
-                    query,
-                    candidates,
-                    allow_exponential=allow,
-                    support=support,
-                    deadline=deadline,
+                    query, candidates, allow_exponential=allow, deadline=deadline
                 )
             except DeadlineExceeded:
                 self._degraded = "serial"
@@ -1285,9 +1265,8 @@ class ShardedCertaintySession:
                 return result
         self.stats.degraded_decides += len(candidates)
         certain = self._inner.decide_candidates(
-            query, candidates, allow_exponential=allow, support=support
+            query, candidates, allow_exponential=allow
         )
-        self._portabilize(support)
         self.stats.parent_decides += len(candidates)
         return certain
 
@@ -1296,19 +1275,14 @@ class ShardedCertaintySession:
         query: ConjunctiveQuery,
         candidates: Sequence[Tuple[Constant, ...]],
         allow: bool,
-        support: Optional[Dict[Tuple[Constant, ...], ReadSet]],
-        support_index,
         deadline: Optional[float] = None,
     ) -> List[Tuple[Constant, ...]]:
         assert self._workers is not None
         routing = self._routing_for(query)
-        shard_key = self._shard_key_fn()
         buckets: Dict[int, List[Tuple[Constant, ...]]] = {}
         parent_side: List[Tuple[Constant, ...]] = []
         for candidate in candidates:
             shard = routing.get(candidate)
-            if shard is None and support_index is not None:
-                shard = support_index.route(candidate, shard_key)
             if shard is None:
                 shard = self._guess_shard(query, candidate)
             if shard is not None and shard != _PARENT and self._workers[shard] is None:
@@ -1317,8 +1291,7 @@ class ShardedCertaintySession:
                 parent_side.append(candidate)
             else:
                 buckets.setdefault(shard, []).append(candidate)
-        want_support = support is not None
-        replies = self._scatter_decide(buckets, query, allow, want_support, deadline)
+        replies = self._scatter_decide(buckets, query, allow, deadline)
         verdicts: Dict[Tuple[Constant, ...], bool] = {}
         for shard, bucket in buckets.items():
             shard_replies = replies.get(shard)
@@ -1328,29 +1301,21 @@ class ShardedCertaintySession:
                 # restarted shard stays the natural owner).
                 parent_side.extend(bucket)
                 continue
-            for candidate, (certain, valid, read_set) in zip(bucket, shard_replies):
+            for candidate, (certain, valid) in zip(bucket, shard_replies):
                 if valid:
                     verdicts[candidate] = certain
                     routing[candidate] = shard
                     self.stats.shard_decides += 1
-                    if want_support and read_set is not None:
-                        support[candidate] = read_set
                 else:
                     parent_side.append(candidate)
                     routing[candidate] = _PARENT
                     self.stats.cross_shard_fallbacks += 1
         if parent_side:
-            parent_support: Optional[Dict[Tuple[Constant, ...], ReadSet]] = (
-                {} if want_support else None
-            )
             parent_certain = set(
                 self._inner.decide_candidates(
-                    query, parent_side, allow_exponential=allow, support=parent_support
+                    query, parent_side, allow_exponential=allow
                 )
             )
-            if parent_support is not None:
-                self._portabilize(parent_support)
-                support.update(parent_support)
             for candidate in parent_side:
                 verdicts[candidate] = candidate in parent_certain
             self.stats.parent_decides += len(parent_side)
@@ -1362,9 +1327,8 @@ class ShardedCertaintySession:
         buckets: Dict[int, List[Tuple[Constant, ...]]],
         query: ConjunctiveQuery,
         allow: bool,
-        want_support: bool,
         deadline: Optional[float] = None,
-    ) -> Dict[int, List[Tuple[bool, bool, Optional[ReadSet]]]]:
+    ) -> Dict[int, List[Tuple[bool, bool]]]:
         """Send one decide command per non-empty shard; gather all replies.
 
         Sends complete before any receive, so the workers decide their
@@ -1376,11 +1340,11 @@ class ShardedCertaintySession:
         sent: List[Tuple[int, int]] = []  # (shard, command seq)
         for shard in sorted(buckets):
             dispatched = self._send_to(
-                shard, ("decide", query, tuple(buckets[shard]), allow, want_support)
+                shard, ("decide", query, tuple(buckets[shard]), allow)
             )
             if dispatched is not None:
                 sent.append((shard, dispatched[0]))
-        replies: Dict[int, List[Tuple[bool, bool, Optional[ReadSet]]]] = {}
+        replies: Dict[int, List[Tuple[bool, bool]]] = {}
         for shard, seq in sent:
             reply = self._recv_from(shard, seq, deadline)
             if reply is None:
@@ -1393,10 +1357,6 @@ class ShardedCertaintySession:
         return replies
 
     # -- routing -----------------------------------------------------------------
-
-    def _shard_key_fn(self) -> Callable[[Tuple[Constant, ...]], int]:
-        n = self._n_shards
-        return lambda key: shard_of_key(key, n)
 
     def _routing_for(
         self, query: ConjunctiveQuery
@@ -1438,16 +1398,6 @@ class ShardedCertaintySession:
                 if key or not atom.key_terms:
                     return shard_of_key(tuple(key), self._n_shards)
         return None
-
-    def _portabilize(
-        self, support: Optional[Dict[Tuple[Constant, ...], ReadSet]]
-    ) -> None:
-        """Decode parent-store block ids in *support* into portable keys."""
-        if support is None:
-            return
-        store = self._inner.store
-        for candidate, read_set in support.items():
-            support[candidate] = read_set.to_portable(store)
 
     def _check_open(self) -> None:
         if self._closed:

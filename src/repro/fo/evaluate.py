@@ -27,7 +27,7 @@ from typing import Iterable, Optional, Sequence
 from ..model.database import UncertainDatabase
 from ..model.symbols import Constant, Variable
 from ..model.valuation import Valuation
-from ..query.evaluation import FactIndex
+from ..store.index import ColumnarFactIndex
 from .compile import EvalContext, _scratch_index, compile_formula
 from .formulas import (
     And,
@@ -54,12 +54,12 @@ class FormulaEvaluator:
     domain:
         Quantification domain; defaults to the active domain of *db*.
     index:
-        An externally shared index over *db* (e.g. the incrementally
-        maintained index of an engine session, via
-        ``SolverContext.index_for``).  When omitted, a private columnar
-        index is built from the database's facts.  The compiled strategy
-        needs a :class:`~repro.store.index.ColumnarFactIndex`; the naive
-        one reads any :class:`FactIndex`.
+        An externally shared columnar index over *db* (e.g. the
+        incrementally maintained index of an engine session, via
+        ``SolverContext.index_for``) for the compiled strategy.  When
+        omitted, the first compiled evaluation builds a private one from
+        the database's facts.  The naive strategy reads fact membership
+        from *db* and never touches an index.
     compiled:
         When ``True`` (the default) formulas are evaluated through the
         set-at-a-time plans of :mod:`repro.fo.compile`; ``False`` selects
@@ -70,11 +70,11 @@ class FormulaEvaluator:
         self,
         db: UncertainDatabase,
         domain: Optional[Iterable[Constant]] = None,
-        index: Optional[FactIndex] = None,
+        index: Optional[ColumnarFactIndex] = None,
         compiled: bool = True,
     ) -> None:
         self.db = db
-        self.index = index if index is not None else _scratch_index(db)
+        self.index = index
         self._explicit_domain = domain is not None
         # The active domain is only needed by the naive recursion (and by
         # the rare unguarded compiled fallbacks, which derive it from the
@@ -109,6 +109,8 @@ class FormulaEvaluator:
     def _eval_context(self) -> EvalContext:
         """The (lazily built, reused) compiled-plan context over the index."""
         if self._context is None:
+            if self.index is None:
+                self.index = _scratch_index(self.db)
             self._context = EvalContext(
                 self.index, domain=self.domain if self._explicit_domain else None
             )
@@ -125,7 +127,7 @@ class FormulaEvaluator:
             grounded = valuation.apply_atom(formula.atom)
             if grounded.variables:
                 raise ValueError(f"atom {formula.atom} not fully bound during evaluation")
-            return grounded.to_fact() in self.index
+            return grounded.to_fact() in self.db
         if isinstance(formula, Equals):
             left = valuation.apply_term(formula.left)
             right = valuation.apply_term(formula.right)
@@ -170,7 +172,7 @@ def evaluate_sentence(
     db: UncertainDatabase,
     formula: Formula,
     compiled: bool = True,
-    index: Optional[FactIndex] = None,
+    index: Optional[ColumnarFactIndex] = None,
 ) -> bool:
     """Evaluate a sentence (no free variables) against *db*.
 

@@ -14,10 +14,14 @@ only specific *blocks* of the database.  Recording those touches as a
 :class:`~repro.incremental.support.SupportIndex` makes maintenance precise:
 a block-local mutation re-decides exactly the candidates whose verdict
 actually read the changed blocks, while inserted facts surface brand-new
-candidates through a seeded delta-join.  Everything else — non-FO bands,
-self-join plans, oversized dirty fractions — falls back to a full refresh,
-so the maintained answer set is *always* identical to a cold recompute
-(differentially tested).
+candidates through a seeded delta-join.  Self-join plans and oversized
+dirty fractions fall back to a full refresh, so the maintained answer set
+is *always* identical to a cold recompute (differentially tested).
+
+Views read one representation of the facts: the id-rows of the session's
+:class:`~repro.store.columnar.ColumnarFactStore`.  Support is keyed by its
+dense block ids, the delta join and the candidate garbage collection run
+on its id-row kernels, and every decision goes through the session.
 
 Public surface:
 

@@ -7,79 +7,47 @@ inserted fact in at least one atom position (discards only ever shrink the
 candidate set, and a shrunk candidate re-decides to not-certain through its
 support anyway).  So instead of re-running the full join per batch, the
 incremental view seeds one backtracking join per (inserted fact, matching
-atom) pair: the fact is pinned to that atom, the remaining atoms are joined
-most-bound-first against the session's fact index, and the free-variable
-tuples of the completed valuations are the (superset of) new candidates.
+atom) pair: the fact's id-row is pinned to that atom, the remaining atoms
+are joined against the session's columnar store, and the free-variable ids
+of the completed bindings are decoded into the new candidates.
 
-This is the classic delta-join of incremental view maintenance, specialised
-to the sideways-information-passing evaluator of
-:mod:`repro.query.evaluation`.
+This is the classic delta-join of incremental view maintenance, run by the
+id-row kernel :func:`~repro.store.kernels.seeded_bindings`.  Inserted facts
+are encoded by lookup only: a constant the intern table does not know
+occurs in no stored row, so such a fact seeds nothing and the table never
+grows on the view path.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Set
+from typing import Iterable, List, Set, Tuple
 
-from ..model.atoms import Atom, Fact
-from ..model.symbols import Constant, is_constant
-from ..model.valuation import Valuation
+from ..model.atoms import Fact
 from ..query.conjunctive import ConjunctiveQuery
-from ..query.evaluation import FactIndex, match_atom
+from ..store import ColumnarFactIndex
+from ..store.columnar import IntRow
+from ..store.kernels import seeded_bindings
 from .support import Candidate
 
 
-def _boundness(atom: Atom, valuation: Valuation) -> int:
-    """How many of the atom's terms are already pinned down."""
-    return sum(1 for t in atom.terms if is_constant(t) or t in valuation)
-
-
-def _seeded_valuations(
-    atoms: Sequence[Atom], index: FactIndex, valuation: Valuation
-) -> Iterator[Valuation]:
-    """Complete *valuation* over the remaining *atoms* (most-bound-first)."""
-    if not atoms:
-        yield valuation
-        return
-    position = max(range(len(atoms)), key=lambda i: _boundness(atoms[i], valuation))
-    atom = atoms[position]
-    rest = [a for i, a in enumerate(atoms) if i != position]
-    key_values: List[Constant] = []
-    for term in atom.key_terms:
-        value = term if is_constant(term) else valuation.get(term)
-        if value is None:
-            break
-        key_values.append(value)  # type: ignore[arg-type]
-    else:
-        for fact in index.block(atom.relation.name, tuple(key_values)):
-            extended = match_atom(atom, fact, valuation)
-            if extended is not None:
-                yield from _seeded_valuations(rest, index, extended)
-        return
-    for fact in index.relation(atom.relation.name):
-        extended = match_atom(atom, fact, valuation)
-        if extended is not None:
-            yield from _seeded_valuations(rest, index, extended)
-
-
 def delta_candidates(
-    query: ConjunctiveQuery, index: FactIndex, added: Iterable[Fact]
+    query: ConjunctiveQuery, index: ColumnarFactIndex, added: Iterable[Fact]
 ) -> Set[Candidate]:
-    """Candidate tuples of valuations that use at least one *added* fact.
+    """Candidate tuples of the witnesses that use at least one *added* fact.
 
-    A superset filter for novelty: the result may include candidates that
-    were already enumerable before the insertion (the caller dedups against
-    its known set), but every genuinely new candidate is guaranteed to be
-    present.
+    Every candidate enumerable now but not before the insertion is in the
+    result, and every result is enumerable now: the result may include
+    candidates that were already enumerable (the caller dedups against its
+    known set), never one the current store cannot produce.
     """
-    free = query.free_variables
-    atoms = query.atoms
-    out: Set[Candidate] = set()
+    store = index.store
+    seeds: List[Tuple[str, IntRow]] = []
     for fact in added:
-        for position, atom in enumerate(atoms):
-            seed = match_atom(atom, fact, Valuation())
-            if seed is None:
-                continue
-            rest = [a for i, a in enumerate(atoms) if i != position]
-            for valuation in _seeded_valuations(rest, index, seed):
-                out.add(tuple(valuation[v] for v in free))
-    return out
+        row = store.known_row(fact)
+        if row is not None:
+            seeds.append((fact.relation.name, row))
+    decode = store.table.decode
+    return {
+        decode(ids)
+        for ids in seeded_bindings(query, store, seeds, query.free_variables)
+    }

@@ -11,17 +11,13 @@ observer on the session's database, and converts every mutation — single
 
 Ordering matters and is arranged by construction: the session's fact index
 is registered as an observer *before* the manager, so by the time a view
-refreshes, the index (which candidate enumeration, delta joins, and the
-compiled rewritings all read) already reflects the mutation.
-
-Large dirty sets can optionally be fanned out across the long-lived
-workers of a :class:`~repro.engine.shards.ShardedCertaintySession`
-(``shard_workers``): worker-captured read sets are shipped back with the
-verdicts, so the support index stays exact under sharded maintenance.
+refreshes, the index's columnar store (which candidate enumeration, delta
+joins, and the compiled rewritings all read) already reflects the mutation.
+Every view decides through that one session.
 
 Like :class:`~repro.model.database.UncertainDatabase` itself, the manager
 assumes a single writer: mutations (and hence maintenance) run on the
-mutating thread.  Decisions may still fan out to worker processes.
+mutating thread.
 """
 
 from __future__ import annotations
@@ -31,14 +27,11 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..engine.cache import PlanCache
 from ..engine.session import CertaintySession
-from ..engine.shards import ShardedCertaintySession
-from ..fo.compile import ReadSet
 from ..model.atoms import Fact
 from ..model.database import ChangeSet, DatabaseObserver, UncertainDatabase
 from ..query.conjunctive import ConjunctiveQuery
 from ..store import InternTable
 from .staleness import StalenessPolicy, StalenessStats
-from .support import Candidate
 from .view import MaterializedCertainView
 
 
@@ -58,21 +51,9 @@ class ViewManager(DatabaseObserver):
     full_refresh_threshold:
         Dirty fraction above which a view abandons incremental maintenance
         for a full refresh (default ``0.5``).
-    shard_workers:
-        When set, sharded maintenance mode: dirty sets of at least
-        *parallel_min_dirty* candidates are decided through a
-        :class:`~repro.engine.shards.ShardedCertaintySession` with this
-        many long-lived block-hash-sharded workers.  Mutations ship to the
-        workers as O(delta) integer rows — the pool is never rebuilt — and
-        each worker re-decides the dirty candidates whose supporting
-        blocks it owns, shipping back verdicts plus portable read sets, so
-        the support index stays exact.
-    parallel_min_dirty:
-        Candidate-count floor for fanning out (default ``64``).
     intern_table:
-        Scoped intern table of the owned session (and of the sharded
-        maintenance session).  Ignored when *session* is supplied —
-        the supplied session's table governs.
+        Scoped intern table of the owned session.  Ignored when *session*
+        is supplied — the supplied session's table governs.
     staleness:
         When set, **deferred maintenance mode**: mutations merge into one
         pending net :class:`ChangeSet` instead of refreshing views
@@ -102,8 +83,6 @@ class ViewManager(DatabaseObserver):
         plan_cache: Optional[PlanCache] = None,
         allow_exponential: bool = False,
         full_refresh_threshold: float = 0.5,
-        parallel_min_dirty: int = 64,
-        shard_workers: Optional[int] = None,
         intern_table: Optional[InternTable] = None,
         staleness: Optional[StalenessPolicy] = None,
         clock: Callable[[], float] = time.monotonic,
@@ -123,25 +102,8 @@ class ViewManager(DatabaseObserver):
             if session.db is not db:
                 raise ValueError("the supplied session wraps a different database")
             self._owns_session = False
-            # The supplied session's policy governs all maintenance, so the
-            # sharded fan-out below must not apply a different one.
-            allow_exponential = session.allow_exponential
         self._session = session
         self._full_refresh_threshold = full_refresh_threshold
-        self._parallel_min_dirty = parallel_min_dirty
-        self._sharded: Optional[ShardedCertaintySession] = None
-        if shard_workers is not None:
-            # Created before the manager registers itself: the sharded
-            # session's delta router (and its inline index) are notified
-            # first, so every pending delta is already routed by the time
-            # a view refresh dispatches to the shard pool.
-            self._sharded = ShardedCertaintySession(
-                db,
-                n_shards=shard_workers,
-                min_shard_candidates=parallel_min_dirty,
-                allow_exponential=allow_exponential,
-                intern_table=intern_table,
-            )
         self._views: Dict[ConjunctiveQuery, MaterializedCertainView] = {}
         self._pending: List[ChangeSet] = []
         self._delivering = False
@@ -160,8 +122,6 @@ class ViewManager(DatabaseObserver):
         if self._closed:
             return
         self._db.unregister_observer(self)
-        if self._sharded is not None:
-            self._sharded.close()
         if self._owns_session:
             self._session.close()
         self._closed = True
@@ -188,11 +148,6 @@ class ViewManager(DatabaseObserver):
     def session(self) -> CertaintySession:
         """The certainty session views decide through."""
         return self._session
-
-    @property
-    def sharded_session(self) -> Optional[ShardedCertaintySession]:
-        """The sharded maintenance session (``None`` unless ``shard_workers``)."""
-        return self._sharded
 
     @property
     def views(self) -> Tuple[MaterializedCertainView, ...]:
@@ -407,41 +362,6 @@ class ViewManager(DatabaseObserver):
             self._flush("read_budget")
             return
         self._staleness_stats.stale_reads += 1
-
-    # -- decision routing --------------------------------------------------------
-
-    def _decide(
-        self,
-        query: ConjunctiveQuery,
-        candidates: List[Candidate],
-        support: Optional[Dict[Candidate, ReadSet]],
-        allow_exponential: Optional[bool],
-        support_index=None,
-    ) -> List[Candidate]:
-        """Decide candidates sequentially, or shard them when the set is large.
-
-        *support_index* (the calling view's
-        :class:`~repro.incremental.support.SupportIndex`) is a routing hint
-        for sharded maintenance: each dirty candidate goes to the shard
-        that owned the blocks of its previous decision.
-        """
-        if (
-            self._sharded is not None
-            and len(candidates) >= self._parallel_min_dirty
-        ):
-            return self._sharded.decide_candidates(
-                query,
-                candidates,
-                allow_exponential=allow_exponential,
-                support=support,
-                support_index=support_index,
-            )
-        return self._session.decide_candidates(
-            query,
-            candidates,
-            allow_exponential=allow_exponential,
-            support=support,
-        )
 
     def _check_open(self) -> None:
         if self._closed:

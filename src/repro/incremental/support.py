@@ -17,30 +17,23 @@ fallbacks) are dirtied by every mutation.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, Optional, Set, Tuple
 
 from ..fo.compile import KeyMask, ReadSet
-from ..model.database import BlockKey, ChangeSet
+from ..model.database import ChangeSet
 from ..model.symbols import Constant
 
 #: A candidate answer: one constant per free variable (``()`` for Boolean).
 Candidate = Tuple[Constant, ...]
 
-#: Entries of the inverted block map: dense ``int`` block ids from the
-#: deciding session's store, or portable ``(name, key)`` block keys from
-#: read sets shipped back by shard workers (``ReadSet.to_portable``); the
-#: two spaces never collide as dict keys.
-SupportKey = Union[BlockKey, int]
+#: Entries of the inverted block map: the dense ``int`` block ids of the
+#: deciding session's store, the only key space a session's read sets use.
+SupportKey = int
 
 #: Maps ``(relation name, key constants)`` to the columnar block id that a
 #: read set would have recorded for the block, or ``None`` when no stored
 #: fact and no recorded probe ever touched it (so nothing can depend on it).
 BlockIdResolver = Callable[[str, Tuple[Constant, ...]], Optional[int]]
-
-#: Maps a columnar block id back to its object-space ``(name, key)`` block
-#: key (:meth:`~repro.store.columnar.ColumnarFactStore.decode_block_key`);
-#: lets :meth:`SupportIndex.route` reason about id-space read sets.
-BlockKeyDecoder = Callable[[int], BlockKey]
 
 _EMPTY: Set[Candidate] = set()
 
@@ -53,18 +46,14 @@ class SupportIndex:
     directions are kept consistent by construction; :meth:`check_invariants`
     verifies this exhaustively (used by the test suite).
 
-    Read sets captured by a session carry dense integer block ids instead
-    of ``(name, key)`` tuples; a *block_id_resolver* (typically
+    Read sets captured by a session name their blocks by dense integer block
+    ids (``ReadSet.block_ids``); the *block_id_resolver* (the
     :meth:`~repro.store.columnar.ColumnarFactStore.known_block_id` of the
     deciding session's store) translates the touched blocks of a mutation
-    batch into that id space so :meth:`dirty_for` covers both.
+    batch into that id space.
     """
 
-    def __init__(
-        self,
-        block_id_resolver: Optional[BlockIdResolver] = None,
-        block_key_decoder: Optional[BlockKeyDecoder] = None,
-    ) -> None:
+    def __init__(self, block_id_resolver: BlockIdResolver) -> None:
         self._reads: Dict[Candidate, ReadSet] = {}
         self._by_block: Dict[SupportKey, Set[Candidate]] = {}
         self._by_relation: Dict[str, Set[Candidate]] = {}
@@ -73,7 +62,6 @@ class SupportIndex:
         self._by_key_mask: Dict[str, Dict[KeyMask, Set[Candidate]]] = {}
         self._global: Set[Candidate] = set()
         self._block_id_resolver = block_id_resolver
-        self._block_key_decoder = block_key_decoder
 
     # -- maintenance -------------------------------------------------------------
 
@@ -84,8 +72,6 @@ class SupportIndex:
         if read_set.is_global:
             self._global.add(candidate)
             return
-        for block in read_set.blocks:
-            self._by_block.setdefault(block, set()).add(candidate)
         for block_id in read_set.block_ids:
             self._by_block.setdefault(block_id, set()).add(candidate)
         for name in read_set.relations:
@@ -103,12 +89,12 @@ class SupportIndex:
         if read_set.is_global:
             self._global.discard(candidate)
             return
-        for block in list(read_set.blocks) + list(read_set.block_ids):
-            members = self._by_block.get(block)
+        for block_id in read_set.block_ids:
+            members = self._by_block.get(block_id)
             if members is not None:
                 members.discard(candidate)
                 if not members:
-                    del self._by_block[block]
+                    del self._by_block[block_id]
         for name in read_set.relations:
             members = self._by_relation.get(name)
             if members is not None:
@@ -145,13 +131,9 @@ class SupportIndex:
         """Every tracked candidate."""
         return self._reads.keys()
 
-    def candidates_for_block(self, block: SupportKey) -> Set[Candidate]:
-        """Candidates whose decision probed *block* (global ones excluded).
-
-        *block* is an object-space block key or a columnar block id,
-        matching whichever space the read sets were captured in.
-        """
-        return set(self._by_block.get(block, _EMPTY))
+    def candidates_for_block(self, block_id: SupportKey) -> Set[Candidate]:
+        """Candidates whose decision probed block *block_id* (global ones excluded)."""
+        return set(self._by_block.get(block_id, _EMPTY))
 
     def candidates_for_relation(self, name: str) -> Set[Candidate]:
         """Candidates whose decision scanned relation *name* in full."""
@@ -171,19 +153,16 @@ class SupportIndex:
         """The candidates whose verdict may be changed by *changes*.
 
         The union of the global candidates, the candidates that probed a
-        touched block (in either key space — the resolver maps each touched
-        block into the columnar id space too), the candidates holding a key
-        mask that some touched fact's key constants match, and the
-        candidates that scanned a touched relation.
+        touched block (the resolver maps each touched block to its block
+        id), the candidates holding a key mask that some touched fact's key
+        constants match, and the candidates that scanned a touched relation.
         """
         dirty: Set[Candidate] = set(self._global)
         resolver = self._block_id_resolver
         for block in changes.touched_blocks():
-            dirty |= self._by_block.get(block, _EMPTY)
-            if resolver is not None:
-                block_id = resolver(block[0], block[1])
-                if block_id is not None:
-                    dirty |= self._by_block.get(block_id, _EMPTY)
+            block_id = resolver(block[0], block[1])
+            if block_id is not None:
+                dirty |= self._by_block.get(block_id, _EMPTY)
             masks = self._by_key_mask.get(block[0])
             if masks:
                 key = block[1]
@@ -196,53 +175,13 @@ class SupportIndex:
             dirty |= self._by_relation.get(name, _EMPTY)
         return dirty
 
-    def route(
-        self,
-        candidate: Candidate,
-        shard_of_key: Callable[[Tuple[Constant, ...]], int],
-    ) -> Optional[int]:
-        """The single shard owning every block of *candidate*'s last decision.
-
-        Routing hint for the sharded runtime: *shard_of_key* maps a block's
-        key constants to its owning shard.  Returns that shard when the
-        recorded read set names concrete blocks only — no global reads, no
-        relation scans, no wildcard key masks (a ``None`` position matches
-        keys on any shard), and, for id-space blocks, a decoder to recover
-        their keys — and every one of them lands on the same shard.
-        Returns ``None`` otherwise (including for untracked candidates); a
-        ``None`` is never wrong, just unrouted.
-        """
-        read_set = self._reads.get(candidate)
-        if read_set is None or read_set.is_global or read_set.relations:
-            return None
-        if read_set.block_ids and self._block_key_decoder is None:
-            return None
-        shard: Optional[int] = None
-        keys = [key for _name, key in read_set.blocks]
-        for block_id in read_set.block_ids:
-            keys.append(self._block_key_decoder(block_id)[1])
-        for _name, mask in read_set.key_masks:
-            if any(m is None for m in mask):
-                return None
-            keys.append(mask)
-        for key in keys:
-            owner = shard_of_key(tuple(key))
-            if shard is None:
-                shard = owner
-            elif owner != shard:
-                return None
-        return shard
-
     def dependencies_of(self, candidate: Candidate) -> int:
         """How many block/relation entries support *candidate* (0 if global)."""
         read_set = self._reads.get(candidate)
         if read_set is None or read_set.is_global:
             return 0
         return (
-            len(read_set.blocks)
-            + len(read_set.block_ids)
-            + len(read_set.key_masks)
-            + len(read_set.relations)
+            len(read_set.block_ids) + len(read_set.key_masks) + len(read_set.relations)
         )
 
     def __len__(self) -> int:
@@ -267,10 +206,6 @@ class SupportIndex:
             if read_set.is_global:
                 assert candidate in self._global, f"{candidate} missing from global set"
                 continue
-            for block in read_set.blocks:
-                assert candidate in self._by_block.get(block, _EMPTY), (
-                    f"{candidate} missing from block entry {block}"
-                )
             for block_id in read_set.block_ids:
                 assert candidate in self._by_block.get(block_id, _EMPTY), (
                     f"{candidate} missing from block-id entry {block_id}"
@@ -283,13 +218,13 @@ class SupportIndex:
                 assert candidate in self._by_key_mask.get(name, {}).get(mask, _EMPTY), (
                     f"{candidate} missing from key-mask entry {(name, mask)}"
                 )
-        for block, members in self._by_block.items():
-            assert members, f"empty block entry {block} not pruned"
+        for block_id, members in self._by_block.items():
+            assert members, f"empty block entry {block_id} not pruned"
             for candidate in members:
                 read_set = self._reads.get(candidate)
-                assert read_set is not None and (
-                    block in read_set.blocks or block in read_set.block_ids
-                ), f"stale block entry {block} -> {candidate}"
+                assert read_set is not None and block_id in read_set.block_ids, (
+                    f"stale block entry {block_id} -> {candidate}"
+                )
         for name, members in self._by_relation.items():
             assert members, f"empty relation entry {name} not pruned"
             for candidate in members:

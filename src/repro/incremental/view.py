@@ -20,17 +20,21 @@ Maintenance strategy per mutation batch (a
    force) records the static per-atom support of the grounded query —
    blocks, key masks, relations — so *all* bands maintain fine-grained;
 3. **delta candidate discovery** — inserted facts can create brand-new
-   candidate answers; a seeded delta-join
-   (:func:`~repro.incremental.delta.delta_candidates`) finds them without
-   re-running the full enumeration;
-4. **re-decision** — the dirty candidates are re-decided through the shared
-   ``decide_candidates`` loop (optionally fanned out over the sharded
-   session for large dirty sets), refreshing their support entries;
+   candidate answers; a seeded delta-join over the session's columnar
+   store (:func:`~repro.incremental.delta.delta_candidates`) finds them
+   without re-running the full enumeration;
+4. **re-decision** — the dirty candidates are re-decided through the
+   session's ``decide_candidates`` loop, refreshing their support entries;
 5. **fallbacks** — views over self-join (per-grounding) plans, or batches
    dirtying more than ``full_refresh_threshold`` of the tracked
    candidates, fall back to a full refresh (cold re-enumeration +
    re-decision), which is always correct; :class:`ViewStats` counts each
    full refresh by cause.
+
+After a batch with discards, candidates that re-decided to not certain and
+whose grounding has no witness left in the store are garbage-collected
+(:meth:`MaterializedCertainView._collect_vanished`).  Every step reads the
+store's id-rows; none of them interns a constant.
 
 Answer-level deltas are pushed to subscribers: ``on_retract`` callbacks
 fire before ``on_insert`` callbacks, each in deterministic sorted order.
@@ -43,8 +47,8 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from ..fo.compile import ReadSet
 from ..model.database import ChangeSet
 from ..query.conjunctive import ConjunctiveQuery
-from ..query.evaluation import find_valuation
 from ..query.substitution import ground_free_variables
+from ..store.kernels import has_witness
 from .delta import delta_candidates
 from .support import Candidate, SupportIndex
 
@@ -182,13 +186,9 @@ class MaterializedCertainView:
         # groundings can collapse atoms, changing what the support covers.
         self._fine_grained = not plan.per_grounding
         self._coarse_cause = "per-grounding" if plan.per_grounding else None
-        # Sessions capture read sets as dense block ids; give the support
-        # index the store's resolver so touched blocks translate.
-        store = manager.session.store
-        self._support = SupportIndex(
-            block_id_resolver=store.known_block_id,
-            block_key_decoder=store.decode_block_key,
-        )
+        # Sessions capture read sets as dense block ids; the store's
+        # resolver translates touched blocks into that id space.
+        self._support = SupportIndex(manager.session.store.known_block_id)
         self._verdicts: Dict[Candidate, bool] = {}
         self._answers: Set[Candidate] = set()
         self._subscriptions: List[Subscription] = []
@@ -332,12 +332,11 @@ class MaterializedCertainView:
         candidates: List[Candidate],
         support: Optional[Dict[Candidate, ReadSet]],
     ) -> List[Candidate]:
-        certain = self._manager._decide(
+        certain = self._manager.session.decide_candidates(
             self._query,
             candidates,
-            support=support,
             allow_exponential=self._allow_exponential,
-            support_index=self._support,
+            support=support,
         )
         self.stats.decisions += len(candidates)
         self.stats.last_decided = len(candidates)
@@ -420,20 +419,22 @@ class MaterializedCertainView:
         an answer again until some insertion re-creates it (insertions are
         delta-discovered), so keeping its verdict and support entries only
         grows memory between full refreshes.  A candidate is enumerable iff
-        its grounding is satisfiable over the current database — one cheap
-        block-probe-backed satisfiability check each, run only for dirty
-        candidates that just re-decided to *not certain* after a discard.
+        its grounding has a witness in the session's store — one id-row
+        :func:`~repro.store.kernels.has_witness` sweep each, run only for
+        dirty candidates that just re-decided to *not certain* after a
+        discard.  The sweep looks constants up without interning them: a
+        constant the table does not know occurs in no stored row.
         """
         if self._boolean:
             return
-        index = self._manager.session.index
+        store = self._manager.session.store
         for candidate in candidates:
             if candidate in certain:
                 continue
             grounded = ground_free_variables(
                 self._query, [c.value for c in candidate]
             )
-            if find_valuation(grounded, index) is None:
+            if not has_witness(grounded, store):
                 del self._verdicts[candidate]
                 self._support.remove(candidate)
                 self.stats.gc_removed += 1

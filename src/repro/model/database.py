@@ -302,7 +302,7 @@ class UncertainDatabase:
                     # fan-out: batch-aware observers see the new version.
                     self._mutation_version += 1
                     for observer in list(self._observers):
-                        # Observers are duck-typed (e.g. FactIndex aliases
+                        # Observers are duck-typed (e.g. ColumnarFactIndex aliases
                         # fact_added = add); fall back to per-fact replay
                         # for those without a batch hook.
                         handler = getattr(observer, "batch_applied", None)

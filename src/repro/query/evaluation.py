@@ -24,14 +24,15 @@ _EMPTY: Dict[Fact, None] = {}
 class FactIndex:
     """Facts grouped by relation name, with an index on key values.
 
-    The index supports incremental :meth:`add`/:meth:`discard` updates, so a
-    long-lived index (e.g. the one held by an engine ``CertaintySession``)
-    can track a mutating database instead of being rebuilt per call.  It
-    implements the :class:`~repro.model.database.DatabaseObserver` protocol
-    and can be registered directly on an ``UncertainDatabase``.
+    The definition-level index behind the textbook evaluator of this module
+    (:func:`iterate_valuations` and the functions built on it), which
+    :func:`~repro.certainty.brute_force.certain_by_enumeration` and the
+    tests' oracle read.  It is built once from a collection of facts and
+    then only read; engine sessions, solvers and views run on a
+    :class:`~repro.store.index.ColumnarFactIndex` instead.
 
     Facts are stored in insertion-ordered dict-sets so iteration stays
-    deterministic and membership/removal is O(1).
+    deterministic and membership is O(1).
     """
 
     def __init__(self, facts: Iterable[Fact] = ()) -> None:
@@ -41,10 +42,8 @@ class FactIndex:
         for fact in facts:
             self.add(fact)
 
-    # -- incremental maintenance ------------------------------------------------
-
     def add(self, fact: Fact) -> None:
-        """Insert a fact (idempotent)."""
+        """Insert a fact (idempotent); used while building the index."""
         name = fact.relation.name
         relation = self._by_relation.setdefault(name, {})
         if fact in relation:
@@ -52,27 +51,6 @@ class FactIndex:
         relation[fact] = None
         self._by_block.setdefault((name, fact.key_terms), {})[fact] = None
         self._size += 1
-
-    def discard(self, fact: Fact) -> None:
-        """Remove a fact if present."""
-        name = fact.relation.name
-        relation = self._by_relation.get(name)
-        if relation is None or fact not in relation:
-            return
-        del relation[fact]
-        if not relation:
-            del self._by_relation[name]
-        block_key = (name, fact.key_terms)
-        block = self._by_block.get(block_key)
-        if block is not None:
-            block.pop(fact, None)
-            if not block:
-                del self._by_block[block_key]
-        self._size -= 1
-
-    # Observer protocol of UncertainDatabase.
-    fact_added = add
-    fact_discarded = discard
 
     # -- lookups ----------------------------------------------------------------
 
@@ -83,10 +61,6 @@ class FactIndex:
     def block(self, name: str, key_values: Tuple[Constant, ...]) -> Collection[Fact]:
         """All facts of relation *name* with the given key values."""
         return self._by_block.get((name, key_values), _EMPTY).keys()
-
-    def relations(self) -> List[str]:
-        """The relation names present in the index."""
-        return list(self._by_relation)
 
     def __contains__(self, fact: object) -> bool:
         if not isinstance(fact, Fact):
@@ -125,19 +99,22 @@ def match_atom(atom: Atom, fact: Fact, valuation: Valuation) -> Optional[Valuati
 
 
 @lru_cache(maxsize=2048)
-def order_atoms(query: ConjunctiveQuery) -> Tuple[Atom, ...]:
+def order_atoms(query: ConjunctiveQuery, first: Optional[Atom] = None) -> Tuple[Atom, ...]:
     """Greedy atom ordering: maximise connectivity with already-placed atoms.
 
-    The ordering depends only on the query, so it is memoised: repeated
-    evaluations of the same (or residual) query reuse the compiled order.
+    The ordering starts from *first* when given (the seeded delta join of
+    :func:`repro.store.kernels.seeded_bindings` pins that atom to an
+    inserted row), else from the atom with the most constants (the most
+    selective).  It depends only on its arguments, so it is memoised:
+    repeated evaluations of the same (or residual) query reuse the order.
     """
     remaining = list(query.atoms)
     if not remaining:
         return ()
     ordered: List[Atom] = []
     bound: Set[Variable] = set()
-    # Start with the atom having the most constants (most selective).
-    first = max(remaining, key=lambda a: (len(a.constants), -len(a.variables)))
+    if first is None:
+        first = max(remaining, key=lambda a: (len(a.constants), -len(a.variables)))
     ordered.append(first)
     bound |= first.variables
     remaining.remove(first)
@@ -157,14 +134,14 @@ CHECK_CONST, CHECK_SLOT, BIND_SLOT = 0, 1, 2
 
 
 @lru_cache(maxsize=2048)
-def backtrack_plan(query: ConjunctiveQuery):
+def backtrack_plan(query: ConjunctiveQuery, first: Optional[Atom] = None):
     """Compile *query* into slot-based backtracking steps (memoised).
 
     Variables are assigned dense *slots* (ints) in first-occurrence order
-    over the greedy :func:`order_atoms` ordering, so the join loop can keep
-    its bindings in one mutable list instead of rebuilding a
-    :class:`~repro.model.valuation.Valuation` dict per matched fact.  Each
-    step describes one atom:
+    over the greedy :func:`order_atoms` ordering (started from *first* when
+    given), so the join loop can keep its bindings in one mutable list
+    instead of rebuilding a :class:`~repro.model.valuation.Valuation` dict
+    per matched fact.  Each step describes one atom:
 
     ``(atom, ops, key_plan)``
         *ops* is a tuple of ``(op, position, arg)`` with *op* one of
@@ -178,12 +155,12 @@ def backtrack_plan(query: ConjunctiveQuery):
         ``None`` otherwise.
 
     The same structural plan drives both the object-level loop below and
-    the integer-encoded sweeps of :mod:`repro.store.kernels` (which encode
-    the constants through an intern table per call).
+    the integer-encoded sweeps of :mod:`repro.store.kernels` (which look
+    the constants up in an intern table per call).
     """
     steps = []
     slots: Dict[Variable, int] = {}
-    for atom in order_atoms(query):
+    for atom in order_atoms(query, first):
         before = dict(slots)
         ops: List[Tuple[int, int, object]] = []
         for position, term in enumerate(atom.terms):

@@ -8,9 +8,10 @@ The package has three layers:
   relation as integer columns with O(1) membership, per-block id slices,
   and dense block ids;
 * :mod:`repro.store.index` / :mod:`repro.store.kernels` — the
-  :class:`ColumnarFactIndex` every session, solver and compiled plan runs
-  on (a :class:`~repro.query.evaluation.FactIndex` that mirrors into a
-  store) and the id-space sweeps built on it.
+  :class:`ColumnarFactIndex` every session, solver, compiled plan and
+  incremental view runs on (a store kept in step with a database through
+  the observer protocol; no object-level copy of the facts) and the
+  id-space sweeps built on it.
 
 Correctness is checked against the paper's definitions, not against a
 second implementation: repair enumeration

@@ -236,17 +236,28 @@ class ColumnarFactStore:
         self._size += 1
         return True
 
-    def discard_fact(self, fact: Fact) -> Optional[IntRow]:
-        """Remove a fact; returns its id-row, or ``None`` if absent."""
+    def known_row(self, fact: Fact) -> Optional[IntRow]:
+        """The id-row of *fact* without interning, or ``None``.
+
+        ``None`` means some term was never interned, so no stored row can
+        hold the fact.  Read paths encode through here, which keeps them
+        from growing the intern table.
+        """
         id_of = self._table.id_of
         ids: List[int] = []
         for term in fact.terms:
             term_id = id_of(term)
             if term_id is None:
-                return None  # a never-interned constant cannot be stored
+                return None
             ids.append(term_id)
-        row = tuple(ids)
-        return row if self.discard_row(fact.relation.name, row) else None
+        return tuple(ids)
+
+    def discard_fact(self, fact: Fact) -> Optional[IntRow]:
+        """Remove a fact; returns its id-row, or ``None`` if absent."""
+        row = self.known_row(fact)
+        if row is None or not self.discard_row(fact.relation.name, row):
+            return None
+        return row
 
     def discard_row(self, name: str, row: IntRow) -> bool:
         """Remove an id-row from relation *name*; ``False`` when absent."""
@@ -281,14 +292,7 @@ class ColumnarFactStore:
         rel = self._relations.get(fact.relation.name)
         if rel is None:
             return False
-        id_of = self._table.id_of
-        ids: List[int] = []
-        for term in fact.terms:
-            term_id = id_of(term)
-            if term_id is None:
-                return False
-            ids.append(term_id)
-        return tuple(ids) in rel.row_index
+        return self.known_row(fact) in rel.row_index
 
     # -- decoding ----------------------------------------------------------------
 

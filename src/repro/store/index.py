@@ -1,17 +1,14 @@
 """The columnar fact index every session, solver and compiled plan runs on.
 
-A :class:`ColumnarFactIndex` is a :class:`~repro.query.evaluation.FactIndex`
-that *additionally* maintains a
-:class:`~repro.store.columnar.ColumnarFactStore` alongside the object-level
-dictionaries.  The solvers of every band, the compiled relational plans of
-:mod:`repro.fo.compile`, the purify sweep, candidate enumeration and
-snapshot shipping read the ``store`` and run on id-rows end-to-end.  The
-object mirror still serves the incremental view's delta join
-(:mod:`repro.incremental.delta`) and its candidate garbage collection.
-
-The dual maintenance costs one extra encode (a few intern-table lookups)
-per mutation; every read on the hot query path is repaid many times over
-by integer hashing.
+A :class:`ColumnarFactIndex` keeps one
+:class:`~repro.store.columnar.ColumnarFactStore` in step with a database:
+registered as an observer, it applies every insertion and removal to the
+store's id-rows.  The solvers of every band, the compiled relational plans
+of :mod:`repro.fo.compile`, the purify sweep, candidate enumeration, the
+incremental view's delta join and candidate garbage collection all read the
+``store``; there is no object-level copy of the facts.  The textbook
+evaluator of :mod:`repro.query.evaluation` keeps its own
+:class:`~repro.query.evaluation.FactIndex`.
 """
 
 from __future__ import annotations
@@ -19,38 +16,35 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from ..model.atoms import Fact
-from ..query.evaluation import FactIndex
 from .columnar import ColumnarFactStore
 from .intern import InternTable
 
 
-class ColumnarFactIndex(FactIndex):
-    """A :class:`FactIndex` that mirrors its contents into a columnar store."""
+class ColumnarFactIndex:
+    """A columnar store maintained through the database observer protocol."""
+
+    __slots__ = ("_store",)
 
     def __init__(
         self,
         facts: Iterable[Fact] = (),
         table: Optional[InternTable] = None,
     ) -> None:
-        self._store = ColumnarFactStore(table=table)
-        super().__init__(facts)  # populates through the overridden add()
+        self._store = ColumnarFactStore(facts, table=table)
 
     @property
     def store(self) -> ColumnarFactStore:
-        """The integer-encoded twin of this index (same facts, id-rows)."""
+        """The id-rows of the indexed facts."""
         return self._store
 
     def add(self, fact: Fact) -> None:
-        """Insert a fact into both representations (idempotent)."""
-        super().add(fact)
+        """Insert a fact (idempotent)."""
         self._store.add_fact(fact)
 
     def discard(self, fact: Fact) -> None:
-        """Remove a fact from both representations if present."""
-        super().discard(fact)
+        """Remove a fact if present."""
         self._store.discard_fact(fact)
 
-    # The observer-protocol aliases must rebind to the *overridden* methods
-    # (the base class aliases point at FactIndex.add/discard).
+    # Observer protocol of UncertainDatabase.
     fact_added = add
     fact_discarded = discard

@@ -1,9 +1,9 @@
 """Integer-encoded execution kernels over the columnar store.
 
-The kernels here are the witness sweeps of the certainty solvers: they
-reuse the compiled slot-based
-:func:`~repro.query.evaluation.backtrack_plan` of a query, encode its
-constants through the store's intern table once per call, and then run the
+The kernels here are the witness sweeps of the certainty solvers and of
+the incremental views: they reuse the compiled slot-based
+:func:`~repro.query.evaluation.backtrack_plan` of a query, look its
+constants up in the store's intern table once per call, and then run the
 backtracking join entirely on integer rows — block probes are dict lookups
 on id-tuples, bindings live in one mutable int array, and witness marking
 collects id-rows instead of fact objects.
@@ -12,6 +12,8 @@ collects id-rows instead of fact objects.
 the blocks containing at least one fact that participates in no witness
 ``θ(q) ⊆ db``, sweeping the store's per-block id arrays and decoding only
 the (usually few) stale block keys back to object space.
+:func:`seeded_bindings` is the views' delta join, and :func:`has_witness`
+their candidate garbage collection.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..model.atoms import Atom
-from ..model.symbols import is_constant
+from ..model.symbols import Variable, is_constant
 from ..query.conjunctive import ConjunctiveQuery
 from ..query.evaluation import CHECK_CONST, CHECK_SLOT, backtrack_plan
 from .columnar import BlockKey, ColumnarFactStore, IntRow
@@ -29,32 +31,39 @@ _EncodedStep = Tuple[object, Tuple[Tuple[int, int, int], ...], Optional[Tuple], 
 
 
 def _encode_plan(
-    query: ConjunctiveQuery, store: ColumnarFactStore
+    query: ConjunctiveQuery, store: ColumnarFactStore, first: Optional[Atom] = None
 ) -> Tuple[Optional[List[_EncodedStep]], int]:
     """Encode the structural backtracking plan of *query* against *store*.
 
     Returns ``(steps, slot_count)``; *steps* is ``None`` when some atom can
-    never match (its relation is absent or has a different arity), in which
-    case the query has no witnesses at all.
+    never match (its relation is absent or has a different arity, or one of
+    its constants was never interned and so occurs in no stored row), in
+    which case the query has no witnesses at all.  Constants are looked up,
+    never interned, so the witness sweeps never grow the intern table.
+    *first* starts the plan from that atom (see :func:`backtrack_plan`).
     """
-    steps, slot_variables = backtrack_plan(query)
-    intern = store.table.intern
+    steps, slot_variables = backtrack_plan(query, first)
+    id_of = store.table.id_of
     encoded: List[_EncodedStep] = []
     for atom, ops, key_plan in steps:
         relation = store.relation_columns(atom.relation.name)
         if relation is None or relation.schema.arity != atom.relation.arity:
             return None, len(slot_variables)
-        enc_ops = tuple(
-            (op, pos, intern(arg) if op == CHECK_CONST else arg)  # type: ignore[arg-type]
-            for op, pos, arg in ops
-        )
+        enc_ops = []
+        for op, pos, arg in ops:
+            if op == CHECK_CONST:
+                arg = id_of(arg)  # type: ignore[arg-type]
+                if arg is None:
+                    return None, len(slot_variables)
+            enc_ops.append((op, pos, arg))
         enc_key = None
         if key_plan is not None and relation.schema.key_size == atom.relation.key_size:
+            # Every key constant is also a CHECK_CONST op, so it is known.
             enc_key = tuple(
-                (slot, intern(constant) if constant is not None else None)
+                (slot, id_of(constant) if constant is not None else None)
                 for slot, constant in key_plan
             )
-        encoded.append((relation, enc_ops, enc_key, atom))
+        encoded.append((relation, tuple(enc_ops), enc_key, atom))
     return encoded, len(slot_variables)
 
 
@@ -73,7 +82,7 @@ def _reduced_candidates(
     instances.  Per-atom-occurrence sets keep the reduction correct under
     self-joins (two occurrences of one relation prune independently).
     """
-    intern = store.table.intern
+    id_of = store.table.id_of
     positions_per_level: List[Dict[object, int]] = []
     rows_per_level: List[Set[IntRow]] = []
     for relation, _ops, _key_plan, atom in encoded:
@@ -82,7 +91,7 @@ def _reduced_candidates(
         positions: Dict[object, int] = {}
         for position, term in enumerate(atom.terms):
             if is_constant(term):
-                const_checks.append((position, intern(term)))
+                const_checks.append((position, id_of(term)))
             else:
                 first = positions.get(term)
                 if first is None:
@@ -386,6 +395,81 @@ def has_witness(
         return False
 
     return backtrack(0)
+
+
+def seeded_bindings(
+    query: ConjunctiveQuery,
+    store: ColumnarFactStore,
+    seeds: Iterable[Tuple[str, IntRow]],
+    variables: Sequence[Variable],
+) -> Set[IntRow]:
+    """Id vectors of *variables* over the witnesses that use a *seed* row.
+
+    The delta join of incremental view maintenance.  For every atom whose
+    relation some ``(relation name, id-row)`` seed belongs to, the slot plan
+    is compiled starting from that atom and the join runs with level 0
+    pinned to the seed, so only valuations through a seed are enumerated.
+    Seeds the store does not hold are skipped: no witness of the store uses
+    them.  Only the slots of *variables* are read off completed bindings.
+    """
+    seeded: Dict[str, List[IntRow]] = {}
+    for name, row in seeds:
+        seeded.setdefault(name, []).append(row)
+    out: Set[IntRow] = set()
+    for atom in query.atoms:
+        rows = seeded.get(atom.relation.name)
+        if not rows:
+            continue
+        encoded, slot_count = _encode_plan(query, store, first=atom)
+        if encoded is None:
+            return out  # some atom matches no stored row: no witness at all
+        slot_of = dict(backtrack_plan(query, atom)[1])
+        out_slots = [slot_of[v] for v in variables]
+        bindings: List[Optional[int]] = [None] * slot_count
+        depth = len(encoded)
+
+        def probe(level: int) -> Iterable[IntRow]:
+            relation, _ops, key_plan, _atom = encoded[level]  # type: ignore[index]
+            if key_plan is None:
+                return relation.row_index.keys()  # type: ignore[union-attr]
+            key = tuple(
+                bindings[slot] if constant is None else constant
+                for slot, constant in key_plan
+            )
+            return relation.blocks.get(key, ())  # type: ignore[union-attr]
+
+        def backtrack(level: int, candidates: Iterable[IntRow]) -> None:
+            ops = encoded[level][1]  # type: ignore[index]
+            last = level + 1 == depth
+            for row in candidates:
+                matched = True
+                bound: List[int] = []
+                for op, pos, arg in ops:
+                    value = row[pos]
+                    if op == CHECK_CONST:
+                        if value != arg:
+                            matched = False
+                            break
+                    elif op == CHECK_SLOT:
+                        if bindings[arg] != value:
+                            matched = False
+                            break
+                    else:
+                        bindings[arg] = value
+                        bound.append(arg)
+                if matched:
+                    if last:
+                        out.add(tuple(bindings[slot] for slot in out_slots))  # type: ignore[misc]
+                    else:
+                        backtrack(level + 1, probe(level + 1))
+                for slot in bound:
+                    bindings[slot] = None
+
+        stored = encoded[0][0].row_index  # type: ignore[union-attr]
+        for row in rows:
+            if row in stored:
+                backtrack(0, (row,))
+    return out
 
 
 def stale_block_keys(

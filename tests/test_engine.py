@@ -29,12 +29,12 @@ from repro import (
 )
 from repro.core import ComplexityBand, classify_invocations, reset_classify_invocations
 from repro.query import (
-    FactIndex,
     answer_tuples,
     figure2_q1,
     figure4_query,
     kolaitis_pema_q0,
 )
+from repro.store import ColumnarFactIndex
 from repro.workloads import figure1_database, figure1_query
 from repro.workloads.generators import synthetic_instance
 
@@ -227,18 +227,18 @@ class TestPlanCacheConcurrency:
         assert stats.compiles == stats.misses
 
 
-def assert_index_consistent(index: FactIndex, db: UncertainDatabase) -> None:
-    """The incremental index must equal a fresh index over the database."""
-    fresh = FactIndex(db.facts)
-    assert len(index) == len(fresh) == len(db)
-    assert set(index.relations()) == set(fresh.relations())
-    for name in fresh.relations():
-        assert set(index.relation(name)) == set(fresh.relation(name))
+def assert_index_consistent(index: ColumnarFactIndex, db: UncertainDatabase) -> None:
+    """The incremental index's store must hold exactly the database's facts."""
+    store = index.store
+    assert len(store) == len(db)
+    assert set(store.decode_facts()) == set(db.facts)
     for fact in db.facts:
-        assert fact in index
-        assert set(index.block(fact.relation.name, fact.key_terms)) == set(
-            fresh.block(fact.relation.name, fact.key_terms)
-        )
+        assert store.contains_fact(fact)
+        key = store.known_row(fact)[: fact.relation.key_size]
+        block = store.block_rows(fact.relation.name, key)
+        assert {store.decode_row(row) for row in block} == {
+            f.terms for f in db.block(fact.block_key)
+        }
 
 
 class TestIncrementalIndex:
@@ -265,7 +265,7 @@ class TestIncrementalIndex:
         session.close()
         db.add(emp.fact("dan", "db"))
         # After close, the index is detached and no longer updated.
-        assert emp.fact("dan", "db") not in session.index
+        assert not session.store.contains_fact(emp.fact("dan", "db"))
 
     def test_closed_session_refuses_queries(self):
         db, query, _ = employee_setup()

@@ -245,7 +245,7 @@ class TestMemoisation:
         assert evaluator.index is index
         atom = AtomFormula(SCHEMAS[0].atom(Constant("a"), Constant("b")))
         assert evaluator.evaluate(atom)
-        # The naive path reads the index too (not db membership).
+        # The naive path reads fact membership from the database.
         assert FormulaEvaluator(db, index=index, compiled=False).evaluate(atom)
         # Compiled plans run on id-rows only: a plain FactIndex has no store.
         plain = FactIndex(db.facts)

@@ -38,7 +38,10 @@ from repro.fo.compile import ReadSet, ReadSetRecorder
 from repro.incremental import SupportIndex, delta_candidates
 from repro.model.symbols import Constant
 from repro.query import figure2_q1, figure4_query
+from repro.query.evaluation import answer_tuples
 from repro.query.families import path_query
+from repro.query.substitution import ground_free_variables
+from repro.store.kernels import has_witness
 from repro.workloads import (
     apply_batch,
     apply_mutation,
@@ -142,11 +145,12 @@ class TestBatchAPI:
     def test_plain_observers_get_replay(self):
         """Observers without batch_applied still hear every net change."""
         query, schema, db = emp_dept()
-        with CertaintySession(db) as session:  # FactIndex observer: replay path
+        # The session's ColumnarFactIndex has no batch hook: replay path.
+        with CertaintySession(db) as session:
             with db.batch():
                 db.add(schema["Emp"].fact("eve", "db"))
                 db.remove_block(("Emp", (Constant("bob"),)))
-            assert len(session.index.relation("Emp")) == len(db.relation_facts("Emp"))
+            assert len(session.store.relation_rows("Emp")) == len(db.relation_facts("Emp"))
             assert session.certain_answers(query) == certain_answers(db, query)
 
     def test_batch_reports_applied_changes_on_exception(self):
@@ -239,10 +243,11 @@ class TestReadSets:
         assert frozen.block_ids == frozenset({1})
 
     def test_support_index_invariants_and_dirtying(self):
-        index = SupportIndex()
+        block_ids = {("R", (Constant("k"),)): 7}
+        index = SupportIndex(lambda name, key: block_ids.get((name, key)))
         c1, c2 = (Constant("a"),), (Constant("b"),)
-        block = ("R", (Constant("k"),))
-        index.set(c1, ReadSet(blocks=frozenset({block})))
+        block = 7
+        index.set(c1, ReadSet(block_ids=frozenset({block})))
         index.set(c2, ReadSet(relations=frozenset({"S"})))
         index.check_invariants()
         schema_r = parse_query("R(x | y)").schema()["R"]
@@ -268,6 +273,32 @@ class TestReadSets:
 # --------------------------------------------------------------------------------
 
 
+def delta_shapes():
+    """Queries whose delta join exercises each kind of slot-plan step."""
+    return [
+        # Unbound-key scans; the view of the durable_writes_views workload.
+        pytest.param(open_variant(path_query(3), "x1"), id="open-path3"),
+        pytest.param(parse_query("R(x | y), S(x | 'ok')", free=["y"]), id="constant"),
+        pytest.param(parse_query("R(x | x), S(x | y)", free=["y"]), id="repeated-variable"),
+        pytest.param(parse_query("R(x | y), S(y | z)", free=["x", "z"]), id="two-free"),
+    ]
+
+
+def planted_fact(query, db, rng):
+    """One atom of *query* grounded over *db*'s active domain.
+
+    Random facts almost never carry a query constant or a repeated value,
+    so this is what lets seeds pass the constant and repeated-variable
+    checks of the delta join.
+    """
+    domain = sorted((c.value for c in db.active_domain()), key=str) or ["c0"]
+    atom = rng.choice(query.atoms)
+    values = {v: rng.choice(domain) for v in sorted(query.variables, key=str)}
+    return atom.relation.fact(
+        *[values[t] if t in values else t.value for t in atom.terms]
+    )
+
+
 class TestDeltaCandidates:
     def test_finds_new_candidates_only_through_added_facts(self):
         query, schema, db = emp_dept()
@@ -279,22 +310,55 @@ class TestDeltaCandidates:
 
     def test_superset_of_enumeration_delta(self):
         """Every genuinely new candidate is discovered, over random streams."""
-        from repro.query.evaluation import answer_tuples
-
         query, schema, db = emp_dept()
         rng = random.Random(7)
         with CertaintySession(db) as session:
             for _ in range(30):
-                before = answer_tuples(query, session.index)
+                before = answer_tuples(query, db.facts)
                 relation = rng.choice([schema["Emp"], schema["Dept"]])
                 fact = relation.fact(
                     rng.choice(["ada", "bob", "eve", "db", "os", "x1", "x2"]),
                     rng.choice(["db", "os", "net", "Mons", "Paris", "y1"]),
                 )
                 db.add(fact)
-                after = answer_tuples(query, session.index)
+                after = answer_tuples(query, db.facts)
                 found = delta_candidates(query, session.index, [fact])
                 assert after - before <= found  # no new candidate is missed
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("query", delta_shapes())
+    def test_bounded_by_enumeration_over_batches(self, query, seed):
+        """``after − before ⊆ delta ⊆ after`` for every multi-fact batch."""
+        db = synthetic_instance(
+            query, seed=seed, domain_size=5, witnesses=6, noise_per_relation=6
+        )
+        rng = random.Random(seed)
+        discovered = 0
+        with CertaintySession(db) as session:
+            for batch in mutation_stream(
+                query, db, steps=25, seed=seed + 40, domain_size=6, batch_range=(2, 5)
+            ):
+                batch.append(("add", planted_fact(query, db, rng)))
+                before_facts = set(db.facts)
+                before = answer_tuples(query, db.facts)
+                apply_batch(db, batch)
+                after = answer_tuples(query, db.facts)
+                added = [f for f in db.facts if f not in before_facts]
+                table_size = len(session.intern_table)
+                found = delta_candidates(query, session.index, added)
+                assert after - before <= found <= after
+                assert len(session.intern_table) == table_size
+                discovered += len(after - before)
+            assert discovered > 0  # the streams did create new candidates
+            # Never-seen constants occur in no stored row: nothing matches,
+            # and the lookup does not intern them.
+            table_size = len(session.intern_table)
+            unseen = [
+                atom.relation.fact(*[f"unseen{i}" for i in range(atom.relation.arity)])
+                for atom in query.atoms
+            ]
+            assert delta_candidates(query, session.index, unseen) == set()
+            assert len(session.intern_table) == table_size
 
 
 # --------------------------------------------------------------------------------
@@ -483,6 +547,16 @@ class TestCandidateGC:
             assert (Constant("bob"),) in view.tracked_candidates
             assert view.answers == cold_answers(db, query, False)
 
+    def test_gc_sweep_never_interns(self):
+        """A grounding with an unknown constant has no witness, uninterned."""
+        query, schema, db = emp_dept()
+        with CertaintySession(db) as session:
+            table_size = len(session.intern_table)
+            grounded = ground_free_variables(query, ["nobody"])
+            assert not has_witness(grounded, session.store)
+            assert has_witness(ground_free_variables(query, ["ada"]), session.store)
+            assert len(session.intern_table) == table_size
+
     def test_gc_keeps_still_enumerable_candidates(self):
         query, schema, db = emp_dept()
         with ViewManager(db) as manager:
@@ -595,22 +669,6 @@ class TestManagerLifecycle:
             other = UncertainDatabase()
             with pytest.raises(ValueError):
                 ViewManager(other, session=session)
-
-    def test_supplied_session_policy_governs_sharded_fanout(self):
-        """A supplied session's allow_exponential must extend to the shards."""
-        query = open_variant(figure2_q1(), "z")
-        db = synthetic_instance(query, seed=1, domain_size=3, witnesses=4)
-        with CertaintySession(db, allow_exponential=True) as session:
-            with ViewManager(
-                db, session=session, shard_workers=2, parallel_min_dirty=1
-            ) as manager:
-                view = manager.register(query)  # coarse: refreshes fan out
-                relation = query.atoms[0].relation
-                db.add(relation.fact(*["c0"] * relation.arity))
-                # Without the policy alignment this raises IntractableQueryError
-                # inside the sharded re-decision once the dirty set fans out.
-                assert view.answers == cold_answers(db, query, True)
-                assert manager.sharded_session.stats.dispatches > 0
 
     def test_refresh_all_prunes_stale_candidates(self):
         query, schema, db = emp_dept()

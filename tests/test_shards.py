@@ -1,10 +1,9 @@
 """Tests for the delta-shipped shard runtime.
 
 Two contracts under test.  *Exact equivalence*: for every complexity band
-and every shard count, ``ShardedCertaintySession`` (and ``ViewManager``'s
-sharded maintenance mode) returns what the sequential session returns —
-before, during, and after mutation streams; ownership validation must
-catch every cross-shard decision.  *Delta shipping*: mutations between
+and every shard count, ``ShardedCertaintySession`` returns what the
+sequential session returns — before, during, and after mutation streams;
+ownership validation must catch every cross-shard decision.  *Delta shipping*: mutations between
 dispatches reach the long-lived workers as O(delta) payloads, never as
 pool rebuilds or full snapshots.
 """
@@ -16,7 +15,6 @@ import pytest
 from repro import (
     ShardedCertaintySession,
     UncertainDatabase,
-    ViewManager,
     certain_answers,
     certain_answers_sharded,
     parse_facts,
@@ -25,7 +23,6 @@ from repro import (
 )
 from repro.engine.shards import DeadlineExceeded, _read_set_is_local
 from repro.fo.compile import ReadSet
-from repro.incremental.support import SupportIndex
 from repro.model.symbols import Constant
 from repro.query import figure2_q1, figure4_query
 from repro.query.families import path_query
@@ -322,87 +319,6 @@ class TestDeltaShipping:
             db.discard(fresh)
             s.certain_answers(query)
             assert s.stats.delta_facts_shipped == 0
-
-
-class TestShardedViewMaintenance:
-    @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-    def test_view_states_match_recompute_under_streams(self, n_shards):
-        query = open_variant(path_query(3), "x1")
-        db = synthetic_instance(
-            query, seed=6, domain_size=6, witnesses=12, noise_per_relation=8
-        )
-        with ViewManager(db, shard_workers=n_shards, parallel_min_dirty=2) as manager:
-            view = manager.register(query)
-            assert view.answers == frozenset(certain_answers(db, query))
-            for batch in mutation_stream(
-                query, db, steps=8, seed=31, batch_range=(1, 4)
-            ):
-                apply_batch(db, batch)
-                assert view.answers == frozenset(certain_answers(db, query))
-            view.support.check_invariants()
-            sharded = manager.sharded_session
-            assert sharded is not None and sharded.stats.worker_restarts == 0
-
-    def test_support_index_routes_dirty_candidates(self):
-        query = parse_query("R(x | y), S(x | z)", free=["x"])
-        schema = query.schema()
-        rng = random.Random(41)
-        db = UncertainDatabase(schema=schema)
-        values = [f"v{i}" for i in range(16)]
-        for _ in range(60):
-            db.add(schema["R"].fact(rng.choice(values), rng.choice(values)))
-            db.add(schema["S"].fact(rng.choice(values), rng.choice(values)))
-        with ViewManager(db, shard_workers=2, parallel_min_dirty=1) as manager:
-            view = manager.register(query)
-            for _ in range(6):
-                with db.batch():
-                    for _ in range(4):
-                        db.add(schema["R"].fact(rng.choice(values), rng.choice(values)))
-                assert view.answers == frozenset(certain_answers(db, query))
-            stats = manager.sharded_session.stats
-            # Same-key join: every worker verdict validated as shard-local.
-            assert stats.shard_decides > 0
-            assert stats.cross_shard_fallbacks == 0
-
-
-class TestSupportIndexRouting:
-    def shard_fn(self, n):
-        return lambda key: shard_of_key(tuple(key), n)
-
-    def test_routes_single_shard_read_sets(self):
-        a, b = distinct_shard_values(2)
-        key_a, key_b = (Constant(a),), (Constant(b),)
-        index = SupportIndex()
-        index.set(("c1",), ReadSet(blocks=frozenset({("R", key_a), ("S", key_a)})))
-        index.set(("c2",), ReadSet(blocks=frozenset({("R", key_a), ("S", key_b)})))
-        fn = self.shard_fn(2)
-        assert index.route(("c1",), fn) == shard_of_key(key_a, 2)
-        assert index.route(("c2",), fn) is None  # spans two shards
-        assert index.route(("unknown",), fn) is None
-
-    def test_refuses_global_relation_and_wildcard_reads(self):
-        key = (Constant("a"),)
-        fn = self.shard_fn(2)
-        index = SupportIndex()
-        index.set(("g",), ReadSet(domain_read=True))
-        index.set(("r",), ReadSet(relations=frozenset({"R"})))
-        index.set(("w",), ReadSet(key_masks=frozenset({("R", (None,))})))
-        index.set(("m",), ReadSet(key_masks=frozenset({("R", key)})))
-        assert index.route(("g",), fn) is None
-        assert index.route(("r",), fn) is None
-        assert index.route(("w",), fn) is None
-        assert index.route(("m",), fn) == shard_of_key(key, 2)
-
-    def test_block_ids_need_a_decoder(self):
-        key = (Constant("a"),)
-        rs = ReadSet(block_ids=frozenset({7}))
-        fn = self.shard_fn(2)
-        undecodable = SupportIndex()
-        undecodable.set(("c",), rs)
-        assert undecodable.route(("c",), fn) is None
-        decodable = SupportIndex(block_key_decoder=lambda block_id: ("R", key))
-        decodable.set(("c",), rs)
-        assert decodable.route(("c",), fn) == shard_of_key(key, 2)
 
 
 class TestSkewedGenerators:

@@ -23,12 +23,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import CertaintySession, UncertainDatabase, parse_facts, parse_query
-from repro.certainty import certain_by_enumeration
+from repro.certainty import certain_by_enumeration, cycle_query, terminal_cycles
 from repro.model.atoms import RelationSchema
 from repro.model.symbols import Constant, Variable
 from repro.query import figure2_q1, figure4_query
 from repro.query.evaluation import FactIndex, answer_tuples
-from repro.query.families import path_query
+from repro.query.families import cycle_query_c, path_query
 from repro.query.substitution import ground_free_variables
 from repro.store import (
     ColumnarFactIndex,
@@ -238,43 +238,43 @@ class TestColumnarFactStore:
 
 
 # --------------------------------------------------------------------------------
-# Columnar index: FactIndex-compatible plus the store twin
+# Columnar index: a store kept in step with the database
 # --------------------------------------------------------------------------------
 
 
 class TestColumnarFactIndex:
-    def test_tracks_object_index_under_mutation_stream(self):
-        """Both representations stay consistent while observing mutations."""
+    def test_store_tracks_database_under_mutation_stream(self):
+        """The store holds exactly the database's facts while observing it."""
         query = open_variant(path_query(3), "x1")
         for seed in range(3):
             db = synthetic_instance(query, seed=seed, domain_size=5, witnesses=6)
-            reference = FactIndex(db.facts)
             columnar = ColumnarFactIndex(db.facts)
-            db.register_observer(reference)
             db.register_observer(columnar)
             for batch in mutation_stream(
                 query, db, steps=25, seed=seed + 11, domain_size=5
             ):
                 for op in batch:
                     apply_mutation(db, op)
-            assert len(columnar) == len(reference) == len(db)
-            assert set(columnar) == set(reference)
-            for name in reference.relations():
-                assert set(columnar.relation(name)) == set(reference.relation(name))
             store = columnar.store
             assert len(store) == len(db)
             assert set(store.decode_facts()) == set(db.facts)
 
     def test_observer_aliases_hit_the_store(self):
-        """The observer protocol must rebind to the overridden add/discard."""
+        """The observer protocol names reach the store."""
         query, schema, db = _emp_dept()
         index = ColumnarFactIndex(db.facts)
         db.register_observer(index)
         fact = schema["Emp"].fact("eve", "db")
         db.add(fact)
-        assert fact in index and index.store.contains_fact(fact)
+        assert index.store.contains_fact(fact)
         db.discard(fact)
-        assert fact not in index and not index.store.contains_fact(fact)
+        assert not index.store.contains_fact(fact)
+
+    def test_no_object_mirror(self):
+        """The session index is the store alone, not a FactIndex."""
+        assert not issubclass(ColumnarFactIndex, FactIndex)
+        query, schema, db = _emp_dept()
+        assert not hasattr(ColumnarFactIndex(db.facts), "relation")
 
 
 def _emp_dept():
@@ -307,6 +307,7 @@ def band_cases():
         pytest.param(open_variant(path_query(3), "x1"), False, id="fo-band"),
         pytest.param(path_query(2), False, id="fo-band-boolean"),
         pytest.param(open_variant(figure4_query(), "x"), False, id="ptime-not-fo"),
+        pytest.param(cycle_query_c(3), False, id="theorem4-cycle-c3"),
         pytest.param(open_variant(figure2_q1(), "z"), True, id="conp-band"),
         pytest.param(selfjoin, True, id="self-join-per-grounding"),
     ]
@@ -341,6 +342,48 @@ def _planted_certain_instance(query):
                 ]
             )
         )
+    return db
+
+
+def _planted_block_cycle_instance(query):
+    """One witness of ``figure4_query()`` whose R5 ⇄ R6 blocks form a 4-cycle.
+
+    Every other block is a singleton.  The R5/R6 facts join pairwise into
+    witnesses, but the repair choosing ``R5(y, m1 | n1), R6(y, n1 | m2),
+    R5(y, m2 | n2), R6(y, n2 | m1)`` completes no join pair, so the instance
+    is purified, reaches the Theorem 3 base case, and is not certain.
+    """
+    values = {
+        "u": "a", "z": "c", "x": "x0", "y": "y0",
+        "u1": "p", "u2": "q", "u3": "r", "u4": "s",
+    }
+    db = UncertainDatabase()
+    for atom in query.atoms:
+        if atom.relation.name not in ("R5", "R6"):
+            db.add(atom.relation.fact(*[values[t.name] for t in atom.terms]))
+    r5 = next(a.relation for a in query.atoms if a.relation.name == "R5")
+    r6 = next(a.relation for a in query.atoms if a.relation.name == "R6")
+    for m in ("m1", "m2"):
+        for n in ("n1", "n2"):
+            db.add(r5.fact("y0", m, n))
+            db.add(r6.fact("y0", n, m))
+    return db
+
+
+def _planted_falsifiable_ring(query):
+    """Every ring edge between two constants per variable of ``C(k)``.
+
+    Each vertex has two outgoing edges and every edge lies on a k-cycle, so
+    the instance is purified and forms one component.  A repair whose picks
+    compose to a fixed-point-free map walks a 2k-cycle and completes no
+    k-cycle, so the instance is not certain.
+    """
+    db = UncertainDatabase()
+    for atom in query.atoms:
+        source, target = atom.terms
+        for i in range(2):
+            for j in range(2):
+                db.add(atom.relation.fact(f"{source.name}_{i}", f"{target.name}_{j}"))
     return db
 
 
@@ -387,6 +430,51 @@ class TestOracleDifferential:
         verdicts.update(_verdicts_against_enumeration(query, allow, planted))
         # Non-vacuous: the instances exercised both outcomes.
         assert verdicts == {True, False}
+
+    def test_theorem3_base_case_with_falsifiable_block_cycle(self, monkeypatch):
+        """A planted R5 ⇄ R6 block 4-cycle: the pair solver must find it.
+
+        Random instances of the Figure 4 query are never certain at
+        enumeration sizes, so an always-certain pair verdict would pass the
+        differential above; this instance reaches the Theorem 3 base case
+        with one falsifiable partition and is not certain.
+        """
+        calls = []
+        pair_rows = terminal_cycles.certain_weak_cycle_pair_rows
+
+        def recorded(*args):
+            calls.append(pair_rows(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(terminal_cycles, "certain_weak_cycle_pair_rows", recorded)
+        query = figure4_query()
+        falsifiable = _planted_block_cycle_instance(query)
+        assert _verdicts_against_enumeration(query, False, falsifiable) == {False}
+        assert False in calls  # the pair solver decided the falsifiable cycle
+        planted = _planted_certain_instance(query)
+        assert _verdicts_against_enumeration(query, False, planted) == {True}
+
+    def test_theorem4_ring_with_falsifiable_component(self, monkeypatch):
+        """A planted ``C(3)`` ring whose one component holds a 6-cycle.
+
+        The random ``C(3)`` instances above reach the Theorem 4 component
+        test only when they are certain, so an always-unfalsifiable
+        component would pass them; this instance is not certain.
+        """
+        calls = []
+        falsifiable = cycle_query._FactGraph.component_falsifiable
+
+        def recorded(graph, component):
+            calls.append(falsifiable(graph, component))
+            return calls[-1]
+
+        monkeypatch.setattr(cycle_query._FactGraph, "component_falsifiable", recorded)
+        query = cycle_query_c(3)
+        ring = _planted_falsifiable_ring(query)
+        assert _verdicts_against_enumeration(query, False, ring) == {False}
+        assert calls == [True]  # one component, found falsifiable
+        planted = _planted_certain_instance(query)
+        assert _verdicts_against_enumeration(query, False, planted) == {True}
 
     def test_batched_decide_matches_per_candidate_loop(self):
         query = open_variant(path_query(3), "x1")
