@@ -11,16 +11,7 @@ from .cycle_query import certain_ck_via_reduction, certain_cycle_query, lemma9_e
 from .exceptions import CertaintyError, IntractableQueryError, UnsupportedQueryError
 from .pair_solver import certain_two_atom, certain_weak_cycle_pair, is_two_atom_query
 from .peeling import peel_certain
-from .purify import (
-    is_purified,
-    purify,
-    purify_copy_count,
-    purify_index_build_counts,
-    purify_with_index,
-    relevant_facts,
-    reset_purify_copy_count,
-    reset_purify_index_build_counts,
-)
+from .purify import is_purified, purify, purify_rows, relevant_facts
 from .reductions import Theorem2Reduction, theorem2_reduction
 from .rewriting import certain_fo, certain_fo_rewriting, is_fo_expressible
 from .solver import CertaintyOutcome, certain_answers, is_certain, solve
@@ -52,12 +43,8 @@ __all__ = [
     "lemma9_expand",
     "peel_certain",
     "purify",
-    "purify_copy_count",
-    "purify_index_build_counts",
-    "purify_with_index",
+    "purify_rows",
     "relevant_facts",
-    "reset_purify_copy_count",
-    "reset_purify_index_build_counts",
     "solve",
     "theorem2_reduction",
 ]

@@ -42,8 +42,9 @@ class SolverContext:
     ----------
     db:
         The *root* database the context's shared index covers.
-        Solvers work on purified copies internally; the shared index is only
-        substituted when a solver is asked about this exact database object.
+        Solvers purify by filtering the index's id-rows; the shared index is
+        only substituted when a solver is asked about this exact database
+        object.
     index:
         An up-to-date fact index over *db* (typically the incrementally
         maintained index of a ``CertaintySession``).
@@ -108,8 +109,9 @@ def scratch_index(facts: Iterable[Fact]) -> ColumnarFactIndex:
     """A solver-private columnar index over *facts*, on a fresh intern table.
 
     Every index a solver builds for itself goes through here: one-shot
-    calls without a session, purification's private copies, compiled
-    formulas evaluated against a bare database, and the default index of
+    calls without a session (one index per decision, which purification
+    and the peeling recursion then filter), compiled formulas evaluated
+    against a bare database, and the default index of
     :class:`~repro.fo.evaluate.FormulaEvaluator`.  The fresh table keeps
     such throwaway indexes from growing the process-wide table, which never
     rotates, and from retaining rows in a session's table, whose live

@@ -16,6 +16,10 @@ cycle or an elementary cycle longer than ``k``.  Hence
 
     ``db ∈ CERTAINTY(q)``  ⇔  some component contains neither.
 
+Purification filters the id-rows of the one columnar index the decision
+starts from (:func:`~repro.certainty.purify.purify_rows`), and the fact
+graph reads the live rows; no database is copied.
+
 ``C(k)`` (cyclic for ``k ≥ 3``, so outside the attack-graph framework) is
 solved both directly (witness cycles = all ``k``-cycles) and through the
 Lemma 9 reduction to ``AC(k)``, which is also provided for cross-checking.
@@ -31,10 +35,10 @@ from ..model.atoms import RelationSchema
 from ..model.database import UncertainDatabase
 from ..query.conjunctive import ConjunctiveQuery
 from ..query.families import CycleQueryShape, cycle_query_shape
-from ..store.columnar import ColumnarFactStore
-from .context import SolverContext
+from ..store.columnar import LiveRows
+from .context import SolverContext, scratch_index
 from .exceptions import UnsupportedQueryError
-from .purify import purify_with_index
+from .purify import purify_rows
 
 #: Graph vertex: (ring position starting at 0, term id).
 _Node = Tuple[int, int]
@@ -48,18 +52,19 @@ def certain_cycle_query(
     """Decide ``db ∈ CERTAINTY(q)`` for a query of the ``C(k)``/``AC(k)`` shape.
 
     *context* optionally supplies the memoised cycle shape and a shared fact
-    index for purification.  The fact graph is built from the id-rows of
-    the purified index.
+    index; without it a scratch index is built.  Purification filters the
+    index's id-rows, and the fact graph is built from the live rows.
     """
     shape = context.cycle_shape(query) if context is not None else cycle_query_shape(query)
     if shape is None:
         raise UnsupportedQueryError(f"{query} is not of the C(k)/AC(k) shape of Definition 8")
-    purified, purified_index = purify_with_index(
-        db, query, index=context.index_for(db) if context is not None else None
-    )
-    if not purified:
+    index = context.index_for(db) if context is not None else None
+    if index is None:
+        index = scratch_index(db.facts)
+    live = purify_rows(query, index.store)
+    if not any(live.values()):
         return False
-    graph = _FactGraph(shape, purified_index.store)
+    graph = _FactGraph(shape, live)
     components = graph.strongly_connected_components()
     for component in components:
         if not graph.component_falsifiable(component):
@@ -70,24 +75,24 @@ def certain_cycle_query(
 class _FactGraph:
     """The k-partite fact graph of Theorem 4, with per-component decisions.
 
-    Vertices are (ring position, term id) pairs and edges are the id-rows
-    of the purified ring relations, read straight from the columnar store.
+    Vertices are (ring position, term id) pairs and edges are the live
+    id-rows of the purified ring relations.
     """
 
-    def __init__(self, shape: CycleQueryShape, store: ColumnarFactStore) -> None:
+    def __init__(self, shape: CycleQueryShape, live: LiveRows) -> None:
         self.shape = shape
         self.k = shape.k
         self.adjacency: Dict[_Node, Set[_Node]] = defaultdict(set)
         self.witness_cycles: Optional[Set[Tuple[_Node, ...]]] = None
         for position, atom in enumerate(shape.ring_atoms):
-            for row in store.relation_rows(atom.relation.name):
+            for row in live.get(atom.relation.name, ()):
                 source = (position, row[0])
                 target = ((position + 1) % self.k, row[1])
                 self.adjacency[source].add(target)
                 self.adjacency.setdefault(target, set())
         if shape.sk_atom is not None:
             self.witness_cycles = set()
-            for row in store.relation_rows(shape.sk_atom.relation.name):
+            for row in live.get(shape.sk_atom.relation.name, ()):
                 values = dict(zip(shape.sk_atom.terms, row))
                 nodes = tuple(
                     (position, values[variable])

@@ -46,9 +46,10 @@ from ..model.database import UncertainDatabase
 from ..query.conjunctive import ConjunctiveQuery
 from ..store.columnar import ColumnarFactStore, IntKey, IntRow
 from ..store.kernels import AtomMatcher
+from .context import scratch_index
 from .exceptions import IntractableQueryError, UnsupportedQueryError
 from .peeling import peel_certain, empty_base_case
-from .purify import purify_with_index
+from .purify import purify_rows
 
 #: Vertex of the block digraph: (side, key id-tuple) where side is "F" or "G".
 _Node = Tuple[str, IntKey]
@@ -92,18 +93,20 @@ def certain_two_atom(db: UncertainDatabase, query: ConjunctiveQuery) -> bool:
 def certain_weak_cycle_pair(db: UncertainDatabase, query: ConjunctiveQuery) -> bool:
     """The graph-marking decision procedure for a weak attack cycle ``F ⇄ G``.
 
-    Purifies *db* (Lemma 1) on a private columnar index, then decides on
-    its id-rows through :func:`certain_weak_cycle_pair_rows`.
+    Purifies *db* (Lemma 1) on the id-rows of a private columnar index,
+    then decides on the live rows through
+    :func:`certain_weak_cycle_pair_rows`.
     """
     if not is_two_atom_query(query):
         raise UnsupportedQueryError("certain_weak_cycle_pair expects exactly two atoms")
-    store = purify_with_index(db, query)[1].store
+    store = scratch_index(db.facts).store
+    live = purify_rows(query, store)
     first, second = query.atoms
     return certain_weak_cycle_pair_rows(
         store,
         query,
-        store.relation_rows(first.relation.name),
-        store.relation_rows(second.relation.name),
+        list(live.get(first.relation.name, ())),
+        list(live.get(second.relation.name, ())),
     )
 
 

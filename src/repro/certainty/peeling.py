@@ -23,9 +23,11 @@ recursion, taken from the proof of Theorem 3:
 
 The recursion is polynomial in the size of the database for a fixed query
 (the branching factor at each level is bounded by the number of blocks and
-facts, and the depth is bounded by the number of atoms).  Every level runs
-on a columnar index: purification returns one covering its result, and the
-recursion threads it into the residual calls and the base case.
+facts, and the depth is bounded by the number of atoms).  It runs on the
+one columnar store a decision starts from (a session's, or one scratch
+index for a one-shot call): each level is a set of live id-rows that
+:func:`~repro.certainty.purify.purify_rows` filters, so no level copies
+the database or builds an index.
 """
 
 from __future__ import annotations
@@ -33,54 +35,37 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Sequence
 
 from ..attacks.graph import AttackGraph
-from ..model.atoms import Atom, Fact
 from ..model.database import UncertainDatabase
-from ..model.symbols import Constant, Variable, is_constant
+from ..model.symbols import Constant, Term, Variable, is_constant
 from ..query.conjunctive import ConjunctiveQuery
 from ..query.substitution import substitute_atom, substitute_query
+from ..store.columnar import ColumnarFactStore, LiveRows
 from ..store.index import ColumnarFactIndex
-from .context import SolverContext
+from .context import SolverContext, scratch_index
 from .exceptions import UnsupportedQueryError
-from .purify import purify_with_index
+from .purify import purify_rows
 
-#: A base-case handler decides certainty for a (purified) database and a
-#: query whose attack graph has no unattacked atom.  The final argument is
-#: an up-to-date columnar index over the database, whose ``store`` the
-#: handler reads to run on id-rows.
+#: A base-case handler decides certainty for a purified sub-database and a
+#: query whose attack graph has no unattacked atom.  It receives the store,
+#: the live id-rows of the sub-database, the query and its attack graph.
 BaseCaseHandler = Callable[
-    [UncertainDatabase, ConjunctiveQuery, AttackGraph, ColumnarFactIndex], bool
+    [ColumnarFactStore, LiveRows, ConjunctiveQuery, AttackGraph], bool
 ]
 
 
-def match_key_pattern(atom: Atom, key_values: Sequence[Constant]) -> Optional[Dict[Variable, Constant]]:
-    """Match a block's key constants against the key terms of *atom*.
+def _match_terms(
+    terms: Sequence[Term], values: Sequence[Constant]
+) -> Optional[Dict[Variable, Constant]]:
+    """Match constants against a term pattern (an atom's key or all its terms).
 
-    Returns the induced binding of the atom's key variables, or ``None`` when
-    a constant position disagrees or a repeated variable would need two
+    Returns the induced variable binding, or ``None`` when the lengths or a
+    constant position disagree, or a repeated variable would need two
     different values.
     """
-    if len(key_values) != len(atom.key_terms):
+    if len(terms) != len(values):
         return None
     binding: Dict[Variable, Constant] = {}
-    for term, value in zip(atom.key_terms, key_values):
-        if is_constant(term):
-            if term != value:
-                return None
-        else:
-            existing = binding.get(term)
-            if existing is None:
-                binding[term] = value
-            elif existing != value:
-                return None
-    return binding
-
-
-def match_full_atom(atom: Atom, fact: Fact) -> Optional[Dict[Variable, Constant]]:
-    """Match *fact* against *atom*; return the full variable binding or ``None``."""
-    if atom.relation.name != fact.relation.name or atom.relation.arity != fact.relation.arity:
-        return None
-    binding: Dict[Variable, Constant] = {}
-    for term, value in zip(atom.terms, fact.terms):
+    for term, value in zip(terms, values):
         if is_constant(term):
             if term != value:
                 return None
@@ -103,71 +88,73 @@ def peel_certain(
     """Decide ``db ∈ CERTAINTY(q)`` by the unattacked-atom recursion.
 
     *base_case* is invoked when the attack graph of the (residual) query has
-    no unattacked atom; it receives the purified database, the residual
-    query, its attack graph, and a covering fact index.  *context*, when
+    no unattacked atom (see :data:`BaseCaseHandler`).  *context*, when
     given, supplies memoised attack graphs (residual queries repeat across
-    blocks) and a shared fact index for the initial purification.  *index*,
-    when given, must cover exactly the facts of *db*: the recursion threads
-    the indexes returned by :func:`purify_with_index` through its residual
-    calls, so deep recursions never rebuild an index over an unchanged
-    database.
+    blocks) and a shared fact index.  *index*, when given, must cover
+    exactly the facts of *db*; without one (or the context's), a scratch
+    index is built once.  The recursion then runs on that one store
+    through :func:`peel_rows`.
     """
     if query.has_self_join:
         raise UnsupportedQueryError("the peeling recursion requires a self-join-free query")
-    if query.is_empty:
-        return True
     if index is None and context is not None:
         index = context.index_for(db)
-    current, level_index = purify_with_index(db, query, index=index)
-    if not current:
+    if index is None:
+        index = scratch_index(db.facts)
+    return peel_rows(index.store, None, query, base_case, context)
+
+
+def peel_rows(
+    store: ColumnarFactStore,
+    live: Optional[LiveRows],
+    query: ConjunctiveQuery,
+    base_case: BaseCaseHandler,
+    context: Optional[SolverContext] = None,
+) -> bool:
+    """:func:`peel_certain` over the sub-database *live* of *store*.
+
+    *live* maps relation names to id-rows (``None``: every row of the
+    store) and is never mutated.  Every level purifies by filtering rows.
+    """
+    if query.is_empty:
+        return True
+    live = purify_rows(query, store, live)
+    if not any(live.values()):
         return False
 
     graph = context.attack_graph(query) if context is not None else AttackGraph(query)
     unattacked = graph.unattacked_atoms()
     if not unattacked:
-        return base_case(current, query, graph, level_index)
+        return base_case(store, live, query, graph)
 
     # Deterministically pick the unattacked atom with the fewest key variables
     # (cheapest branching), breaking ties by string representation.
     atom = min(unattacked, key=lambda a: (len(a.key_variables), str(a)))
     residual = query.without(atom)
-
-    candidate_blocks = [
-        block for block in current.blocks_of_relation(atom.relation.name)
-    ]
-    # One index per recursion level: `purify_with_index` returned (or was
-    # handed) an index covering `current`, and purify never mutates a
-    # caller-supplied index, so every per-block re-purification below can
-    # share it.
-    for block in sorted(candidate_blocks, key=lambda b: min(str(f) for f in b)):
-        key_values = next(iter(block)).key_terms
-        key_binding = match_key_pattern(atom, key_values)
+    name = atom.relation.name
+    key_size = store.relation_columns(name).schema.key_size  # type: ignore[union-attr]
+    decode = store.table.decode
+    keys = {row[:key_size] for row in live.get(name, ())}
+    # Blocks are visited by decoded key; the verdict does not depend on it.
+    for key_values in sorted(decode(key) for key in keys):
+        key_binding = _match_terms(atom.key_terms, key_values)
         if key_binding is None:
             continue
         grounded_query = substitute_query(query, key_binding)
         grounded_atom = substitute_atom(atom, key_binding)
-        candidate_db, candidate_index = purify_with_index(
-            current, grounded_query, index=level_index
-        )
-        if not candidate_db:
+        candidate = purify_rows(grounded_query, store, live)
+        if not any(candidate.values()):
             continue
-        block_facts = candidate_db.relation_facts(atom.relation.name)
         success = True
-        for fact in sorted(block_facts, key=str):
-            full_binding = match_full_atom(grounded_atom, fact)
+        for row in sorted(candidate.get(name, ())):
+            full_binding = _match_terms(grounded_atom.terms, decode(row))
             if full_binding is None:
                 success = False
                 break
             residual_query = substitute_query(
                 substitute_query(residual, key_binding), full_binding
             )
-            if not peel_certain(
-                candidate_db,
-                residual_query,
-                base_case,
-                context=context,
-                index=candidate_index,
-            ):
+            if not peel_rows(store, candidate, residual_query, base_case, context):
                 success = False
                 break
         if success:
@@ -176,10 +163,10 @@ def peel_certain(
 
 
 def empty_base_case(
-    db: UncertainDatabase,
+    store: ColumnarFactStore,
+    live: LiveRows,
     query: ConjunctiveQuery,
     graph: AttackGraph,
-    index: ColumnarFactIndex,
 ) -> bool:
     """Base case for the first-order solver: it must never be reached.
 

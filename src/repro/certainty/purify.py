@@ -12,94 +12,31 @@ algorithms (Theorem 4 and the weak-cycle pair solver) furthermore rely on
 purification for their structural preconditions (every edge of the fact
 graph lies on a witness cycle).
 
-Because every polynomial solver funnels through :func:`purify`, the function
-is written for the common case of an *already purified* input: nothing is
-copied until the first block is actually removed (the input database itself
-is returned when no removal happens), and the working fact index is
-maintained incrementally across removal sweeps instead of being rebuilt per
-sweep.  :func:`purify_copy_count` exposes how many defensive copies were
-made, so benchmarks and tests can assert the zero-copy fast path.
-
-The sweeps run on the id-rows of a columnar index
-(:func:`~repro.store.kernels.stale_block_keys`).  :func:`relevant_facts`
-and :func:`is_purified` transcribe Lemma 1 over fact objects instead; they
-are the definition the sweeps are tested against.
+Purification is a row filter over one columnar store: :func:`purify_rows`
+reads a sub-database given as live id-rows and returns the live id-rows of
+its purified sub-database, through
+:func:`~repro.store.kernels.used_rows`.  Nothing is copied, no index is
+built and the store is never mutated, so the peeling recursion and the
+Theorem 3/4 solvers purify at every level on the store a decision starts
+from.  :func:`purify` is the database-level wrapper: it returns *db itself*
+when no block is removed.  :func:`relevant_facts` and :func:`is_purified`
+transcribe Lemma 1 over fact objects instead; they are the definition the
+row filter is tested against.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from typing import FrozenSet, Optional, Set
 
 from ..model.atoms import Fact
 from ..model.database import UncertainDatabase
+from ..model.schema import DatabaseSchema
 from ..query.conjunctive import ConjunctiveQuery
 from ..query.evaluation import FactIndex, iterate_valuations
+from ..store.columnar import ColumnarFactStore, LiveRows
 from ..store.index import ColumnarFactIndex
-from ..store.kernels import stale_block_keys
+from ..store.kernels import used_rows
 from .context import scratch_index
-
-#: Process-wide count of databases copied by :func:`purify` (diagnostics).
-_copy_count = 0
-_copy_count_lock = threading.Lock()
-
-#: Process-wide per-class counts of fact indexes *built* by purification
-#: (diagnostics: deep peeling recursions should thread indexes instead).
-_index_build_counts: Dict[str, int] = {}
-
-
-def purify_index_build_counts() -> Dict[str, int]:
-    """How many fact indexes :func:`purify_with_index` built, per class name.
-
-    An index is *built* when the caller supplied none, or when the first
-    block removal forces a private index over the copied database.  The
-    peeling recursion threads the returned indexes through its residual
-    calls, so deep recursions should show O(levels) builds — not one per
-    purify call; the tests assert exactly that, and that every built index
-    is columnar.
-    """
-    with _copy_count_lock:
-        return dict(_index_build_counts)
-
-
-def reset_purify_index_build_counts() -> Dict[str, int]:
-    """Reset the per-class index-build counters; returns the previous map."""
-    global _index_build_counts
-    with _copy_count_lock:
-        previous = _index_build_counts
-        _index_build_counts = {}
-    return previous
-
-
-def _note_index_build(index_cls: type) -> None:
-    name = index_cls.__name__
-    with _copy_count_lock:
-        _index_build_counts[name] = _index_build_counts.get(name, 0) + 1
-
-
-def purify_copy_count() -> int:
-    """How many times :func:`purify` has copied its input database.
-
-    Already-purified inputs take the zero-copy fast path, so solvers that
-    repeatedly re-purify (e.g. the peeling recursion) do not pay O(db) per
-    call; this counter lets benchmarks and tests assert exactly that.
-    """
-    return _copy_count
-
-
-def reset_purify_copy_count() -> int:
-    """Reset the copy counter; returns the previous value."""
-    global _copy_count
-    with _copy_count_lock:
-        previous = _copy_count
-        _copy_count = 0
-    return previous
-
-
-def _note_copy() -> None:
-    global _copy_count
-    with _copy_count_lock:
-        _copy_count += 1
 
 
 def relevant_facts(
@@ -122,6 +59,42 @@ def relevant_facts(
     return frozenset(used)
 
 
+def purify_rows(
+    query: ConjunctiveQuery,
+    store: ColumnarFactStore,
+    live: Optional[LiveRows] = None,
+) -> LiveRows:
+    """The live id-rows of the sub-database purified relative to *query*.
+
+    *live* names the input sub-database of *store* (default: every row of
+    the store); relations absent from it hold no rows.  It is read, never
+    mutated.  To a fixpoint, every block holding a live row outside
+    :func:`~repro.store.kernels.used_rows` is dropped whole.  The result
+    is *live* itself when nothing is dropped, and may share unchanged row
+    sets with it otherwise: treat both as read-only.
+    """
+    if live is None:
+        live = {name: set(store.relation_rows(name)) for name in store.relation_names()}
+    if query.is_empty:
+        return live
+    while True:
+        used = used_rows(query, store, live)
+        kept: LiveRows = {}
+        changed = False
+        for name, rows in live.items():
+            in_use = used.get(name, ())
+            if len(in_use) == len(rows):
+                kept[name] = rows
+                continue
+            key_size = store.relation_columns(name).schema.key_size  # type: ignore[union-attr]
+            dead = {row[:key_size] for row in rows if row not in in_use}
+            kept[name] = {row for row in rows if row[:key_size] not in dead}
+            changed = True
+        if not changed:
+            return live
+        live = kept
+
+
 def purify(
     db: UncertainDatabase,
     query: ConjunctiveQuery,
@@ -134,71 +107,27 @@ def purify(
     may lose their support).  Certainty is preserved:
     ``purify(db, q) ∈ CERTAINTY(q)  ⇔  db ∈ CERTAINTY(q)``.
 
-    When no block needs removing, *db itself* is returned unchanged and
-    nothing is copied; a copy is made lazily on the first removal, so the
-    input database is never mutated.  *index*, when given, must cover
-    exactly the facts of *db*; it is read (never mutated) by the witness
-    sweeps.  Once a copy exists, the function maintains its own index over
-    the copy incrementally — via the database observer hooks — instead of
-    rebuilding an index per sweep.
-    """
-    return purify_with_index(db, query, index=index)[0]
-
-
-def purify_with_index(
-    db: UncertainDatabase,
-    query: ConjunctiveQuery,
-    index: Optional[ColumnarFactIndex] = None,
-) -> Tuple[UncertainDatabase, Optional[ColumnarFactIndex]]:
-    """:func:`purify`, also returning an index covering the result.
-
-    The returned index is the caller's *index* (or, without one, a private
-    index over *db*) when the zero-copy fast path applies, or the
-    incrementally maintained private index over the purified copy
-    otherwise.  The peeling recursion threads it into its inner purify
-    calls instead of rebuilding indexes per level.  Private indexes come
-    from :func:`~repro.certainty.context.scratch_index`, so they never grow
-    the caller's intern table.  The index is only ``None`` when the query
-    is empty and no index was supplied.
-
-    The returned index is detached (not registered as an observer), so it
-    stays valid only while the returned database is left unmutated — which
-    holds for every solver caller (purified databases are read-only
-    intermediates).
+    *index*, when given, must cover exactly the facts of *db*; otherwise a
+    scratch index is built.  The rows are filtered by :func:`purify_rows`.
+    When no block needs removing, *db itself* is returned; otherwise a new
+    database is decoded from the live rows.  Neither *db* nor *index* is
+    mutated.
     """
     if query.is_empty:
-        return db, index
-    shared_index = index is not None
-    if index is not None:
-        current_index = index
-    else:
-        current_index = scratch_index(db.facts)
-        _note_index_build(ColumnarFactIndex)
-    current = db
-    working: Optional[UncertainDatabase] = None
-    try:
-        while True:
-            # Sweep the per-block id arrays (integer backtracking + integer
-            # row sets) and decode only the stale block keys.
-            stale_blocks = stale_block_keys(query, current_index.store)
-            if not stale_blocks:
-                return current, current_index
-            if working is None:
-                working = db.copy()
-                _note_copy()
-                if shared_index:
-                    # The caller's index must stay untouched: build one
-                    # private index over the copy (once — it is maintained
-                    # incrementally from here on).
-                    current_index = scratch_index(working.facts)
-                    _note_index_build(ColumnarFactIndex)
-                working.register_observer(current_index)
-                current = working
-            for block_key in stale_blocks:
-                working.remove_block(block_key)
-    finally:
-        if working is not None:
-            working.unregister_observer(current_index)
+        return db
+    store = (index if index is not None else scratch_index(db.facts)).store
+    live = purify_rows(query, store)
+    if sum(map(len, live.values())) == len(store):
+        return db
+    decode = store.decode_row
+    return UncertainDatabase(
+        (
+            Fact(store.relation_columns(name).schema, decode(row))  # type: ignore[union-attr]
+            for name, rows in live.items()
+            for row in rows
+        ),
+        schema=DatabaseSchema(iter(db.schema)),
+    )
 
 
 def is_purified(db: UncertainDatabase, query: ConjunctiveQuery) -> bool:

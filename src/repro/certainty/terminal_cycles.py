@@ -28,17 +28,16 @@ from ..attacks.cycles import (
     strongly_connected_components,
 )
 from ..attacks.graph import AttackGraph
-from ..model.atoms import Atom, Fact
+from ..model.atoms import Atom
 from ..model.database import UncertainDatabase
 from ..model.symbols import Variable
 from ..query.conjunctive import ConjunctiveQuery
-from ..store.columnar import IntRow
-from ..store.index import ColumnarFactIndex
+from ..store.columnar import ColumnarFactStore, IntRow, LiveRows
 from ..store.kernels import AtomMatcher, has_witness
 from .context import SolverContext
 from .exceptions import IntractableQueryError, UnsupportedQueryError
 from .pair_solver import certain_weak_cycle_pair_rows
-from .peeling import empty_base_case, peel_certain
+from .peeling import empty_base_case, peel_certain, peel_rows
 
 
 def applies_to(query: ConjunctiveQuery, context: Optional[SolverContext] = None) -> bool:
@@ -70,20 +69,19 @@ def certain_terminal_cycles(
 
 
 def _weak_terminal_base_case(
-    db: UncertainDatabase,
+    store: ColumnarFactStore,
+    live: LiveRows,
     query: ConjunctiveQuery,
     graph: AttackGraph,
-    index: ColumnarFactIndex,
 ) -> bool:
-    """Base case of Theorem 3 over the id-rows of the purified database.
+    """Base case of Theorem 3 over the live id-rows of the purified database.
 
-    The peeling recursion threads an index whose ``store`` holds the
-    purified database.  Rows are partitioned by shared-variable id vectors
-    through :class:`~repro.store.kernels.AtomMatcher` (no fact decoding),
-    and the attack graph of each cycle's pair query is classified once per
-    cycle instead of once per partition.
+    The peeling recursion hands in the rows its purification kept.  They
+    are partitioned by shared-variable id vectors through
+    :class:`~repro.store.kernels.AtomMatcher` (no fact decoding), and the
+    attack graph of each cycle's pair query is classified once per cycle
+    instead of once per partition.
     """
-    store = index.store
     cycles = _disjoint_two_cycles(graph)
     shared_variables = _cross_cycle_variables(query, cycles)
 
@@ -101,7 +99,7 @@ def _weak_terminal_base_case(
         matchers = (AtomMatcher(first, store), AtomMatcher(second, store))
         partitions: Dict[IntRow, Tuple[List[IntRow], List[IntRow]]] = {}
         for side, matcher in enumerate(matchers):
-            for row in store.relation_rows(matcher.name):
+            for row in live.get(matcher.name, ()):
                 if not matcher.match(row):
                     # The base case is always entered with a purified
                     # database, so non-matching rows do not occur; skip
@@ -124,14 +122,13 @@ def _weak_terminal_base_case(
         for first_rows, second_rows in partitions.values():
             if acyclic:
                 # Rare shape (a 2-cycle of the outer graph whose restricted
-                # pair query is acyclic): decode the partition and run the
-                # FO peeling recursion, as `certain_two_atom` would.
-                facts = [
-                    Fact(first.relation, store.decode_row(row)) for row in first_rows
-                ] + [Fact(second.relation, store.decode_row(row)) for row in second_rows]
-                certain = peel_certain(
-                    UncertainDatabase(facts), pair_query, empty_base_case
-                )
+                # pair query is acyclic): peel the partition's rows, as
+                # `certain_two_atom` would.
+                partition = {
+                    first.relation.name: set(first_rows),
+                    second.relation.name: set(second_rows),
+                }
+                certain = peel_rows(store, partition, pair_query, empty_base_case)
             else:
                 certain = certain_weak_cycle_pair_rows(
                     store, pair_query, first_rows, second_rows

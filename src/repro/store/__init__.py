@@ -11,7 +11,9 @@ The package has three layers:
   :class:`ColumnarFactIndex` every session, solver, compiled plan and
   incremental view runs on (a store kept in step with a database through
   the observer protocol; no object-level copy of the facts) and the
-  id-space sweeps built on it.
+  id-space sweeps built on it.  A sub-database is a set of live id-rows
+  over one store (:data:`~repro.store.columnar.LiveRows`): purification
+  and the peeling recursion filter rows, they never copy a store.
 
 Correctness is checked against the paper's definitions, not against a
 second implementation: repair enumeration
@@ -22,13 +24,12 @@ second implementation: repair enumeration
 from .columnar import ColumnarFactStore
 from .index import ColumnarFactIndex
 from .intern import InternTable, global_intern_table
-from .kernels import stale_block_keys, used_rows
+from .kernels import used_rows
 
 __all__ = [
     "ColumnarFactIndex",
     "ColumnarFactStore",
     "InternTable",
     "global_intern_table",
-    "stale_block_keys",
     "used_rows",
 ]

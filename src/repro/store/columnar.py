@@ -42,6 +42,9 @@ IntRow = Tuple[int, ...]
 #: The id-tuple of a row's primary-key positions.
 IntKey = Tuple[int, ...]
 
+#: A sub-database of a store: relation name -> the id-rows it keeps.
+LiveRows = Dict[str, Set[IntRow]]
+
 #: The object-space identifier of a block (mirrors ``model.database.BlockKey``).
 BlockKey = Tuple[str, Tuple[Constant, ...]]
 

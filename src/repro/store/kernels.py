@@ -8,23 +8,25 @@ backtracking join entirely on integer rows — block probes are dict lookups
 on id-tuples, bindings live in one mutable int array, and witness marking
 collects id-rows instead of fact objects.
 
-:func:`stale_block_keys` is the purification sweep (Lemma 1): it returns
-the blocks containing at least one fact that participates in no witness
-``θ(q) ⊆ db``, sweeping the store's per-block id arrays and decoding only
-the (usually few) stale block keys back to object space.
+:func:`used_rows` is the purification filter (Lemma 1): the id-rows of a
+(sub-)database that participate in some witness ``θ(q) ⊆ db``, which
+:func:`~repro.certainty.purify.purify_rows` turns into live rows.
 :func:`seeded_bindings` is the views' delta join, and :func:`has_witness`
 their candidate garbage collection.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from functools import lru_cache
+from operator import itemgetter
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..model.atoms import Atom
 from ..model.symbols import Variable, is_constant
 from ..query.conjunctive import ConjunctiveQuery
 from ..query.evaluation import CHECK_CONST, CHECK_SLOT, backtrack_plan
-from .columnar import BlockKey, ColumnarFactStore, IntRow
+from ..query.hypergraph import is_acyclic
+from .columnar import ColumnarFactStore, IntRow, LiveRows
 
 #: One encoded step: (relation columns or None, ops, key_plan, atom).
 _EncodedStep = Tuple[object, Tuple[Tuple[int, int, int], ...], Optional[Tuple], Atom]
@@ -68,19 +70,26 @@ def _encode_plan(
 
 
 def _reduced_candidates(
-    encoded: List[_EncodedStep], store: ColumnarFactStore
+    encoded: List[_EncodedStep],
+    store: ColumnarFactStore,
+    allowed: Optional[LiveRows] = None,
 ) -> List[Set[IntRow]]:
-    """Per-level candidate rows after a per-variable semi-join fixpoint.
+    """Per-level candidate rows after a pairwise semi-join fixpoint.
 
-    Each level starts from the rows satisfying its atom's constant and
-    repeated-variable checks; then, for every variable occurring in two or
-    more atoms, rows whose value for that variable appears in no candidate
-    row of some partner atom are dropped, to fixpoint.  A dropped row can
-    participate in no witness (every witness grounds all atoms on a single
-    valuation), so enumerating the join over the reduced sets yields exactly
-    the same witnesses while skipping the dangling rows that dominate noisy
-    instances.  Per-atom-occurrence sets keep the reduction correct under
-    self-joins (two occurrences of one relation prune independently).
+    Each level starts from the rows (of *allowed*, when given) satisfying
+    its atom's constant and repeated-variable checks.  Then, for every pair
+    of levels whose atoms share variables, rows whose shared-variable id
+    tuple occurs in no candidate row of the other level are dropped; a
+    worklist re-filters the partners of every level that shrank, until
+    nothing changes.  A dropped row participates in no witness (every
+    witness grounds all atoms on a single valuation), so enumerating the
+    join over the reduced sets yields exactly the same witnesses.  Levels
+    are atom occurrences, so self-joins prune each occurrence on its own.
+
+    The result is pairwise consistent.  For an α-acyclic query that implies
+    global consistency (Beeri, Fagin, Maier and Yannakakis, JACM 1983): when
+    no level is empty, every remaining row lies on some witness.  For a
+    cyclic query it is only a filter.
     """
     id_of = store.table.id_of
     positions_per_level: List[Dict[object, int]] = []
@@ -98,61 +107,71 @@ def _reduced_candidates(
                     positions[term] = position
                 else:
                     eq_checks.append((position, first))
-        rows = {
-            row
-            for row in relation.row_index.keys()  # type: ignore[union-attr]
-            if all(row[p] == value for p, value in const_checks)
-            and all(row[p] == row[f] for p, f in eq_checks)
-        }
+        source: Iterable[IntRow] = (
+            relation.row_index.keys()  # type: ignore[union-attr]
+            if allowed is None
+            else allowed.get(atom.relation.name, ())
+        )
+        if const_checks or eq_checks:
+            rows = {
+                row
+                for row in source
+                if all(row[p] == value for p, value in const_checks)
+                and all(row[p] == row[f] for p, f in eq_checks)
+            }
+        else:
+            rows = set(source)
         positions_per_level.append(positions)
         rows_per_level.append(rows)
 
-    occurrences: Dict[object, List[Tuple[int, int]]] = {}
-    for level, positions in enumerate(positions_per_level):
-        for variable, position in positions.items():
-            occurrences.setdefault(variable, []).append((level, position))
-    shared = [occ for occ in occurrences.values() if len(occ) > 1]
+    # partners[i]: (j, projection of i's rows, projection of j's rows) onto
+    # the variables atoms i and j share, in one fixed order.
+    partners: List[List[Tuple[int, itemgetter, itemgetter]]] = [[] for _ in encoded]
+    for i, own in enumerate(positions_per_level):
+        for j in range(i + 1, len(encoded)):
+            other = positions_per_level[j]
+            shared = [v for v in own if v in other]
+            if shared:
+                own_get = itemgetter(*[own[v] for v in shared])
+                other_get = itemgetter(*[other[v] for v in shared])
+                partners[i].append((j, own_get, other_get))
+                partners[j].append((i, other_get, own_get))
 
-    changed = True
-    while changed:
-        changed = False
-        for occ in shared:
-            allowed: Optional[Set[int]] = None
-            for level, position in occ:
-                values = {row[position] for row in rows_per_level[level]}
-                allowed = values if allowed is None else allowed & values
-            for level, position in occ:
-                rows = rows_per_level[level]
-                kept = {row for row in rows if row[position] in allowed}
-                if len(kept) != len(rows):
-                    rows_per_level[level] = kept
-                    changed = True
+    pending = list(range(len(encoded)))
+    queued = set(pending)
+    while pending:
+        level = pending.pop()
+        queued.discard(level)
+        for partner, own_get, partner_get in partners[level]:
+            values = set(map(own_get, rows_per_level[level]))
+            rows = rows_per_level[partner]
+            kept = {row for row in rows if partner_get(row) in values}
+            if len(kept) != len(rows):
+                rows_per_level[partner] = kept
+                if partner not in queued:
+                    queued.add(partner)
+                    pending.append(partner)
     return rows_per_level
 
 
-def used_rows(
-    query: ConjunctiveQuery, store: ColumnarFactStore
-) -> Dict[str, Set[IntRow]]:
-    """Per relation, the id-rows used by at least one witness of *query*.
+def _enumerate_witnesses(
+    encoded: List[_EncodedStep],
+    slot_count: int,
+    reduced: List[Set[IntRow]],
+    emit: Callable[[List[Tuple[str, IntRow]]], None],
+) -> None:
+    """Call *emit* with the ``(name, id-row)`` list of every valuation image.
 
-    The id-space counterpart of
-    :func:`repro.certainty.purify.relevant_facts`.
+    The backtracking join over the reduced per-level rows; block probes
+    filter through the level's reduced set.  *emit* must copy what it keeps.
     """
-    encoded, slot_count = _encode_plan(query, store)
-    used: Dict[str, Set[IntRow]] = {}
-    if encoded is None or not encoded:
-        return used
-    reduced = _reduced_candidates(encoded, store)
-    if any(not rows for rows in reduced):
-        return used
     bindings: List[Optional[int]] = [None] * slot_count
     depth = len(encoded)
     stack: List[Tuple[str, IntRow]] = []
 
     def backtrack(level: int) -> None:
         if level == depth:
-            for name, row in stack:
-                used.setdefault(name, set()).add(row)
+            emit(stack)
             return
         relation, ops, key_plan, _atom = encoded[level]
         allowed = reduced[level]
@@ -161,7 +180,7 @@ def used_rows(
                 bindings[slot] if constant is None else constant
                 for slot, constant in key_plan
             )
-            candidates = [
+            candidates: Iterable[IntRow] = [
                 row
                 for row in relation.blocks.get(key, ())  # type: ignore[union-attr]
                 if row in allowed
@@ -193,6 +212,43 @@ def used_rows(
                 bindings[slot] = None
 
     backtrack(0)
+
+
+#: Memoised α-acyclicity test (residual queries repeat across blocks).
+_acyclic = lru_cache(maxsize=4096)(is_acyclic)
+
+
+def used_rows(
+    query: ConjunctiveQuery,
+    store: ColumnarFactStore,
+    allowed: Optional[LiveRows] = None,
+) -> Dict[str, Set[IntRow]]:
+    """Per relation, the id-rows used by at least one witness of *query*.
+
+    The id-space counterpart of
+    :func:`repro.certainty.purify.relevant_facts`.  *allowed*, when given,
+    names the sub-database to read, as in :func:`has_witness`.  For an
+    α-acyclic query the reduced candidate rows are exactly the used rows;
+    a cyclic query takes the union of its enumerated witnesses.
+    """
+    encoded, slot_count = _encode_plan(query, store)
+    used: Dict[str, Set[IntRow]] = {}
+    if encoded is None or not encoded:
+        return used
+    reduced = _reduced_candidates(encoded, store, allowed)
+    if any(not rows for rows in reduced):
+        return used
+    if _acyclic(query):
+        for (_relation, _ops, _key_plan, atom), rows in zip(encoded, reduced):
+            name = atom.relation.name
+            used[name] = rows | used[name] if name in used else rows
+        return used
+
+    def mark(stack: List[Tuple[str, IntRow]]) -> None:
+        for name, row in stack:
+            used.setdefault(name, set()).add(row)
+
+    _enumerate_witnesses(encoded, slot_count, reduced, mark)
     return used
 
 
@@ -277,63 +333,21 @@ def witness_row_sets(
     if any(not rows for rows in reduced):
         return out
     seen: Set[FrozenSet[Tuple[str, IntRow]]] = set()
-    bindings: List[Optional[int]] = [None] * slot_count
-    depth = len(encoded)
-    stack: List[Tuple[str, IntRow]] = []
 
-    def backtrack(level: int) -> None:
-        if level == depth:
-            image = frozenset(stack)
-            if image not in seen:
-                seen.add(image)
-                out.append(image)
-            return
-        relation, ops, key_plan, _atom = encoded[level]
-        allowed = reduced[level]
-        if key_plan is not None:
-            key = tuple(
-                bindings[slot] if constant is None else constant
-                for slot, constant in key_plan
-            )
-            candidates = [
-                row
-                for row in relation.blocks.get(key, ())  # type: ignore[union-attr]
-                if row in allowed
-            ]
-        else:
-            candidates = allowed
-        name = relation.schema.name  # type: ignore[union-attr]
-        for row in candidates:
-            matched = True
-            bound: List[int] = []
-            for op, pos, arg in ops:
-                value = row[pos]
-                if op == CHECK_CONST:
-                    if value != arg:
-                        matched = False
-                        break
-                elif op == CHECK_SLOT:
-                    if bindings[arg] != value:
-                        matched = False
-                        break
-                else:
-                    bindings[arg] = value
-                    bound.append(arg)
-            if matched:
-                stack.append((name, row))
-                backtrack(level + 1)
-                stack.pop()
-            for slot in bound:
-                bindings[slot] = None
+    def collect(stack: List[Tuple[str, IntRow]]) -> None:
+        image = frozenset(stack)
+        if image not in seen:
+            seen.add(image)
+            out.append(image)
 
-    backtrack(0)
+    _enumerate_witnesses(encoded, slot_count, reduced, collect)
     return out
 
 
 def has_witness(
     query: ConjunctiveQuery,
     store: ColumnarFactStore,
-    allowed: Optional[Dict[str, Set[IntRow]]] = None,
+    allowed: Optional[LiveRows] = None,
 ) -> bool:
     """Is some witness ``θ(q)`` contained in the (restricted) store?
 
@@ -470,26 +484,3 @@ def seeded_bindings(
             if row in stored:
                 backtrack(0, (row,))
     return out
-
-
-def stale_block_keys(
-    query: ConjunctiveQuery, store: ColumnarFactStore
-) -> List[BlockKey]:
-    """Blocks containing some fact outside every witness of *query*.
-
-    Sweeps the store's per-block id arrays against :func:`used_rows` and
-    decodes only the stale keys; an empty result means the database is
-    already purified relative to *query*.
-    """
-    used = used_rows(query, store)
-    stale: List[BlockKey] = []
-    empty: Set[IntRow] = set()
-    decode = store.table.decode
-    for name, relation in store._relations.items():
-        rows_in_use = used.get(name, empty)
-        for key, rows in relation.blocks.items():
-            for row in rows:
-                if row not in rows_in_use:
-                    stale.append((name, decode(key)))
-                    break
-    return stale

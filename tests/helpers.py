@@ -1,5 +1,7 @@
 """Shared helpers for the test suite (importable, unlike conftest fixtures)."""
 
+from contextlib import contextmanager
+
 from repro.model import UncertainDatabase
 from repro.model.symbols import Variable
 from repro.query import ConjunctiveQuery
@@ -21,3 +23,29 @@ def random_instance(query, rng, domain_size=3, facts_per_relation=5):
         for _ in range(facts_per_relation):
             db.add(relation.fact(*[rng.choice(domain) for _ in range(relation.arity)]))
     return db
+
+
+@contextmanager
+def constructions(*classes):
+    """Count the instances of *classes* constructed inside the block.
+
+    Yields a dict from class name to count; each ``__init__`` is wrapped for
+    the duration of the block and restored afterwards.
+    """
+    counts = {cls.__name__: 0 for cls in classes}
+    originals = {cls: cls.__init__ for cls in classes}
+
+    def counting(name, original):
+        def __init__(self, *args, **kwargs):
+            counts[name] += 1
+            original(self, *args, **kwargs)
+
+        return __init__
+
+    for cls, original in originals.items():
+        cls.__init__ = counting(cls.__name__, original)
+    try:
+        yield counts
+    finally:
+        for cls, original in originals.items():
+            cls.__init__ = original

@@ -25,13 +25,7 @@ from repro import (
     parse_facts,
     parse_query,
 )
-from repro.certainty import (
-    peel_certain,
-    purify_copy_count,
-    purify_index_build_counts,
-    reset_purify_copy_count,
-    reset_purify_index_build_counts,
-)
+from repro.certainty import peel_certain
 from repro.certainty.peeling import empty_base_case
 from repro.fo import FormulaEvaluator, certain_rewriting
 from repro.fo.compile import ReadSet, ReadSetRecorder
@@ -41,6 +35,7 @@ from repro.query import figure2_q1, figure4_query
 from repro.query.evaluation import answer_tuples
 from repro.query.families import path_query
 from repro.query.substitution import ground_free_variables
+from repro.store import ColumnarFactStore
 from repro.store.kernels import has_witness
 from repro.workloads import (
     apply_batch,
@@ -48,7 +43,7 @@ from repro.workloads import (
     mutation_stream,
     synthetic_instance,
 )
-from tests.helpers import open_variant
+from tests.helpers import constructions, open_variant
 
 
 def cold_answers(db, query, allow):
@@ -686,16 +681,15 @@ class TestManagerLifecycle:
 
 
 class TestDeepResidualPeeling:
-    """The peeling recursion threads purify's indexes through residuals.
+    """The peeling recursion filters rows of one store at every level.
 
     ``path_query(4)`` peels one unattacked atom per level, so the recursion
-    is four levels deep — past the depth-3 floor where a rebuild-per-purify
-    implementation would multiply index constructions.  The instances are
-    too large to enumerate repairs, so the verdicts are checked against the
-    naive active-domain evaluation of the certain FO rewriting (Theorem 1)
-    instead.  The purify build counters assert that (a) indexes are only
-    built on copy events (O(levels), not one per purify call) and (b) every
-    built index is columnar, at every residual level.
+    is four levels deep — past the depth-3 floor where a copy-per-purify
+    implementation would multiply database and index constructions.  The
+    instances are too large to enumerate repairs, so the verdicts are
+    checked against the naive active-domain evaluation of the certain FO
+    rewriting (Theorem 1) instead.  With a session index supplied at the
+    top, no level may construct a database or a columnar store.
     """
 
     def _deep_instance(self, query, seed):
@@ -712,33 +706,29 @@ class TestDeepResidualPeeling:
     def _by_definition(db, query):
         return FormulaEvaluator(db, compiled=False).evaluate(certain_rewriting(query))
 
+    @staticmethod
+    def _peel_without_copies(db, query):
+        with CertaintySession(db) as session:
+            with constructions(UncertainDatabase, ColumnarFactStore) as built:
+                verdict = peel_certain(db, query, empty_base_case, index=session.index)
+        assert built == {"UncertainDatabase": 0, "ColumnarFactStore": 0}
+        return verdict
+
     def test_deep_peeling_differential_and_index_threading(self):
         query = path_query(4)
         verdicts = set()
         for seed in range(4):
             db = self._deep_instance(query, seed)
-            with CertaintySession(db) as session:
-                reset_purify_index_build_counts()
-                reset_purify_copy_count()
-                verdict = peel_certain(db, query, empty_base_case, index=session.index)
-                builds = purify_index_build_counts()
-                copies = purify_copy_count()
+            verdict = self._peel_without_copies(db, query)
             assert verdict == self._by_definition(db, query)
             verdicts.add(verdict)
-            assert set(builds) <= {"ColumnarFactIndex"}
-            # With a session index supplied at the top, purify only builds
-            # an index when a block removal forces a private copy.
-            assert sum(builds.values()) <= copies
         assert verdicts == {True, False}
 
     def test_deep_peeling_level_index_classes_at_depth_three(self):
         # Depth 5: one level deeper than the floor, same invariants.
         query = path_query(5)
         db = self._deep_instance(query, seed=11)
-        with CertaintySession(db) as session:
-            reset_purify_index_build_counts()
-            verdict = peel_certain(db, query, empty_base_case, index=session.index)
-            assert set(purify_index_build_counts()) <= {"ColumnarFactIndex"}
+        verdict = self._peel_without_copies(db, query)
         assert verdict == self._by_definition(db, query)
 
 

@@ -3,13 +3,22 @@
 import random
 
 
-from repro.certainty import certain_brute_force, is_purified, purify, relevant_facts
+from repro import CertaintySession
+from repro.certainty import (
+    certain_brute_force,
+    is_purified,
+    peel_certain,
+    purify,
+    relevant_facts,
+)
+from repro.certainty.peeling import empty_base_case
 from repro.model import RelationSchema, UncertainDatabase
-from repro.query import ConjunctiveQuery, parse_query
-from repro.workloads import figure6_database
-from repro.query.families import cycle_query_ac
+from repro.query import ConjunctiveQuery, figure4_query, parse_query
+from repro.store import ColumnarFactStore
+from repro.workloads import figure6_database, ring_instance, synthetic_instance
+from repro.query.families import cycle_query_ac, path_query
 
-from tests.helpers import random_instance
+from tests.helpers import constructions, random_instance
 
 R = RelationSchema("R", 2, 1)
 S = RelationSchema("S", 2, 1)
@@ -88,38 +97,26 @@ class TestPurify:
 
 
 class TestPurifyFastPath:
-    """The hot-path contract: zero copies on already-purified inputs."""
+    """The hot-path contract: already-purified inputs come back unchanged."""
 
     def test_purified_input_returns_the_same_object(self):
-        from repro.certainty import purify_copy_count, reset_purify_copy_count
-
         db = figure6_database()
         q = cycle_query_ac(3)
         assert is_purified(db, q)
-        reset_purify_copy_count()
         result = purify(db, q)
         assert result is db  # no copy at all: the input is returned unchanged
-        assert purify_copy_count() == 0
 
     def test_empty_query_takes_the_fast_path(self):
-        from repro.certainty import purify_copy_count, reset_purify_copy_count
-
         db = UncertainDatabase([R.fact("a", 1)])
-        reset_purify_copy_count()
         assert purify(db, ConjunctiveQuery([])) is db
-        assert purify_copy_count() == 0
 
-    def test_impure_input_copies_exactly_once(self):
-        from repro.certainty import purify_copy_count, reset_purify_copy_count
-
+    def test_impure_input_returns_a_new_database(self):
         q = parse_query("R(x | y), S(y | x)")
         schema = q.schema()
         db = UncertainDatabase(
             [schema["R"].fact("a", "b"), schema["S"].fact("b", "a"), schema["S"].fact("b", "c")]
         )
-        reset_purify_copy_count()
         purified = purify(db, q)
-        assert purify_copy_count() == 1  # one lazy copy, however many sweeps ran
         assert purified is not db
         assert len(db) == 3  # input untouched
 
@@ -162,3 +159,48 @@ class TestPurifyFastPath:
         purified.add(schema["R"].fact("zz", "qq"))  # must not raise
         again = purify(purified, q)
         assert schema["R"].fact("zz", "qq") not in again
+
+
+class TestZeroCopyDecide:
+    """Session decides purify by filtering rows of the session's store.
+
+    Each decide below purifies impure (sub-)databases, yet none may
+    construct an :class:`UncertainDatabase` or a :class:`ColumnarFactStore`.
+    """
+
+    @staticmethod
+    def _decide_without_copies(db, query, decide):
+        assert not is_purified(db, query)  # purification has rows to drop
+        with CertaintySession(db) as session:
+            with constructions(UncertainDatabase, ColumnarFactStore) as built:
+                decide(session)
+        assert built == {"UncertainDatabase": 0, "ColumnarFactStore": 0}
+        return session
+
+    def test_theorem3_decide_on_a_noisy_figure4_instance(self):
+        query = figure4_query()
+        db = synthetic_instance(
+            query, seed=31, domain_size=32, witnesses=16, noise_per_relation=16, conflict_rate=0.4
+        )
+        session = self._decide_without_copies(
+            db, query, lambda session: session.is_certain(query)
+        )
+        assert session.plan_for(query).method == "theorem3-terminal-cycles"
+
+    def test_theorem4_decide_on_a_chorded_ring(self):
+        query, db = ring_instance(3, copies=16, chords=4, with_sk=False, seed=7)
+        session = self._decide_without_copies(
+            db, query, lambda session: session.is_certain(query)
+        )
+        assert session.plan_for(query).method == "theorem4-cycle-query"
+
+    def test_deep_peel_on_the_session_index(self):
+        query = path_query(4)
+        db = synthetic_instance(
+            query, seed=0, domain_size=5, witnesses=6, noise_per_relation=5, conflict_rate=0.5
+        )
+        self._decide_without_copies(
+            db,
+            query,
+            lambda session: peel_certain(db, query, empty_base_case, index=session.index),
+        )

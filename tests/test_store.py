@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro import CertaintySession, UncertainDatabase, parse_facts, parse_query
 from repro.certainty import certain_by_enumeration, cycle_query, terminal_cycles
-from repro.model.atoms import RelationSchema
+from repro.model.atoms import Fact, RelationSchema
 from repro.model.symbols import Constant, Variable
 from repro.query import figure2_q1, figure4_query
 from repro.query.evaluation import FactIndex, answer_tuples
@@ -35,10 +35,10 @@ from repro.store import (
     ColumnarFactStore,
     InternTable,
     global_intern_table,
-    stale_block_keys,
+    used_rows,
 )
 from repro.workloads import mutation_stream, apply_mutation, synthetic_instance
-from tests.helpers import open_variant
+from tests.helpers import open_variant, random_instance
 
 
 # --------------------------------------------------------------------------------
@@ -504,7 +504,7 @@ class TestOracleDifferential:
             assert positions == sorted(positions)
 
     def test_purify_sweeps_agree(self):
-        """The id-row sweeps purify exactly as Lemma 1 does by definition."""
+        """The id-row filter purifies exactly as Lemma 1 does by definition."""
         from repro.certainty import purify
         from repro.certainty.purify import relevant_facts
 
@@ -518,28 +518,70 @@ class TestOracleDifferential:
                 for key in stale:
                     current.remove_block(key)
 
-        query = path_query(3)
-        removed = 0
-        for seed in range(4):
-            db = synthetic_instance(
-                query, seed=seed, domain_size=4, witnesses=4, conflict_rate=0.5
-            )
-            expected = purify_by_definition(db, query)
-            col = purify(db, query, index=ColumnarFactIndex(db.facts))
-            assert set(col.facts) == set(expected.facts)
-            removed += len(db) - len(expected)
-        assert removed  # some seed had blocks to remove
+        queries = [path_query(3), cycle_query_c(3), parse_query("A(x | y), B(y | z), C(z | x)")]
+        for query in queries:
+            removed = 0
+            for seed in range(4):
+                db = synthetic_instance(
+                    query, seed=seed, domain_size=4, witnesses=4, conflict_rate=0.5
+                )
+                expected = purify_by_definition(db, query)
+                col = purify(db, query, index=ColumnarFactIndex(db.facts))
+                assert set(col.facts) == set(expected.facts)
+                removed += len(db) - len(expected)
+            assert removed, query  # some seed had blocks to remove
 
-    def test_stale_block_keys_matches_object_definition(self):
+    @pytest.mark.parametrize(
+        "query,planted",
+        [
+            pytest.param(path_query(4), False, id="path-4"),
+            pytest.param(parse_query("R(x | x), S(x | y), T(y | z)"), False, id="repeated-variable"),
+            pytest.param(parse_query("R(x | y), R(y | z), S(z | w)"), False, id="acyclic-self-join"),
+            pytest.param(cycle_query_c(3), False, id="cycle-c3"),
+            pytest.param(parse_query("A(x | y), B(y | z), C(z | x)"), False, id="triangle"),
+            pytest.param(figure4_query(), True, id="figure4"),
+            pytest.param(parse_query("R(x | 'c1', y), S(y | z), T(z | w)"), True, id="constant"),
+        ],
+    )
+    def test_used_rows_matches_relevant_facts(self, query, planted):
+        """``used_rows`` on a sub-database is Lemma 1's set of witness facts.
+
+        Each instance is checked on the whole store and on about 60% of its
+        blocks, passed as ``allowed``.  A reducer that is wrong for cyclic
+        queries or stops before its fixpoint keeps rows no witness uses.
+        """
         from repro.certainty.purify import relevant_facts
 
-        query = path_query(2)
-        for seed in range(4):
-            db = synthetic_instance(query, seed=seed, domain_size=4, witnesses=3)
-            index = ColumnarFactIndex(db.facts)
-            used = relevant_facts(db, query)
-            expected = {f.block_key for f in db.facts if f not in used}
-            assert set(stale_block_keys(query, index.store)) == expected
+        mixed = False
+        for seed in range(60):
+            rng = random.Random(seed)
+            if planted:
+                db = synthetic_instance(
+                    query, seed=seed, domain_size=4, witnesses=3,
+                    noise_per_relation=3, conflict_rate=0.5,
+                )
+            else:
+                db = random_instance(query, rng, domain_size=3, facts_per_relation=5)
+            store = ColumnarFactIndex(db.facts).store
+            keys = [k for k in sorted(db.block_keys(), key=str) if rng.random() < 0.6]
+            for sub in (db, UncertainDatabase(f for k in keys for f in db.block(k))):
+                allowed = None
+                if sub is not db:
+                    allowed = {}
+                    for fact in sub.facts:
+                        allowed.setdefault(fact.relation.name, set()).add(
+                            store.known_row(fact)
+                        )
+                used = used_rows(query, store, allowed)
+                decoded = {
+                    Fact(store.relation_columns(name).schema, store.decode_row(row))
+                    for name, rows in used.items()
+                    for row in rows
+                }
+                expected = relevant_facts(sub, query)
+                assert decoded == expected, (seed, sub is db)
+                mixed = mixed or (expected and len(expected) < len(sub))
+        assert mixed  # some instance had both used and unused rows
 
     def test_formula_evaluation_agrees_on_equality_and_negation(self):
         from repro.fo import FormulaEvaluator
