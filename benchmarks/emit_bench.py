@@ -1174,7 +1174,6 @@ def run_durability_benchmark(
                     "replayed_records": recovered_store.stats.replayed_records,
                     "segment_bytes": sum(p.stat().st_size for p in segment_files),
                     "wal_bytes": sum(p.stat().st_size for p in wal_files),
-                    "epoch": recovered_store.epoch,
                     "restart_seconds": restart_seconds,
                     "rebuild_seconds": rebuild_seconds,
                     "speedup_restart_vs_rebuild": (

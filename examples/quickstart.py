@@ -144,8 +144,8 @@ def main() -> None:
     #    arbitrarily deep residual recursions.  Every solver also records
     #    *static* per-atom support (blocks, key masks, or whole relations), so
     #    materialized views stay fine-grained on every band: a mutation
-    #    outside a decision's support never forces a band-opaque full
-    #    refresh.  Sessions additionally memoise candidate enumeration,
+    #    outside a decision's support never forces a full refresh.
+    #    Sessions additionally memoise candidate enumeration,
     #    keyed on the database's mutation_version — a counter that bumps
     #    on every effective mutation (once per batch), giving a one-int
     #    staleness check.  BENCH_all_bands.json records the per-band
@@ -235,17 +235,16 @@ def main() -> None:
               ("tenants", "facts", "intern_bytes", "inline_served", "queued")})
 
     # 11. Surviving restarts.  A DurableStore attached to a database
-    #     observes every committed mutation: checkpoint() writes a
-    #     checksummed columnar segment snapshot (raw intern values + the
-    #     array('q') id columns), and each commit thereafter appends an
-    #     interned-id record to a write-ahead changelog (fsync policy via
-    #     sync="commit"/"flush"/"never").  After a crash, open() replays
-    #     snapshot + changelog tail back to the exact committed state —
-    #     same facts, same mutation_version, same certain answers.  A
-    #     torn or corrupted tail is treated as uncommitted and dropped at
-    #     the first damaged frame.  checkpoint() also rotates the intern
-    #     table into a fresh epoch once enough constants have died, so
-    #     the id space tracks the *live* facts, not ingestion history.
+    #     observes every committed mutation: checkpoint() writes the
+    #     database's facts to a checksummed segment snapshot, encoded
+    #     through a value dictionary built at write time (so it holds
+    #     exactly the live facts' constants), and each commit thereafter
+    #     appends its facts' raw values to a write-ahead changelog (fsync
+    #     policy via sync="commit"/"flush"/"never").  After a crash,
+    #     open() replays snapshot + changelog tail back to the exact
+    #     committed state — same facts, same mutation_version, same
+    #     certain answers.  A torn or corrupted tail is treated as
+    #     uncommitted and dropped at the first damaged frame.
     import tempfile
 
     from repro import DurableStore
@@ -264,7 +263,7 @@ def main() -> None:
         rdb = recovered.database(schema=schema)
         print("\nrecovered facts:", len(rdb), "of", len(durable_db),
               "at version", rdb.mutation_version)
-        print("segment epoch:", info["epoch"],
+        print("segment facts:", info["facts"],
               "replayed records:", recovered.stats.replayed_records)
         print("answers survive the restart:",
               certain_answers(rdb, open_query)

@@ -113,8 +113,7 @@ def scratch_index(facts: Iterable[Fact]) -> ColumnarFactIndex:
     and the peeling recursion then filter), compiled formulas evaluated
     against a bare database, and the default index of
     :class:`~repro.fo.evaluate.FormulaEvaluator`.  The fresh table keeps
-    such throwaway indexes from growing the process-wide table, which never
-    rotates, and from retaining rows in a session's table, whose live
-    fraction drives epoch rotation; the table dies with the index.
+    such throwaway indexes from growing the process-wide table or a
+    session's table, both append-only; the table dies with the index.
     """
     return ColumnarFactIndex(facts, table=InternTable())

@@ -37,7 +37,7 @@ from ..store.kernels import AtomMatcher, has_witness
 from .context import SolverContext
 from .exceptions import IntractableQueryError, UnsupportedQueryError
 from .pair_solver import certain_weak_cycle_pair_rows
-from .peeling import empty_base_case, peel_certain, peel_rows
+from .peeling import peel_certain
 
 
 def applies_to(query: ConjunctiveQuery, context: Optional[SolverContext] = None) -> bool:
@@ -81,6 +81,15 @@ def _weak_terminal_base_case(
     :class:`~repro.store.kernels.AtomMatcher` (no fact decoding), and the
     attack graph of each cycle's pair query is classified once per cycle
     instead of once per partition.
+
+    Each partition goes to the pair solver, because the pair query of a
+    cycle ``F ⇄ G`` keeps its 2-cycle.  In the base case every attack from
+    F lands in F's terminal 2-cycle, and F attacks every atom on the
+    join-tree path that witnesses ``F ⇝ G``, so that path has no third
+    atom: the variables of the direct edge carry the attack.  F's closure
+    in the pair query is contained in ``F⁺,q``, so those variables still
+    escape it there, and ``F ⇝ G`` holds in the pair query; symmetrically
+    so does ``G ⇝ F``.
     """
     cycles = _disjoint_two_cycles(graph)
     shared_variables = _cross_cycle_variables(query, cycles)
@@ -112,28 +121,13 @@ def _weak_terminal_base_case(
                     partitions[vector] = entry
                 entry[side].append(row)
 
-        pair_graph = AttackGraph(pair_query)
-        acyclic = pair_graph.is_acyclic()
-        if not acyclic and has_strong_cycle(pair_graph):
+        if has_strong_cycle(AttackGraph(pair_query)):
             raise IntractableQueryError(
                 f"CERTAINTY({pair_query}) is coNP-complete (strong attack cycle); "
                 "no polynomial algorithm applies"
             )
         for first_rows, second_rows in partitions.values():
-            if acyclic:
-                # Rare shape (a 2-cycle of the outer graph whose restricted
-                # pair query is acyclic): peel the partition's rows, as
-                # `certain_two_atom` would.
-                partition = {
-                    first.relation.name: set(first_rows),
-                    second.relation.name: set(second_rows),
-                }
-                certain = peel_rows(store, partition, pair_query, empty_base_case)
-            else:
-                certain = certain_weak_cycle_pair_rows(
-                    store, pair_query, first_rows, second_rows
-                )
-            if certain:
+            if certain_weak_cycle_pair_rows(store, pair_query, first_rows, second_rows):
                 certified.setdefault(first.relation.name, set()).update(first_rows)
                 certified.setdefault(second.relation.name, set()).update(second_rows)
     # Sublemma 5: certain iff the union of the certain partitions satisfies

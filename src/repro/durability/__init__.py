@@ -1,12 +1,13 @@
-"""The durability tier: segment snapshots, write-ahead changelog, epochs.
+"""The durability tier: segment snapshots and a write-ahead changelog.
 
 :class:`DurableStore` persists an observed
 :class:`~repro.model.database.UncertainDatabase` across restarts and
-crashes: checkpoints write checksummed segment files
+crashes: checkpoints write its facts to checksummed segment files
 (:mod:`~repro.durability.segments`), committed mutation batches append to
-a framed changelog (:mod:`~repro.durability.changelog`), and recovery
-replays snapshot + changelog tail to exactly the last committed state.
-Intern-table epochs keep the id space dense under churn.
+a framed changelog as rows of raw values
+(:mod:`~repro.durability.changelog`), and recovery replays snapshot +
+changelog tail to exactly the last committed state.  The tier persists
+facts, never interned ids, so it keeps no store or intern table of its own.
 """
 
 from .changelog import (

@@ -2,9 +2,9 @@
 
 Every committed mutation batch of an observed database becomes exactly
 one appended record — the durable twin of the net
-:class:`~repro.model.database.ChangeSet`, already encoded as interned id
-rows plus the intern-table value suffix the ids need to decode.  Frame
-layout::
+:class:`~repro.model.database.ChangeSet`, as rows of raw values grouped
+per relation.  A record decodes on its own: it needs no dictionary and
+no earlier record.  Frame layout::
 
     [u32 payload length][u32 payload CRC-32][payload]
 
@@ -42,18 +42,12 @@ from ..faults import InjectedFault, fire as _fire_fault
 
 _FRAME = struct.Struct("<II")
 
-#: One committed batch: ``(mutation_version, intern_base, intern_values,
-#: added, discarded)`` where ``added``/``discarded`` are tuples of
-#: ``(relation_name, arity, key_size, rows)`` groups with ``rows`` a tuple
-#: of id-tuples.  ``intern_values`` are the raw constant values assigned
-#: ids ``intern_base, intern_base+1, ...`` since the previous record.
-ChangelogRecord = Tuple[
-    int,
-    int,
-    Tuple[Any, ...],
-    Tuple[Tuple[str, int, int, Tuple[Tuple[int, ...], ...]], ...],
-    Tuple[Tuple[str, int, int, Tuple[Tuple[int, ...], ...]], ...],
-]
+#: One side of a batch: ``(relation_name, arity, key_size, rows)`` groups,
+#: each row the raw values of one fact (:attr:`~repro.model.atoms.Fact.values`).
+RowGroups = Tuple[Tuple[str, int, int, Tuple[Tuple[Any, ...], ...]], ...]
+
+#: One committed batch: ``(mutation_version, added, discarded)``.
+ChangelogRecord = Tuple[int, RowGroups, RowGroups]
 
 SYNC_POLICIES = ("commit", "flush", "never")
 
@@ -184,6 +178,7 @@ def truncate_changelog(path: Path, valid_bytes: int) -> None:
 __all__ = [
     "ChangelogRecord",
     "ChangelogWriter",
+    "RowGroups",
     "SYNC_POLICIES",
     "read_changelog",
     "truncate_changelog",

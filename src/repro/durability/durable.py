@@ -1,70 +1,53 @@
 """DurableStore: the persistence tier under the columnar engine.
 
 A :class:`DurableStore` makes an :class:`~repro.model.database.UncertainDatabase`
-survive restarts with three cooperating mechanisms:
+survive restarts.  What it persists is the paper's object itself — the
+set of facts — never the engine's interned ids, so the tier keeps no
+store and no intern table of its own.  Two mechanisms cooperate:
 
 **Segment snapshots** (:mod:`repro.durability.segments`)
-    :meth:`checkpoint` writes the mirror store's integer columns plus the
-    intern-table values to one checksummed, atomically-renamed segment
-    file.  :meth:`open` restores a
-    :class:`~repro.store.columnar.ColumnarFactStore` and
-    :class:`~repro.store.intern.InternTable` straight from the raw arrays
-    — no per-fact re-interning.
+    :meth:`checkpoint` writes the attached database's facts, dictionary-
+    encoded at write time, to one checksummed, atomically-renamed segment
+    file.  A segment therefore holds exactly the constants of its facts.
 
 **Write-ahead changelog** (:mod:`repro.durability.changelog`)
     Attached as a database observer, the store appends one framed,
     checksummed record per committed mutation batch: the net
-    :class:`~repro.model.database.ChangeSet` as interned id rows, plus
-    the intern-table *suffix* assigned since the previous record, keyed
-    by the database's ``mutation_version`` (the natural log sequence
-    number).  The ``sync`` knob picks the fsync-on-commit policy.
-
-**Intern-table epochs**
-    Ids are never reused, so churn grows the table without bound.  Every
-    checkpoint consults the table's live-id fraction
-    (:meth:`~repro.store.intern.InternTable.memory_stats`) and, below the
-    ``rotate_live_fraction`` threshold, *rotates the epoch*: live ids are
-    remapped into a fresh dense table, the mirror columns are rewritten,
-    and the new epoch lands in the segment header — RSS stays bounded by
-    the live data, not the churn history.
+    :class:`~repro.model.database.ChangeSet` as rows of raw values grouped
+    per relation, keyed by the database's ``mutation_version`` (the
+    natural log sequence number).  The ``sync`` knob picks the
+    fsync-on-commit policy.
 
 Recovery (:meth:`open`, or constructing over a non-empty directory) loads
-the newest valid segment and replays the changelog tail, stopping at the
-first torn or corrupt record, so a cold restart reaches exactly the last
-committed pre-crash state.  :meth:`database` then decodes the mirror into
-a fresh ``UncertainDatabase`` whose ``mutation_version`` continues the
-pre-crash sequence.
+the newest valid segment into per-relation row sets and replays the
+changelog tail into them, stopping at the first torn or corrupt record,
+so a cold restart reaches exactly the last committed pre-crash state.
+:class:`~repro.model.atoms.Fact` objects are built once, for the rows that
+survive; :meth:`database` wraps them in a fresh ``UncertainDatabase``
+whose ``mutation_version`` continues the pre-crash sequence.
 
-The store keeps a **private** intern table and mirror store: rotation
-never invalidates ids cached by sessions, compiled plans, or views, and
-one database can stay attached while arbitrary engine state comes and
-goes above it.  Like the database itself, the writer side assumes a
-single mutating thread.  Register the durable store **before** sessions
-and view managers (``attach`` does this for you when called first), so a
-subscriber-triggered mutation can never reach the log ahead of the
-mutation that caused it.
+Like the database itself, the writer side assumes a single mutating
+thread.  Register the durable store **before** sessions and view managers
+(``attach`` does this for you when called first), so a subscriber-triggered
+mutation can never reach the log ahead of the mutation that caused it.
 """
 
 from __future__ import annotations
 
-from array import array
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..model.atoms import Fact, RelationSchema
 from ..model.database import ChangeSet, DatabaseObserver, UncertainDatabase
 from ..model.schema import DatabaseSchema
-from ..store.columnar import ColumnarFactStore
-from ..store.intern import InternTable
+from ..model.symbols import Constant
 from .changelog import (
     ChangelogWriter,
+    RowGroups,
     read_changelog,
     truncate_changelog,
 )
 from .segments import SegmentCorruption, read_segment, write_segment
-
-#: Rotation floor: below this many interned ids, remapping cannot pay off.
-DEFAULT_MIN_ROTATE_IDS = 64
 
 
 class DurabilityError(RuntimeError):
@@ -72,7 +55,7 @@ class DurabilityError(RuntimeError):
 
     Raised by the write path when a changelog append fails even after the
     WAL was re-opened.  The batch was **not acknowledged**: it is applied
-    to the in-memory database and mirrored (so a later
+    to the in-memory database (so a later
     :meth:`DurableStore.checkpoint` can still persist it), but it is not
     in the log, and recovery before that checkpoint lands on the last
     acknowledged state.  Once raised, further commits keep raising until
@@ -87,7 +70,6 @@ class DurabilityStats:
         "commits",
         "log_bytes_appended",
         "checkpoints",
-        "rotations",
         "replayed_records",
         "skipped_segments",
         "torn_tail_bytes",
@@ -101,7 +83,6 @@ class DurabilityStats:
         self.commits = 0
         self.log_bytes_appended = 0
         self.checkpoints = 0
-        self.rotations = 0
         self.replayed_records = 0
         self.skipped_segments = 0
         self.torn_tail_bytes = 0
@@ -127,40 +108,21 @@ class DurableStore(DatabaseObserver):
         Where segments and changelogs live (created if missing).  A
         non-empty directory is **recovered on construction**: the newest
         valid segment is loaded and the changelog tail replayed, after
-        which :attr:`store`, :attr:`table`, :attr:`mutation_version`, and
-        :attr:`epoch` describe the last committed state.
+        which :meth:`facts` and :attr:`mutation_version` describe the last
+        committed state.
     sync:
         Changelog durability policy — ``"commit"`` (fsync per batch,
         default), ``"flush"``, or ``"never"``; see
         :class:`~repro.durability.changelog.ChangelogWriter`.
-    rotate_live_fraction:
-        Live-id fraction below which :meth:`checkpoint` automatically
-        rotates the intern-table epoch (default ``0.5``; ``0.0`` disables
-        automatic rotation — explicit ``checkpoint(rotate=True)`` still
-        rotates).
-    min_rotate_ids:
-        Table-size floor under which automatic rotation is skipped.
     """
 
-    def __init__(
-        self,
-        directory,
-        sync: str = "commit",
-        rotate_live_fraction: float = 0.5,
-        min_rotate_ids: int = DEFAULT_MIN_ROTATE_IDS,
-    ) -> None:
-        if not 0.0 <= rotate_live_fraction <= 1.0:
-            raise ValueError("rotate_live_fraction must lie in [0, 1]")
+    def __init__(self, directory, sync: str = "commit") -> None:
         self._dir = Path(directory)
         self._dir.mkdir(parents=True, exist_ok=True)
         self._sync = sync
-        self._rotate_live_fraction = rotate_live_fraction
-        self._min_rotate_ids = min_rotate_ids
-        self._table = InternTable()
-        self._store = ColumnarFactStore(table=self._table)
-        self._epoch = 0
         self._version = 0
-        self._watermark = 0  # intern ids already shipped to disk
+        #: The committed facts while no database is attached.
+        self._facts: Tuple[Fact, ...] = ()
         self._db: Optional[UncertainDatabase] = None
         self._log: Optional[ChangelogWriter] = None
         self._log_path: Optional[Path] = None
@@ -177,10 +139,10 @@ class DurableStore(DatabaseObserver):
         """Recover the committed state persisted under *directory*.
 
         Alias of the constructor, named for the read side: the returned
-        store's :attr:`store`/:attr:`table` hold the snapshot + replayed
-        changelog tail, and :meth:`database` decodes them into a live
-        ``UncertainDatabase``.  Call :meth:`attach` on that database to
-        resume appending where the pre-crash process stopped.
+        store's :meth:`facts` hold the snapshot + replayed changelog tail,
+        and :meth:`database` wraps them in a live ``UncertainDatabase``.
+        Call :meth:`attach` on that database to resume appending where the
+        pre-crash process stopped.
         """
         return cls(directory, **kwargs)
 
@@ -189,21 +151,6 @@ class DurableStore(DatabaseObserver):
     @property
     def directory(self) -> Path:
         return self._dir
-
-    @property
-    def store(self) -> ColumnarFactStore:
-        """The private mirror store holding the committed facts as id rows."""
-        return self._store
-
-    @property
-    def table(self) -> InternTable:
-        """The private intern table of the current epoch."""
-        return self._table
-
-    @property
-    def epoch(self) -> int:
-        """The current intern-table epoch (bumped by each rotation)."""
-        return self._epoch
 
     @property
     def mutation_version(self) -> int:
@@ -230,13 +177,13 @@ class DurableStore(DatabaseObserver):
     def __repr__(self) -> str:
         state = "closed" if self._closed else ("attached" if self.attached else "idle")
         return (
-            f"DurableStore({str(self._dir)!r}, epoch={self._epoch}, "
-            f"v{self._version}, {len(self._store)} facts, {state})"
+            f"DurableStore({str(self._dir)!r}, v{self._version}, "
+            f"{len(self.facts())} facts, {state})"
         )
 
     def facts(self) -> Tuple[Fact, ...]:
-        """The committed facts, decoded from the mirror store."""
-        return tuple(self._store.decode_facts())
+        """The committed facts: the attached database's, else the recovered ones."""
+        return tuple(self._db) if self._db is not None else self._facts
 
     def database(self, schema: Optional[DatabaseSchema] = None) -> UncertainDatabase:
         """A fresh ``UncertainDatabase`` holding the committed state.
@@ -246,7 +193,7 @@ class DurableStore(DatabaseObserver):
         re-:meth:`attach` continue the pre-crash numbering.
         """
         return UncertainDatabase(
-            self._store.decode_facts(),
+            self.facts(),
             schema=schema,
             mutation_version=self._version,
         )
@@ -257,47 +204,41 @@ class DurableStore(DatabaseObserver):
         """Observe *db*, appending every committed batch to the changelog.
 
         Two supported shapes: a database built from this store's own
-        :meth:`database` (recovery — the mirror already matches, appends
-        resume on the recovered log), or any other database (fresh start —
-        the mirror is rebuilt from its facts and an initial checkpoint
-        establishes the segment baseline).  Attach **before** creating
-        sessions or view managers over *db*, so the changelog observer
-        runs first in the notification order.
+        :meth:`database` (recovery — appends resume on the recovered log),
+        or any other database (fresh start — an initial checkpoint of its
+        facts establishes the segment baseline).  Attach **before**
+        creating sessions or view managers over *db*, so the changelog
+        observer runs first in the notification order.
         """
         self._check_open()
         if self._db is not None:
             raise RuntimeError("this DurableStore is already attached")
-        in_sync = (
-            db.mutation_version == self._version
-            and len(db) == len(self._store)
+        resume = (
+            self._log_path is not None
+            and db.mutation_version == self._version
+            and len(db) == len(self._facts)
         )
         self._db = db
+        self._facts = ()  # the database holds the committed facts from here on
         db.register_observer(self)
-        if in_sync:
+        if resume:
             # Recovery path: resume appending to the existing changelog,
             # dropping any torn tail left by the crash first.
-            if self._log_path is not None:
-                truncate_changelog(self._log_path, self._log_valid_bytes)
-                self._log = ChangelogWriter(self._log_path, sync=self._sync)
-            else:
-                self.checkpoint(rotate=False)
+            truncate_changelog(self._log_path, self._log_valid_bytes)
+            self._log = ChangelogWriter(self._log_path, sync=self._sync)
         else:
             # Fresh start: adopt the database's current contents as the
             # new baseline and checkpoint immediately so recovery always
             # has a segment to stand on.
-            self._table = InternTable()
-            self._store = ColumnarFactStore(table=self._table)
-            for fact in db.facts:
-                self._store.add_fact(fact)
             self._version = db.mutation_version
-            self._watermark = len(self._table)
-            self.checkpoint(rotate=False)
+            self.checkpoint()
         return self
 
     def detach(self) -> None:
         """Stop observing the attached database (no-op when idle)."""
         if self._db is not None:
             self._db.unregister_observer(self)
+            self._facts = tuple(self._db)
             self._db = None
 
     def close(self) -> None:
@@ -352,7 +293,7 @@ class DurableStore(DatabaseObserver):
         self._commit(changes)
 
     def _commit(self, changes: ChangeSet) -> None:
-        """Mirror one committed batch and append its changelog record.
+        """Append one committed batch's changelog record.
 
         **Never acknowledges an uncommitted batch**: the record is counted
         as a commit only after the changelog append (including its fsync)
@@ -360,33 +301,28 @@ class DurableStore(DatabaseObserver):
         broken handle is closed, any torn partial frame is truncated back
         to the last valid byte, and the append retried on a fresh writer.
         If that retry also fails, :class:`DurabilityError` propagates to
-        the mutating caller, the batch stays mirrored-but-unlogged, and
+        the mutating caller, the batch stays applied-but-unlogged, and
         the store refuses further commits until :meth:`checkpoint`
         re-establishes a durable baseline.
         """
         if not changes or self._closed:
             return
-        version = self._db.mutation_version if self._db is not None else self._version + 1
-        added = self._encode_group(changes.added, add=True)
-        discarded = self._encode_group(changes.discarded, add=False)
-        base = self._watermark
-        values = self._table.values_since(base)
-        self._watermark = base + len(values)
         if self._log is None:
             raise RuntimeError(
                 "DurableStore received a mutation before attach() opened "
                 "its changelog"
             )
+        version = self._db.mutation_version if self._db is not None else self._version + 1
         if self._failed:
-            # The mirror keeps tracking the database (so a checkpoint can
-            # persist everything), but nothing is acknowledged as durable.
+            # Nothing is acknowledged as durable, but the database keeps
+            # every batch, so a checkpoint can still persist it.
             self._version = version
             self.stats.failed_commits += 1
             raise DurabilityError(
                 "durable store is in a failed state after an unrecoverable "
                 "changelog append; checkpoint() to restore durability"
             )
-        record = (version, base, values, added, discarded)
+        record = (version, _row_groups(changes.added), _row_groups(changes.discarded))
         try:
             size = self._log.append(record)
         except OSError:
@@ -427,126 +363,45 @@ class DurableStore(DatabaseObserver):
                 "the batch is NOT durable"
             ) from exc
 
-    def _encode_group(
-        self, facts: Tuple[Fact, ...], add: bool
-    ) -> Tuple[Tuple[str, int, int, Tuple[Tuple[int, ...], ...]], ...]:
-        """Encode net added/discarded facts as per-relation id-row groups,
-        applying them to the mirror store as a side effect."""
-        grouped: Dict[RelationSchema, List[Tuple[int, ...]]] = {}
-        for fact in facts:
-            row = (
-                self._store.add_fact(fact) if add else self._store.discard_fact(fact)
-            )
-            if row is None:
-                # The mirror already agreed (e.g. duplicate replay); net
-                # change sets make this unreachable in normal operation.
-                continue
-            grouped.setdefault(fact.relation, []).append(row)
-        return tuple(
-            (schema.name, schema.arity, schema.key_size, tuple(rows))
-            for schema, rows in grouped.items()
-        )
+    # -- checkpointing ------------------------------------------------------------
 
-    # -- checkpointing and epoch rotation ----------------------------------------
+    def checkpoint(self) -> Dict[str, object]:
+        """Write a segment snapshot of :meth:`facts` and start a fresh changelog.
 
-    def should_rotate(self) -> bool:
-        """Whether the automatic epoch-rotation policy fires right now."""
-        if self._rotate_live_fraction <= 0.0:
-            return False
-        if len(self._table) < self._min_rotate_ids:
-            return False
-        return (
-            self._table.memory_stats()["live_fraction"] < self._rotate_live_fraction
-        )
-
-    def checkpoint(self, rotate: Optional[bool] = None) -> Dict[str, object]:
-        """Write a segment snapshot and start a fresh changelog.
-
-        *rotate* forces (``True``) or suppresses (``False``) the epoch
-        rotation; ``None`` applies the automatic live-fraction policy.
-        Returns a summary dict (segment path, epoch, version, whether the
-        epoch rotated, segment bytes).
-
-        Failure-contained: the rotated table/store only replace the live
-        ones **after** the segment write succeeded (a failed checkpoint
-        never leaves the mirror in a new epoch whose segment does not
-        exist), stale ``*.tmp`` files from the failed write are swept
-        before the error propagates, and a successful checkpoint clears
-        the failed-commit state (the new segment is a complete durable
-        baseline, including any mirrored-but-unlogged batches).
+        Returns a summary dict (segment path, version, segment bytes, fact
+        count).  Failure-contained: stale ``*.tmp`` files from a failed
+        write are swept before the error propagates, and the previous
+        segment and changelog stay in place.  A successful checkpoint
+        clears the failed-commit state: the new segment is a complete
+        durable baseline, including any applied-but-unlogged batches.
         """
         self._check_open()
-        rotated = False
-        if rotate is None:
-            rotate = self.should_rotate()
-        new_table, new_store, new_epoch = self._table, self._store, self._epoch
-        if rotate:
-            new_table, new_store, new_epoch = self._rotated_state()
-            rotated = True
-        segment_path = self._segment_path(self._version, new_epoch)
+        facts = self.facts()
+        segment_path = self._segment_path(self._version)
         try:
-            segment_bytes = write_segment(
-                segment_path,
-                new_store,
-                new_table.snapshot(),
-                new_epoch,
-                self._version,
-            )
+            segment_bytes = write_segment(segment_path, facts, self._version)
         except Exception:
             self.stats.failed_checkpoints += 1
             self._sweep_tmp_files()
             raise
-        if rotated:
-            self._table, self._store, self._epoch = new_table, new_store, new_epoch
-            self.stats.rotations += 1
         if self._log is not None:
             self._log.close()
-        self._log_path = self._wal_path(self._version, self._epoch)
-        # A stale log from an earlier checkpoint at this exact (version,
-        # epoch) would replay twice; start clean.
+        self._log_path = self._wal_path(self._version)
+        # A stale log from an earlier checkpoint at this exact version
+        # would replay twice; start clean.
         if self._log_path.exists():
             self._log_path.unlink()
         self._log = ChangelogWriter(self._log_path, sync=self._sync)
         self._log_valid_bytes = 0
-        self._watermark = len(self._table)
         self._prune_older_than(segment_path, self._log_path)
         self._failed = False
         self.stats.checkpoints += 1
         return {
             "segment": str(segment_path),
-            "epoch": self._epoch,
             "mutation_version": self._version,
-            "rotated": rotated,
             "segment_bytes": segment_bytes,
-            "facts": len(self._store),
-            "constants": len(self._table),
+            "facts": len(facts),
         }
-
-    def _rotated_state(self) -> Tuple[InternTable, ColumnarFactStore, int]:
-        """Live ids remapped into a fresh dense table, columns rewritten.
-
-        Deterministic: old ids map to new ids in old-id order, so two
-        processes rotating the same state produce identical segments.
-        Only the durable tier's private table rotates — ids cached by
-        sessions or plans above the database are untouched.  Pure: the
-        live table/store are not replaced here — :meth:`checkpoint`
-        adopts the rotated state only once its segment is safely on disk.
-        """
-        old_table, old_store = self._table, self._store
-        new_table = InternTable()
-        remap: Dict[int, int] = {}
-        for old_id in sorted(old_store.term_ids()):
-            remap[old_id] = new_table.intern(old_table.constant(old_id))
-        relations = []
-        for name in old_store.relation_names():
-            rel = old_store.relation_columns(name)
-            new_columns = tuple(
-                array("q", (remap[term_id] for term_id in column))
-                for column in rel.columns
-            )
-            relations.append((rel.schema, new_columns))
-        new_store = ColumnarFactStore.from_columns(relations, table=new_table)
-        return new_table, new_store, self._epoch + 1
 
     # -- recovery ----------------------------------------------------------------
 
@@ -556,54 +411,44 @@ class DurableStore(DatabaseObserver):
         # leaves an orphaned *.tmp; it was never part of the committed
         # state, so sweep it before recovery even looks at segments.
         self._sweep_tmp_files()
-        segment_path = None
         for candidate in sorted(self._dir.glob("segment-*.seg"), reverse=True):
             try:
                 segment = read_segment(candidate)
             except (SegmentCorruption, OSError):
                 self.stats.skipped_segments += 1
                 continue
-            segment_path = candidate
             break
-        if segment_path is None:
+        else:
             return  # empty (or unrecoverable) directory: genesis state
-        self._table = InternTable.from_snapshot(segment.values)
-        self._store = ColumnarFactStore.from_columns(segment.relations, self._table)
-        self._epoch = segment.epoch
+        rows = segment.rows()
         self._version = segment.mutation_version
-        self._log_path = self._wal_path(segment.mutation_version, segment.epoch)
+        self._log_path = self._wal_path(segment.mutation_version)
         records, valid_bytes, torn = read_changelog(self._log_path)
         if torn:
             self.stats.torn_tail_bytes = (
                 self._log_path.stat().st_size - valid_bytes
             )
         self._log_valid_bytes = valid_bytes
-        for record in records:
-            version, base, values, added, discarded = record
-            try:
-                self._table.extend_values(base, values)
-            except ValueError:
-                # An intern-suffix skew means the record cannot decode;
-                # everything before it is still committed state.
-                break
-            for name, arity, key_size, rows in added:
-                schema = RelationSchema(name, arity, key_size)
-                for row in rows:
-                    self._store.add_row(schema, tuple(row))
-            for name, _arity, _key_size, rows in discarded:
-                for row in rows:
-                    self._store.discard_row(name, tuple(row))
+        for version, added, discarded in records:
+            for name, arity, key_size, group in added:
+                rows.setdefault(RelationSchema(name, arity, key_size), set()).update(group)
+            for name, arity, key_size, group in discarded:
+                rows.get(RelationSchema(name, arity, key_size), set()).difference_update(group)
             self._version = version
             self.stats.replayed_records += 1
-        self._watermark = len(self._table)
+        self._facts = tuple(
+            Fact(schema, tuple(map(Constant, values)))
+            for schema, group in rows.items()
+            for values in group
+        )
 
     # -- paths and pruning -------------------------------------------------------
 
-    def _segment_path(self, version: int, epoch: int) -> Path:
-        return self._dir / f"segment-{version:012d}.{epoch:06d}.seg"
+    def _segment_path(self, version: int) -> Path:
+        return self._dir / f"segment-{version:012d}.seg"
 
-    def _wal_path(self, version: int, epoch: int) -> Path:
-        return self._dir / f"wal-{version:012d}.{epoch:06d}.log"
+    def _wal_path(self, version: int) -> Path:
+        return self._dir / f"wal-{version:012d}.log"
 
     def _sweep_tmp_files(self) -> int:
         """Delete orphaned ``*.tmp`` files (interrupted checkpoint writes)."""
@@ -631,3 +476,14 @@ class DurableStore(DatabaseObserver):
     def _check_open(self) -> None:
         if self._closed:
             raise RuntimeError("this DurableStore is closed")
+
+
+def _row_groups(facts: Tuple[Fact, ...]) -> RowGroups:
+    """Group net added or discarded facts into per-relation value rows."""
+    grouped: Dict[RelationSchema, List[Tuple]] = {}
+    for fact in facts:
+        grouped.setdefault(fact.relation, []).append(fact.values)
+    return tuple(
+        (schema.name, schema.arity, schema.key_size, tuple(rows))
+        for schema, rows in grouped.items()
+    )

@@ -1,25 +1,26 @@
-"""Segment files: checksummed on-disk snapshots of a columnar store.
+"""Segment files: checksummed on-disk snapshots of a database's facts.
 
-A *segment* is one immutable file holding the full committed state of a
-:class:`~repro.store.columnar.ColumnarFactStore` plus the intern-table
-values its ids decode through.  Layout::
+A *segment* is one immutable file holding the committed facts of a
+database, dictionary-encoded at write time: each distinct constant value
+gets a code in first-seen order, and each relation is stored as one code
+column per position.  Layout::
 
-    [header]  magic  format  epoch  mutation_version  meta_len  body_crc
+    [header]  magic  format  mutation_version  meta_len  body_crc
     [body]    meta blob  ·  per relation, per position: [u64 n][n × int64]
 
 The header is a fixed :mod:`struct` record; ``body_crc`` is the CRC-32 of
 the entire body, so any torn or bit-flipped write is detected at read time
 (:class:`SegmentCorruption`).  The meta blob carries the relation
-signatures (name, arity, key size, row count) and the intern-table values
-**in id order** — position ``i`` is the value of id ``i`` — so a reader
-rebuilds an id-aligned :class:`~repro.store.intern.InternTable` and adopts
-the raw columns without re-encoding a single fact.  Column payloads are
-length-prefixed native ``array('q')`` bytes: writing is one ``tobytes``
-per column, reading one ``frombytes`` — a memcpy, not a parse.
+signatures (name, arity, key size, row count) and the value dictionary
+**in code order** — position ``i`` is the value of code ``i``.  The
+dictionary is built from the facts being written, so a segment holds
+exactly the constants of its facts, whatever churn came before.  Column
+payloads are length-prefixed native ``array('q')`` bytes: writing is one
+``tobytes`` per column, reading one ``frombytes``.
 
 Segments are written to a temporary name and atomically renamed into
 place, so a crash mid-checkpoint never damages the previous segment.
-Only raw values and ids are stored — never object hashes — so segments
+Only raw values and codes are stored — never object hashes — so segments
 are safe across ``PYTHONHASHSEED`` boundaries.  Byte order is the
 writer's native one (durability is a single-machine concern).
 """
@@ -32,18 +33,17 @@ import struct
 import zlib
 from array import array
 from pathlib import Path
-from typing import Any, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Set, Tuple
 
 from ..faults import InjectedFault, fire as _fire_fault
-from ..model.atoms import RelationSchema
-from ..store.columnar import ColumnarFactStore
+from ..model.atoms import Fact, RelationSchema
 
-#: Segment header: magic, format version, epoch, mutation version,
-#: pickled-meta length, CRC-32 of the whole body.
-_HEADER = struct.Struct("<4sIQQQI")
+#: Segment header: magic, format version, mutation version, pickled-meta
+#: length, CRC-32 of the whole body.
+_HEADER = struct.Struct("<4sIQQI")
 _COUNT = struct.Struct("<Q")
 _MAGIC = b"WJSG"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 class SegmentCorruption(Exception):
@@ -51,67 +51,69 @@ class SegmentCorruption(Exception):
 
 
 class SegmentData:
-    """A decoded segment: epoch, version, values, and raw relation columns."""
+    """A decoded segment: version, value dictionary, and code columns."""
 
-    __slots__ = ("epoch", "mutation_version", "values", "relations")
+    __slots__ = ("mutation_version", "values", "relations")
 
     def __init__(
         self,
-        epoch: int,
         mutation_version: int,
         values: Tuple[Any, ...],
         relations: List[Tuple[RelationSchema, Tuple[array, ...]]],
     ) -> None:
-        self.epoch = epoch
         self.mutation_version = mutation_version
         self.values = values
         self.relations = relations
 
+    def rows(self) -> Dict[RelationSchema, Set[Tuple[Any, ...]]]:
+        """Each relation's rows of raw values, decoded through :attr:`values`."""
+        values = self.values
+        return {
+            schema: set(zip(*([values[code] for code in column] for column in columns)))
+            for schema, columns in self.relations
+        }
+
     def fact_count(self) -> int:
-        return sum(
-            len(columns[0]) if columns else 0 for _, columns in self.relations
-        )
+        return sum(len(columns[0]) for _, columns in self.relations)
 
     def __repr__(self) -> str:
         return (
-            f"SegmentData(epoch={self.epoch}, v{self.mutation_version}, "
+            f"SegmentData(v{self.mutation_version}, "
             f"{self.fact_count()} facts, {len(self.values)} constants)"
         )
 
 
-def write_segment(
-    path: Path,
-    store: ColumnarFactStore,
-    values: Sequence[Any],
-    epoch: int,
-    mutation_version: int,
-) -> int:
-    """Write *store*'s contents as a segment file; returns bytes written.
+def write_segment(path: Path, facts: Iterable[Fact], mutation_version: int) -> int:
+    """Write *facts* as a segment file; returns bytes written.
 
-    *values* must be the **full** intern-table value list in id order
-    (:meth:`~repro.store.intern.InternTable.snapshot`), so every id in the
-    columns decodes on read.  The file is written to ``<path>.tmp``,
-    fsynced, and atomically renamed onto *path*.
+    The value dictionary is built from *facts* alone.  The file is written
+    to ``<path>.tmp``, fsynced, and atomically renamed onto *path*.
     """
-    meta_relations = []
+    codes: Dict[Any, int] = {}
+    grouped: Dict[RelationSchema, List[array]] = {}
+    for fact in facts:
+        columns = grouped.get(fact.relation)
+        if columns is None:
+            columns = [array("q") for _ in range(fact.relation.arity)]
+            grouped[fact.relation] = columns
+        for column, value in zip(columns, fact.values):
+            column.append(codes.setdefault(value, len(codes)))
+    meta_relations = tuple(
+        (schema.name, schema.arity, schema.key_size, len(columns[0]))
+        for schema, columns in grouped.items()
+    )
     column_chunks: List[bytes] = []
-    for name in store.relation_names():
-        rel = store.relation_columns(name)
-        schema = rel.schema
-        n_rows = len(rel)
-        meta_relations.append((name, schema.arity, schema.key_size, n_rows))
-        for column in rel.columns:
-            raw = column.tobytes()
+    for columns in grouped.values():
+        for column in columns:
             column_chunks.append(_COUNT.pack(len(column)))
-            column_chunks.append(raw)
+            column_chunks.append(column.tobytes())
     meta_blob = pickle.dumps(
-        (tuple(meta_relations), tuple(values)), protocol=pickle.HIGHEST_PROTOCOL
+        (meta_relations, tuple(codes)), protocol=pickle.HIGHEST_PROTOCOL
     )
     body = meta_blob + b"".join(column_chunks)
     header = _HEADER.pack(
         _MAGIC,
         _FORMAT_VERSION,
-        epoch,
         mutation_version,
         len(meta_blob),
         zlib.crc32(body) & 0xFFFFFFFF,
@@ -142,9 +144,7 @@ def read_segment(path: Path) -> SegmentData:
     data = Path(path).read_bytes()
     if len(data) < _HEADER.size:
         raise SegmentCorruption(f"{path}: shorter than the segment header")
-    magic, fmt, epoch, mutation_version, meta_len, body_crc = _HEADER.unpack_from(
-        data
-    )
+    magic, fmt, mutation_version, meta_len, body_crc = _HEADER.unpack_from(data)
     if magic != _MAGIC:
         raise SegmentCorruption(f"{path}: bad magic {magic!r}")
     if fmt != _FORMAT_VERSION:
@@ -181,7 +181,7 @@ def read_segment(path: Path) -> SegmentData:
             offset += count * itemsize
             columns.append(column)
         relations.append((RelationSchema(name, arity, key_size), tuple(columns)))
-    return SegmentData(epoch, mutation_version, values, relations)
+    return SegmentData(mutation_version, values, relations)
 
 
 def _fsync_directory(directory: Path) -> None:

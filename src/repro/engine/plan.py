@@ -323,8 +323,7 @@ class QueryPlan:
         the *static* per-atom support of the grounded query instead (blocks
         named by constant keys, key masks for partially constant keys, and
         full relations otherwise; see :func:`_record_query_support`), so
-        callers always receive a sound over-approximation without any path
-        falling back to an opaque, dirty-on-every-mutation read set.
+        callers always receive a sound over-approximation.
         """
         if grounding is not None and self.per_grounding:
             return compile_plan(grounding).execute(

@@ -247,8 +247,8 @@ class CertaintySession:
         When *support* is supplied, every decided candidate is mapped to the
         :class:`~repro.fo.compile.ReadSet` of its decision — the dependency
         capture the incremental view subsystem builds its support index
-        from.  Decisions that leave the instrumented compiled-rewriting path
-        yield opaque read sets (a sound "depends on everything").
+        from.  Decisions off the instrumented compiled-rewriting path record
+        the static support of the grounded query instead.
 
         Plans carrying an *open* compiled rewriting decide the whole batch
         with **one** set-at-a-time plan execution (seed every candidate

@@ -175,7 +175,7 @@ def _read_set_is_local(read_set: ReadSet, shard_id: int, n_shards: int) -> bool:
     """
     if n_shards <= 1:
         return True  # a single shard is a full replica
-    if read_set.opaque or read_set.domain_read or read_set.relations:
+    if read_set.domain_read or read_set.relations:
         return False
     for _name, key in read_set.blocks:
         if shard_of_key(key, n_shards) != shard_id:

@@ -121,20 +121,16 @@ class ReadSet:
         purification removes them without changing certainty;
     ``domain_read``
         the execution consulted the active domain derived from the whole
-        index — any mutation anywhere may change the verdict;
-    ``opaque``
-        the execution left every instrumented path: the read set is unknown
-        and callers must treat the verdict as depending on everything.
+        index — any mutation anywhere may change the verdict.
     """
 
-    __slots__ = ("blocks", "block_ids", "relations", "key_masks", "domain_read", "opaque")
+    __slots__ = ("blocks", "block_ids", "relations", "key_masks", "domain_read")
 
     def __init__(
         self,
         blocks: FrozenSet[BlockKey] = frozenset(),
         relations: FrozenSet[str] = frozenset(),
         domain_read: bool = False,
-        opaque: bool = False,
         block_ids: FrozenSet[int] = frozenset(),
         key_masks: FrozenSet[Tuple[str, KeyMask]] = frozenset(),
     ) -> None:
@@ -143,12 +139,6 @@ class ReadSet:
         self.relations = relations
         self.key_masks = key_masks
         self.domain_read = domain_read
-        self.opaque = opaque
-
-    @property
-    def is_global(self) -> bool:
-        """``True`` when any mutation whatsoever must dirty the verdict."""
-        return self.domain_read or self.opaque
 
     def to_portable(self, store) -> "ReadSet":
         """Decode store-local block ids into portable ``(name, key)`` keys.
@@ -167,13 +157,10 @@ class ReadSet:
             blocks=frozenset(blocks),
             relations=self.relations,
             domain_read=self.domain_read,
-            opaque=self.opaque,
             key_masks=self.key_masks,  # already object-space, hence portable
         )
 
     def __repr__(self) -> str:
-        if self.opaque:
-            return "ReadSet(opaque)"
         if self.domain_read:
             return "ReadSet(domain)"
         return (
@@ -187,7 +174,6 @@ class ReadSet:
             self.blocks,
             self.relations,
             self.domain_read,
-            self.opaque,
             self.block_ids,
             self.key_masks,
         )
@@ -197,7 +183,6 @@ class ReadSet:
             self.blocks,
             self.relations,
             self.domain_read,
-            self.opaque,
             self.block_ids,
             self.key_masks,
         ) = state
@@ -211,14 +196,13 @@ class ReadSetRecorder:
     immutable :class:`ReadSet` of that execution.
     """
 
-    __slots__ = ("block_ids", "relations", "key_masks", "domain_read", "opaque")
+    __slots__ = ("block_ids", "relations", "key_masks", "domain_read")
 
     def __init__(self) -> None:
         self.block_ids: Set[Tuple[str, int]] = set()
         self.relations: Set[str] = set()
         self.key_masks: Set[Tuple[str, KeyMask]] = set()
         self.domain_read = False
-        self.opaque = False
 
     def record_block_id(self, name: str, block_id: int) -> None:
         """Record a probe by dense block id."""
@@ -233,10 +217,6 @@ class ReadSetRecorder:
 
     def record_domain(self) -> None:
         self.domain_read = True
-
-    def record_opaque(self) -> None:
-        """Mark the read set unknown (execution left the instrumented path)."""
-        self.opaque = True
 
     def freeze(self) -> ReadSet:
         """The immutable read set collected so far."""
@@ -255,7 +235,6 @@ class ReadSetRecorder:
             relations=frozenset(self.relations),
             key_masks=key_masks,
             domain_read=self.domain_read,
-            opaque=self.opaque,
         )
 
 

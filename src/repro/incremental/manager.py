@@ -214,15 +214,13 @@ class ViewManager(DatabaseObserver):
     def full_refresh_causes(self) -> Dict[str, int]:
         """Mutation-driven full-refresh cause counters, summed over views.
 
-        Keys: ``band_opaque`` (a coarse view for an unknown reason — should
-        stay zero now that every band records support), ``per_grounding``
-        (self-join plans that re-classify per grounding), and ``oversized``
-        (dirty sets past the threshold).  Initial materializations and
-        explicit :meth:`refresh_all` calls are not attributed to a cause.
+        Keys: ``per_grounding`` (self-join plans that re-classify per
+        grounding) and ``oversized`` (dirty sets past the threshold).
+        Initial materializations and explicit :meth:`refresh_all` calls
+        are not attributed to a cause.
         """
-        causes = {"band_opaque": 0, "per_grounding": 0, "oversized": 0}
+        causes = {"per_grounding": 0, "oversized": 0}
         for view in self._views.values():
-            causes["band_opaque"] += view.stats.full_refreshes_band_opaque
             causes["per_grounding"] += view.stats.full_refreshes_per_grounding
             causes["oversized"] += view.stats.full_refreshes_oversized
         return causes

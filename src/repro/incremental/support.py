@@ -11,8 +11,8 @@ exactly the candidates whose verdict may have changed.
 Soundness rests on the determinism argument documented on ``ReadSet``: a
 decision whose read set is disjoint from the touched blocks/relations
 re-executes identically, so its verdict is unchanged and need not be
-re-decided.  Candidates with *global* read sets (domain reads, opaque
-fallbacks) are dirtied by every mutation.
+re-decided.  Candidates whose read sets consulted the active domain
+(*global* support) are dirtied by every mutation.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ class SupportIndex:
         """Record (or replace) the read set supporting *candidate*."""
         self.remove(candidate)
         self._reads[candidate] = read_set
-        if read_set.is_global:
+        if read_set.domain_read:
             self._global.add(candidate)
             return
         for block_id in read_set.block_ids:
@@ -86,7 +86,7 @@ class SupportIndex:
         read_set = self._reads.pop(candidate, None)
         if read_set is None:
             return
-        if read_set.is_global:
+        if read_set.domain_read:
             self._global.discard(candidate)
             return
         for block_id in read_set.block_ids:
@@ -141,7 +141,7 @@ class SupportIndex:
 
     @property
     def global_candidates(self) -> Set[Candidate]:
-        """Candidates dirtied by *every* mutation (domain/opaque read sets)."""
+        """Candidates dirtied by *every* mutation (domain-reading read sets)."""
         return set(self._global)
 
     @property
@@ -178,7 +178,7 @@ class SupportIndex:
     def dependencies_of(self, candidate: Candidate) -> int:
         """How many block/relation entries support *candidate* (0 if global)."""
         read_set = self._reads.get(candidate)
-        if read_set is None or read_set.is_global:
+        if read_set is None or read_set.domain_read:
             return 0
         return (
             len(read_set.block_ids) + len(read_set.key_masks) + len(read_set.relations)
@@ -203,7 +203,7 @@ class SupportIndex:
     def check_invariants(self) -> None:
         """Verify the forward and inverted maps agree; raise on corruption."""
         for candidate, read_set in self._reads.items():
-            if read_set.is_global:
+            if read_set.domain_read:
                 assert candidate in self._global, f"{candidate} missing from global set"
                 continue
             for block_id in read_set.block_ids:
@@ -243,6 +243,6 @@ class SupportIndex:
                     )
         for candidate in self._global:
             read_set = self._reads.get(candidate)
-            assert read_set is not None and read_set.is_global, (
+            assert read_set is not None and read_set.domain_read, (
                 f"stale global entry {candidate}"
             )

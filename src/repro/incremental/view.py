@@ -66,15 +66,13 @@ class ViewStats:
         batches discarded by the relation prefilter (no decision run);
     ``incremental_refreshes`` / ``full_refreshes``
         how the remaining batches were served;
-    ``full_refreshes_band_opaque`` / ``full_refreshes_per_grounding`` /
-    ``full_refreshes_oversized``
-        why mutation-driven full refreshes happened: the view is coarse for
-        an unknown (band-opaque) reason, the view is coarse because its
-        plan re-classifies per grounding (self-joins), or the dirty set
-        exceeded ``full_refresh_threshold``.  The initial materialization
-        and explicit :meth:`MaterializedCertainView.refresh` calls count in
-        ``full_refreshes`` only.  PTIME-band views on the id kernels should
-        show zero band-opaque refreshes — asserted by the test suite;
+    ``full_refreshes_per_grounding`` / ``full_refreshes_oversized``
+        why mutation-driven full refreshes happened: the view is coarse
+        because its plan re-classifies per grounding (self-joins), or the
+        dirty set exceeded ``full_refresh_threshold``.  The initial
+        materialization and explicit
+        :meth:`MaterializedCertainView.refresh` calls count in
+        ``full_refreshes`` only;
     ``decisions``
         total per-candidate certainty decisions run on behalf of the view;
     ``last_dirty`` / ``last_decided``
@@ -92,7 +90,6 @@ class ViewStats:
         "skipped_refreshes",
         "incremental_refreshes",
         "full_refreshes",
-        "full_refreshes_band_opaque",
         "full_refreshes_per_grounding",
         "full_refreshes_oversized",
         "decisions",
@@ -108,7 +105,6 @@ class ViewStats:
         self.skipped_refreshes = 0
         self.incremental_refreshes = 0
         self.full_refreshes = 0
-        self.full_refreshes_band_opaque = 0
         self.full_refreshes_per_grounding = 0
         self.full_refreshes_oversized = 0
         self.decisions = 0
@@ -185,7 +181,6 @@ class MaterializedCertainView:
         # query — so only per-grounding (self-join) plans stay coarse: their
         # groundings can collapse atoms, changing what the support covers.
         self._fine_grained = not plan.per_grounding
-        self._coarse_cause = "per-grounding" if plan.per_grounding else None
         # Sessions capture read sets as dense block ids; the store's
         # resolver translates touched blocks into that id space.
         self._support = SupportIndex(manager.session.store.known_block_id)
@@ -307,10 +302,7 @@ class MaterializedCertainView:
             self._full_refresh()
             return
         if not self._fine_grained:
-            if self._coarse_cause == "per-grounding":
-                self.stats.full_refreshes_per_grounding += 1
-            else:
-                self.stats.full_refreshes_band_opaque += 1
+            self.stats.full_refreshes_per_grounding += 1
             self._full_refresh()
             return
         self._incremental_refresh(changes)

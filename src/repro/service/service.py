@@ -262,10 +262,10 @@ class CertaintyService:
 
     # -- durability --------------------------------------------------------------
 
-    def checkpoint(self, tenant_id: str, rotate: Optional[bool] = None) -> Optional[dict]:
+    def checkpoint(self, tenant_id: str) -> Optional[dict]:
         """Write a durable segment snapshot of one tenant (``None`` if not durable)."""
         self._check_open()
-        return self.tenant(tenant_id).checkpoint(rotate=rotate)
+        return self.tenant(tenant_id).checkpoint()
 
     def checkpoint_all(self) -> Dict[str, Optional[dict]]:
         """Checkpoint every tenant; maps tenant id → checkpoint summary."""

@@ -22,7 +22,8 @@ A :class:`Tenant` bundles everything one customer of the
   persisting every committed batch: construction over a non-empty
   directory *recovers* the tenant — the persisted state wins over the
   ``facts`` argument — and :meth:`Tenant.checkpoint` writes segment
-  snapshots (rotating the intern-table epoch when churn warrants it).
+  snapshots.  The durable tier logs facts as raw values, so the private
+  table above is the tenant's only encoded copy of its data.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class Tenant:
             # attaches before the session and view manager below, so its
             # changelog observer always runs first.
             self.durable = DurableStore(durability_dir, sync=durability_sync)
-            if self.durable.mutation_version > 0 or len(self.durable.store) > 0:
+            if self.durable.mutation_version > 0 or self.durable.facts():
                 self.db = self.durable.database(schema=schema)
             else:
                 self.db = UncertainDatabase(facts, schema=schema)
@@ -228,20 +229,18 @@ class Tenant:
 
     # -- durability --------------------------------------------------------------
 
-    def checkpoint(self, rotate: Optional[bool] = None) -> Optional[dict]:
+    def checkpoint(self) -> Optional[dict]:
         """Write a durable segment snapshot of this tenant's database now.
 
         Returns the checkpoint summary (see
         :meth:`~repro.durability.DurableStore.checkpoint`), or ``None``
-        when the tenant was created without a ``durability_dir``.  *rotate*
-        forces or suppresses the intern-table epoch rotation; the default
-        applies the automatic live-fraction policy.
+        when the tenant was created without a ``durability_dir``.
         """
         with self._lock:
             self._check_open()
             if self.durable is None:
                 return None
-            return self.durable.checkpoint(rotate=rotate)
+            return self.durable.checkpoint()
 
     # -- observability -----------------------------------------------------------
 
@@ -251,7 +250,7 @@ class Tenant:
         ``intern_memory`` is the private table's
         :meth:`~repro.store.intern.InternTable.memory_stats` — the
         previously un-aggregated footprint the service surfaces per tenant;
-        ``store_memory`` adds the columnar store's column footprint.
+        ``store_memory`` adds the columnar store's index footprint.
         """
         with self._lock:
             store = self.session.store
@@ -278,7 +277,6 @@ class Tenant:
                 ),
                 "durability": (
                     {
-                        "epoch": self.durable.epoch,
                         "mutation_version": self.durable.mutation_version,
                         **self.durable.stats.as_dict(),
                     }

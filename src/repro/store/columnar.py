@@ -1,9 +1,8 @@
-"""The interned columnar fact store: relations as integer columns.
+"""The interned columnar fact store: relations as rows of term ids.
 
 A :class:`ColumnarFactStore` holds each relation as a set of *rows of term
-ids* — per-position ``array('q')`` columns backed by an O(1) row index and
-per-block slices — over a shared :class:`~repro.store.intern.InternTable`.
-It is the integer-encoded twin of the fact dictionaries the engine
+ids* — an O(1) row index plus per-block slices — over a shared
+:class:`~repro.store.intern.InternTable`.  It is the integer-encoded twin of the fact dictionaries the engine
 historically ran on: every hot kernel (hash joins, anti-joins, block
 probes, purify sweeps, candidate enumeration) operates on small-int tuples
 instead of :class:`~repro.model.symbols.Constant` objects.
@@ -14,11 +13,13 @@ Storage invariants
 * one :class:`_RelationColumns` per relation name, with a single fixed
   signature (the engine only ever builds a store over one database, whose
   :class:`~repro.model.schema.DatabaseSchema` already enforces this);
-* ``columns[p][i]`` is the term id of position ``p`` of row ``i``; the
-  ``row_index`` dict maps each id-tuple to its row position, and deletion
-  swap-removes with the last row so the columns stay dense;
-* blocks are keyed by the id-tuple of the primary-key positions; each
-  *live* block also has a dense integer **block id**, interned in the
+* ``row_index`` is an insertion-ordered dict whose keys are the
+  relation's id-rows (its values are unused ``None``); every kernel
+  iterates rows in that order, so scans and searches visit rows in
+  insertion order, minus deletions;
+* ``blocks`` maps the id-tuple of the primary-key positions of each
+  non-empty block to its rows, and agrees with ``row_index`` row for row;
+  each *live* block also has a dense integer **block id**, interned in the
   store-level block table.  Block ids are append-only: they survive the
   block emptying out (and are also assigned to *probed but absent* blocks
   when a read-set recorder asks), so a read set recorded against a block id
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import sys
 import threading
-from array import array
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..model.atoms import Fact, RelationSchema
@@ -52,16 +52,14 @@ _EMPTY_BLOCK: Tuple[IntRow, ...] = ()
 
 
 class _RelationColumns:
-    """One relation of the store: integer columns plus row and block indexes."""
+    """One relation of the store: its id-rows plus the block index."""
 
-    __slots__ = ("schema", "columns", "row_index", "blocks")
+    __slots__ = ("schema", "row_index", "blocks")
 
     def __init__(self, schema: RelationSchema) -> None:
         self.schema = schema
-        #: Per-position arrays of term ids; row ``i`` spans ``columns[*][i]``.
-        self.columns: List[array] = [array("q") for _ in range(schema.arity)]
-        #: id-row -> position in the columns (O(1) membership).
-        self.row_index: Dict[IntRow, int] = {}
+        #: The id-rows in insertion order (O(1) membership; values unused).
+        self.row_index: Dict[IntRow, None] = {}
         #: key-id-tuple -> the rows of that block (the per-block slice).
         self.blocks: Dict[IntKey, List[IntRow]] = {}
 
@@ -107,7 +105,7 @@ class ColumnarFactStore:
         return f"ColumnarFactStore({self._size} facts, {len(self._relations)} relations)"
 
     def relation_columns(self, name: str) -> Optional[_RelationColumns]:
-        """The columns of relation *name* (``None`` when never populated)."""
+        """The rows and blocks of relation *name* (``None`` when never populated)."""
         return self._relations.get(name)
 
     def relation_names(self) -> Tuple[str, ...]:
@@ -195,7 +193,7 @@ class ColumnarFactStore:
         return fact.relation.name, tuple(intern(t) for t in fact.terms)
 
     def _relation_for(self, schema: RelationSchema) -> _RelationColumns:
-        """The (possibly new) columns of *schema*'s relation, signature-checked."""
+        """The (possibly new) entry of *schema*'s relation, signature-checked."""
         name = schema.name
         rel = self._relations.get(name)
         if rel is None:
@@ -219,15 +217,12 @@ class ColumnarFactStore:
         """Insert an already-interned id-row; ``False`` when already present.
 
         The id-space twin of :meth:`add_fact` — every id of *row* must have
-        been produced by this store's intern table (e.g. by changelog
-        replay, which ships the intern-table suffix ahead of the rows).
+        been produced by this store's intern table.
         """
         rel = self._relation_for(schema)
         if row in rel.row_index:
             return False
-        rel.row_index[row] = len(rel.row_index)
-        for column, term_id in zip(rel.columns, row):
-            column.append(term_id)
+        rel.row_index[row] = None
         key = row[: schema.key_size]
         block = rel.blocks.get(key)
         if block is None:
@@ -235,7 +230,6 @@ class ColumnarFactStore:
             self.block_id(schema.name, key)  # assign (or reuse) the dense block id
         else:
             block.append(row)
-        self._table.retain_row(row)
         self._size += 1
         return True
 
@@ -265,28 +259,15 @@ class ColumnarFactStore:
     def discard_row(self, name: str, row: IntRow) -> bool:
         """Remove an id-row from relation *name*; ``False`` when absent."""
         rel = self._relations.get(name)
-        if rel is None:
+        if rel is None or row not in rel.row_index:
             return False
-        position = rel.row_index.pop(row, None)
-        if position is None:
-            return False
-        # Swap-remove keeps the columns dense: move the last row into the
-        # vacated position and re-point its row-index entry.
-        last = len(rel.row_index)  # index of the final row after the pop
-        if position != last:
-            moved = tuple(column[last] for column in rel.columns)
-            for column in rel.columns:
-                column[position] = column[last]
-            rel.row_index[moved] = position
-        for column in rel.columns:
-            column.pop()
+        del rel.row_index[row]
         key = row[: rel.schema.key_size]
         block = rel.blocks.get(key)
         if block is not None:
             block.remove(row)
             if not block:
                 del rel.blocks[key]  # the block id stays interned
-        self._table.release_row(row)
         self._size -= 1
         return True
 
@@ -311,65 +292,19 @@ class ColumnarFactStore:
             for row in rel.row_index:
                 yield Fact(schema, decode(row))
 
-    @classmethod
-    def from_columns(
-        cls,
-        relations: Sequence[Tuple[RelationSchema, Sequence[array]]],
-        table: InternTable,
-    ) -> "ColumnarFactStore":
-        """Adopt already-encoded columns wholesale — no per-fact interning.
-
-        This is the restore path of the durability tier: the caller hands
-        per-relation ``array('q')`` columns whose ids are valid in *table*
-        (a segment file read back, or rotated columns remapped into a fresh
-        epoch table), and the store rebuilds only its derived indexes (row
-        index, block slices, block ids) from the raw arrays.  No
-        :class:`~repro.model.atoms.Fact` objects are materialised and no
-        constant is re-interned.
-        """
-        store = cls(table=table)
-        for schema, columns in relations:
-            rel = store._relation_for(schema)
-            if rel.row_index:
-                raise ValueError(f"relation {schema.name!r} adopted twice")
-            n_rows = len(columns[0]) if columns else 0
-            for column, source in zip(rel.columns, columns):
-                column.extend(source)
-            key_size = schema.key_size
-            for i in range(n_rows):
-                row = tuple(column[i] for column in rel.columns)
-                if row in rel.row_index:
-                    raise ValueError(
-                        f"duplicate row {row} in adopted columns of {schema.name!r}"
-                    )
-                rel.row_index[row] = i
-                key = row[:key_size]
-                block = rel.blocks.get(key)
-                if block is None:
-                    rel.blocks[key] = [row]
-                    store.block_id(schema.name, key)
-                else:
-                    block.append(row)
-                table.retain_row(row)
-                store._size += 1
-        return store
-
     # -- diagnostics -------------------------------------------------------------
 
     def memory_stats(self) -> Dict[str, int]:
         """Approximate per-component byte counts of the store."""
-        column_bytes = 0
         row_index_bytes = 0
         block_bytes = 0
         for rel in self._relations.values():
-            column_bytes += sum(column.itemsize * len(column) for column in rel.columns)
             row_index_bytes += sys.getsizeof(rel.row_index)
             block_bytes += sys.getsizeof(rel.blocks)
         return {
             "facts": self._size,
             "relations": len(self._relations),
             "blocks_interned": len(self._block_keys),
-            "column_bytes": column_bytes,
             "row_index_bytes": row_index_bytes,
             "block_index_bytes": block_bytes,
         }

@@ -20,7 +20,9 @@ Interning invariants
 2. **Append-only**: constants are never removed, even when every fact
    using them is discarded.  The table is a process-lifetime dictionary;
    its memory footprint is bounded by the number of *distinct* constants
-   ever seen (see :meth:`InternTable.memory_stats`).
+   ever seen (see :meth:`InternTable.memory_stats`).  Nothing compacts
+   it: a tenant's table grows with the distinct constants the tenant has
+   seen, and dropping the tenant releases it whole.
 3. **Total over the execution**: every id that appears in a columnar row,
    a probe key, or a decoded answer was produced by this table, so
    decoding (:meth:`InternTable.constant`) is always defined.
@@ -56,14 +58,11 @@ class InternTable:
     constant always yields the same id.
     """
 
-    __slots__ = ("_ids", "_constants", "_live_counts", "_lock")
+    __slots__ = ("_ids", "_constants", "_lock")
 
     def __init__(self, values: Iterable[Any] = ()) -> None:
         self._ids: Dict[Constant, int] = {}
         self._constants: List[Constant] = []
-        #: Per-id count of row occurrences across the stores using this
-        #: table (see :meth:`retain_row`); grown lazily to the table size.
-        self._live_counts: List[int] = []
         self._lock = threading.Lock()
         for value in values:
             self.intern(value if isinstance(value, Constant) else Constant(value))
@@ -90,43 +89,6 @@ class InternTable:
     def id_of(self, constant: Constant) -> Optional[int]:
         """The id of *constant* if already interned, else ``None``."""
         return self._ids.get(constant)
-
-    # -- live-id tracking --------------------------------------------------------
-    #
-    # The table is append-only (invariant 2): ids of constants that no
-    # longer appear in any fact are never reclaimed, so a churn-heavy
-    # stream grows the table without bound.  The counts below track how
-    # many stored row *occurrences* reference each id, which is what the
-    # durability tier's epoch rotation reads to decide when remapping the
-    # live ids into a fresh dense table pays off.  Counts are maintained
-    # by :class:`~repro.store.columnar.ColumnarFactStore` mutations under
-    # the same single-writer assumption as the database itself; ids
-    # interned for queries (candidate groundings, plan placeholders) but
-    # never stored count as dead.
-
-    def retain_row(self, ids: Iterable[int]) -> None:
-        """Count every id of a stored row as one more live occurrence."""
-        counts = self._live_counts
-        for term_id in ids:
-            if term_id >= len(counts):
-                grow = max(len(self._constants), term_id + 1) - len(counts)
-                counts.extend([0] * grow)
-            counts[term_id] += 1
-
-    def release_row(self, ids: Iterable[int]) -> None:
-        """Drop one live occurrence per id of a removed row."""
-        counts = self._live_counts
-        for term_id in ids:
-            if term_id < len(counts) and counts[term_id] > 0:
-                counts[term_id] -= 1
-
-    def live_ids(self) -> List[int]:
-        """The ids referenced by at least one stored row, in id order."""
-        return [i for i, count in enumerate(self._live_counts) if count > 0]
-
-    def live_count(self) -> int:
-        """How many distinct ids are referenced by some stored row."""
-        return sum(1 for count in self._live_counts if count > 0)
 
     # -- decoding ----------------------------------------------------------------
 
@@ -159,15 +121,8 @@ class InternTable:
         values_bytes = sum(
             sys.getsizeof(c) + sys.getsizeof(c.value) for c in self._constants
         )
-        total = len(self._constants)
-        live = self.live_count()
         return {
-            "constants": total,
-            "live_constants": live,
-            # The epoch-rotation signal: what fraction of the (append-only)
-            # id space still appears in some stored row.  An empty table is
-            # fully live by convention.
-            "live_fraction": (live / total) if total else 1.0,
+            "constants": len(self._constants),
             "values_bytes": values_bytes,
             "forward_dict_bytes": sys.getsizeof(self._ids),
             "reverse_list_bytes": sys.getsizeof(self._constants),
@@ -231,7 +186,6 @@ class InternTable:
     def __setstate__(self, values: Tuple[Any, ...]) -> None:
         self._ids = {}
         self._constants = []
-        self._live_counts = []
         self._lock = threading.Lock()
         for value in values:
             self.intern(Constant(value))

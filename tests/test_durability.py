@@ -1,4 +1,4 @@
-"""Durability tier: segments, changelog, crash recovery, intern epochs.
+"""Durability tier: segments, changelog, crash recovery, live segments.
 
 The harness convention throughout: *ground truth* is the live database the
 mutations actually ran against (and a fresh session's certain answers over
@@ -28,10 +28,12 @@ from repro.durability import (
 from repro.incremental import ViewManager
 from repro.query import figure2_q1, figure4_query
 from repro.query.families import path_query
+from repro.model.atoms import Fact
+from repro.model.symbols import Constant
 from repro.service import CertaintyService
 from repro.store import ColumnarFactStore, InternTable
 from repro.workloads import apply_batch, mutation_stream, synthetic_instance
-from tests.helpers import open_variant
+from tests.helpers import constructions, open_variant
 
 
 def band_cases():
@@ -73,43 +75,42 @@ def quickstart_db():
 # --------------------------------------------------------------------------------
 
 
-class TestSegments:
-    def _store(self):
-        _, db = quickstart_db()
-        table = InternTable()
-        store = ColumnarFactStore(table=table)
-        for fact in db.facts:
-            store.add_fact(fact)
-        return db, table, store
+def live_values(facts):
+    """The distinct raw constant values of *facts*."""
+    return {value for fact in facts for value in fact.values}
 
+
+class TestSegments:
     def test_round_trip(self, tmp_path):
-        db, table, store = self._store()
+        _, db = quickstart_db()
         path = tmp_path / "s.seg"
-        n = write_segment(path, store, table.snapshot(), epoch=3, mutation_version=17)
+        n = write_segment(path, db.facts, mutation_version=17)
         assert n == path.stat().st_size
         segment = read_segment(path)
-        assert segment.epoch == 3
         assert segment.mutation_version == 17
         assert segment.fact_count() == len(db)
-        rebuilt_table = InternTable.from_snapshot(segment.values)
-        rebuilt = ColumnarFactStore.from_columns(segment.relations, rebuilt_table)
-        assert set(rebuilt.decode_facts()) == db.facts
+        assert sorted(segment.values, key=repr) == sorted(live_values(db.facts), key=repr)
+        rebuilt = {
+            Fact(schema, tuple(map(Constant, values)))
+            for schema, rows in segment.rows().items()
+            for values in rows
+        }
+        assert rebuilt == db.facts
 
     def test_empty_store_round_trip(self, tmp_path):
-        table = InternTable()
-        store = ColumnarFactStore(table=table)
         path = tmp_path / "s.seg"
-        write_segment(path, store, table.snapshot(), epoch=0, mutation_version=0)
+        write_segment(path, (), mutation_version=0)
         segment = read_segment(path)
         assert segment.fact_count() == 0
         assert segment.values == ()
+        assert segment.rows() == {}
 
     def test_bit_flip_anywhere_in_body_is_detected(self, tmp_path):
-        _, table, store = self._store()
+        _, db = quickstart_db()
         path = tmp_path / "s.seg"
-        write_segment(path, store, table.snapshot(), epoch=0, mutation_version=1)
+        write_segment(path, db.facts, mutation_version=1)
         data = bytearray(path.read_bytes())
-        header_size = struct.calcsize("<4sIQQQI")
+        header_size = struct.calcsize("<4sIQQI")
         for offset in range(header_size, len(data), max(1, (len(data) - header_size) // 7)):
             flipped = bytearray(data)
             flipped[offset] ^= 0xFF
@@ -120,9 +121,9 @@ class TestSegments:
         read_segment(path)  # pristine bytes still parse
 
     def test_truncation_is_detected(self, tmp_path):
-        _, table, store = self._store()
+        _, db = quickstart_db()
         path = tmp_path / "s.seg"
-        write_segment(path, store, table.snapshot(), epoch=0, mutation_version=1)
+        write_segment(path, db.facts, mutation_version=1)
         data = path.read_bytes()
         for cut in (3, len(data) // 2, len(data) - 1):
             path.write_bytes(data[:cut])
@@ -142,7 +143,7 @@ class TestSegments:
 
 
 def _record(version):
-    return (version, 0, (), (("R", 2, 1, ((version, version),)),), ())
+    return (version, (("R", 2, 1, ((version, version),)),), ())
 
 
 class TestChangelog:
@@ -224,8 +225,8 @@ class TestDurableStore:
         with DurableStore(tmp_path) as durable:
             durable.attach(db)
             assert durable.stats.checkpoints == 1
-            assert list(tmp_path.glob("segment-*.seg"))
-            assert durable.facts() == tuple(durable.store.decode_facts())
+            (segment,) = tmp_path.glob("segment-*.seg")
+            assert read_segment(segment).fact_count() == len(db)
             assert set(durable.facts()) == db.facts
 
     def test_recovery_restores_facts_and_version(self, tmp_path):
@@ -308,7 +309,7 @@ class TestDurableStore:
         segment.write_bytes(bytes(data))
         recovered = DurableStore.open(tmp_path)
         assert recovered.stats.skipped_segments == 1
-        assert len(recovered.store) == 0  # no older segment to fall back on
+        assert recovered.facts() == ()  # no older segment to fall back on
 
     def test_checkpoint_prunes_superseded_files(self, tmp_path):
         q, db = quickstart_db()
@@ -398,70 +399,60 @@ class TestBandRecoveryEquivalence:
 
 
 # --------------------------------------------------------------------------------
-# Intern-table epochs
+# Live segments: a checkpoint writes the live facts' constants, nothing more
 # --------------------------------------------------------------------------------
 
 
-class TestEpochRotation:
-    def _churn(self, tmp_path, **store_kwargs):
-        """Write then delete many facts so most interned ids go dead."""
-        q = parse_query("R(x | y)")
-        schema = q.schema()
+class TestLiveSegments:
+    @pytest.mark.parametrize(
+        "generations,size,kept",
+        [(5, 20, 1), (4, 20, 3), (5, 4, 1)],
+        ids=["5x20-keep1", "4x20-keep3", "5x4-keep1"],
+    )
+    def test_checkpoint_writes_only_live_constants(self, tmp_path, generations, size, kept):
+        """Write generations of fresh facts, discard all but the last *kept*."""
+        schema = parse_query("R(x | y)").schema()
         db = UncertainDatabase(schema=schema)
-        durable = DurableStore(tmp_path, **store_kwargs).attach(db)
-        generations = [
-            parse_facts([f"R('k{g}-{i}' | 'v{g}-{i}')" for i in range(20)], schema=schema)
-            for g in range(5)
+        durable = DurableStore(tmp_path).attach(db)
+        batches = [
+            parse_facts([f"R('k{g}-{i}' | 'v{g}-{i}')" for i in range(size)], schema=schema)
+            for g in range(generations)
         ]
-        for facts in generations:
+        for facts in batches:
             db.bulk_add(facts)
-        for facts in generations[:-1]:  # keep only the last generation live
+        for facts in batches[:-kept]:
             db.bulk_discard(facts)
-        return q, db, durable
-
-    def test_rotation_compacts_to_live_constants(self, tmp_path):
-        _, db, durable = self._churn(tmp_path)
-        table = durable.table
-        assert table.memory_stats()["live_fraction"] < 0.5
-        before = len(table)
-        summary = durable.checkpoint(rotate=True)
-        assert summary["rotated"]
-        assert durable.epoch == 1
-        # The acceptance bound: post-rotation id count never exceeds the
-        # number of distinct constants in the live facts.
-        distinct_live = len({c for f in db.facts for c in f.terms})
-        assert len(durable.table) <= distinct_live
-        assert len(durable.table) < before
-        assert set(durable.store.decode_facts()) == db.facts
-
-    def test_recovery_after_rotation(self, tmp_path):
-        q, db, durable = self._churn(tmp_path)
-        durable.checkpoint(rotate=True)
-        db.add(parse_facts(["R('post' | 'rotation')"], schema=q.schema())[0])
-        durable.simulate_crash()
-        recovered = DurableStore.open(tmp_path)
-        assert recovered.epoch == 1
-        assert recovered.database().facts == db.facts
-
-    def test_automatic_rotation_policy(self, tmp_path):
-        _, db, durable = self._churn(tmp_path, min_rotate_ids=8)
-        assert durable.should_rotate()
-        summary = durable.checkpoint()  # rotate=None applies the policy
-        assert summary["rotated"] and durable.epoch == 1
-        assert not durable.should_rotate()  # freshly dense table
-        assert durable.checkpoint()["rotated"] is False
-
-    def test_rotation_disabled_below_id_floor(self, tmp_path):
-        _, db, durable = self._churn(tmp_path, min_rotate_ids=10_000)
-        assert not durable.should_rotate()
-        assert durable.checkpoint()["rotated"] is False
-
-    def test_epoch_lands_in_segment_header(self, tmp_path):
-        _, db, durable = self._churn(tmp_path)
-        durable.checkpoint(rotate=True)
+        summary = durable.checkpoint()
+        segment = read_segment(summary["segment"])
+        live = live_values(db.facts)
+        assert set(segment.values) == live
+        assert len(segment.values) == len(live)
         durable.close()
-        segment = read_segment(next(tmp_path.glob("segment-*.seg")))
-        assert segment.epoch == 1
+
+    @pytest.mark.parametrize("query,allow", band_cases())
+    def test_recovery_after_churn(self, tmp_path, query, allow):
+        db = synthetic_instance(
+            query, seed=2, domain_size=4, witnesses=5, conflict_rate=0.5
+        )
+        durable = DurableStore(tmp_path).attach(db)
+        db.bulk_discard(list(db.facts))  # churn: every first-generation fact goes
+        stream = mutation_stream(
+            query, db, steps=16, seed=2, domain_size=6, batch_range=(1, 4)
+        )
+        for step, batch in enumerate(stream):
+            apply_batch(db, batch)
+            if step == 7:
+                durable.checkpoint()  # then more writes land in the changelog
+        ground_truth = certain(db, query, allow)
+        expected_facts, expected_version = set(db.facts), db.mutation_version
+        durable.simulate_crash()
+
+        recovered = DurableStore.open(tmp_path)
+        assert recovered.stats.replayed_records > 0
+        rdb = recovered.database()
+        assert set(rdb.facts) == expected_facts
+        assert rdb.mutation_version == expected_version
+        assert certain(rdb, query, allow) == ground_truth
 
 
 # --------------------------------------------------------------------------------
@@ -485,6 +476,23 @@ class TestServiceDurability:
             assert tenant2.db.facts == expected
             assert svc2.certain_answers("acme", q, timeout=10) == answers
             assert tenant2.stats()["durability"]["mutation_version"] > 0
+
+    def test_durable_tenant_keeps_one_encoded_copy(self, tmp_path):
+        """The durable tier logs facts, so the session's store and table are
+        the tenant's only encoded copy of its data."""
+        q, db = quickstart_db()
+        writes = parse_facts([f"R('N{i}' | 'A')" for i in range(10)], schema=q.schema())
+        with constructions(ColumnarFactStore, InternTable) as built:
+            with CertaintyService(durability_dir=tmp_path) as svc:
+                tenant = svc.create_tenant("acme", facts=db.facts)
+                for fact in writes:
+                    svc.apply("acme", [("add", fact)])
+                svc.checkpoint("acme")
+                svc.checkpoint("acme")
+                verdict = svc.is_certain("acme", q, timeout=10)
+                assert tenant.durable.stats.checkpoints == 3
+        assert verdict == certain(UncertainDatabase(db.facts | set(writes)), q, False)
+        assert built == {"ColumnarFactStore": 1, "InternTable": 1}
 
     def test_recovered_state_wins_over_facts_argument(self, tmp_path):
         q, db = quickstart_db()

@@ -25,7 +25,7 @@ from repro.service import (
     CertaintyService,
 )
 from repro.service.admission import FutureTimeoutError
-from repro.store import ColumnarFactIndex, ColumnarFactStore, InternTable, global_intern_table
+from repro.store import ColumnarFactIndex, global_intern_table
 from repro.workloads import multi_tenant_workload, replay_trace, synthetic_instance
 
 
@@ -288,24 +288,24 @@ def test_session_store_uses_private_table():
 
 
 def test_solver_scratch_indexes_grow_no_shared_table():
-    """Purification copies of Theorem 3/4 decisions intern into private tables.
+    """Solver scratch indexes of Theorem 3/4 decisions intern into private tables.
 
     Each round writes a witness and a noise fact over fresh constants,
     decides, and undoes the writes.  The noise fact lies in no witness, so
-    the decision purifies a copy of the database and indexes the copy —
-    fresh witness included.  That index must grow neither the process-wide
-    table (which never rotates) nor the tenant's: a dropped copy never
-    releases its rows, so the tenant's live count would keep counting the
-    undone witness, and that fraction drives epoch rotation.
+    the decision purifies the database, and a one-shot solver would index
+    it afresh.  Such an index must grow neither the process-wide table nor
+    the tenant's: every constant in a tenant's table is one that some write
+    to that tenant brought in.
     """
     baseline = len(global_intern_table())
     with CertaintyService() as svc:
         tenants = []
         for name, query in (("thm3", figure4_query()), ("thm4", cycle_query_c(3))):
             facts = synthetic_instance(query, seed=3, domain_size=4, witnesses=4).facts
-            tenants.append((name, svc.create_tenant(name, facts=facts), query))
+            written = {value for fact in facts for value in fact.values}
+            tenants.append((name, svc.create_tenant(name, facts=facts), query, written))
         for step in range(5):
-            for name, _tenant, query in tenants:
+            for name, _tenant, query, written in tenants:
                 tag = f"{name}-fresh-{step}"
                 witness = [
                     atom.relation.fact(*[f"{tag}-{term.name}" for term in atom.terms])
@@ -314,12 +314,12 @@ def test_solver_scratch_indexes_grow_no_shared_table():
                 relation = query.atoms[0].relation
                 noise = relation.fact(*[f"{tag}-noise-{i}" for i in range(relation.arity)])
                 writes = witness + [noise]
+                written.update(value for fact in writes for value in fact.values)
                 svc.apply(name, [("add", fact) for fact in writes])
                 svc.is_certain(name, query, timeout=30)
                 svc.apply(name, [("discard", fact) for fact in writes])
-        for _name, tenant, _query in tenants:
-            reference = ColumnarFactStore(tenant.db.facts, table=InternTable())
-            assert tenant.intern_table.live_count() == reference.table.live_count()
+        for _name, tenant, _query, written in tenants:
+            assert set(tenant.intern_table.snapshot()) <= written
     assert len(global_intern_table()) == baseline
 
 

@@ -9,7 +9,7 @@ below check every band against repair enumeration
 Hypothesis-drawn instances, and the compiled plans against the naive
 :class:`~repro.fo.FormulaEvaluator`.  On top of that: intern-table
 invariants (dense ids, append-only stability, hash-salt-safe
-serialization) and store integrity under swap-remove deletion.
+serialization) and store integrity under deletion.
 """
 
 import os
@@ -87,41 +87,6 @@ class TestInternTable:
         assert stats["constants"] == 1
         assert stats["total_bytes"] > 0
 
-    def test_live_fraction_tracks_stored_rows(self):
-        table = InternTable()
-        store = ColumnarFactStore(table=table)
-        schema = RelationSchema("R", 2, 1)
-        facts = [schema.fact(f"k{i}", f"v{i}") for i in range(4)]
-        for fact in facts:
-            store.add_fact(fact)
-        stats = table.memory_stats()
-        assert stats["live_constants"] == len(table) == 8
-        assert stats["live_fraction"] == 1.0
-        for fact in facts[:3]:  # discard 3 of 4 rows: 6 of 8 ids go dead
-            store.discard_fact(fact)
-        stats = table.memory_stats()
-        assert stats["live_constants"] == 2
-        assert stats["live_fraction"] == pytest.approx(2 / 8)
-        assert table.live_ids() == sorted(table.id_of(c) for c in facts[3].terms)
-
-    def test_live_counts_survive_shared_ids(self):
-        """An id referenced by two rows stays live until both are removed."""
-        table = InternTable()
-        store = ColumnarFactStore(table=table)
-        schema = RelationSchema("R", 2, 1)
-        f1, f2 = schema.fact("k1", "shared"), schema.fact("k2", "shared")
-        store.add_fact(f1)
-        store.add_fact(f2)
-        shared_id = table.id_of(Constant("shared"))
-        store.discard_fact(f1)
-        assert shared_id in table.live_ids()
-        store.discard_fact(f2)
-        assert shared_id not in table.live_ids()
-        assert table.live_count() == 0
-
-    def test_empty_table_is_fully_live_by_convention(self):
-        assert InternTable().memory_stats()["live_fraction"] == 1.0
-
     def test_unpickled_tables_intern_identically_under_other_hash_seeds(self):
         """Mirrors the Atom hash-salt test: shipped tables must agree with
         locally interned constants in a worker whose PYTHONHASHSEED differs."""
@@ -174,7 +139,7 @@ class TestColumnarFactStore:
         assert not store.contains_fact(f1) and store.contains_fact(f2)
         assert len(store) == 1
 
-    def test_columns_stay_dense_under_swap_remove(self):
+    def test_row_index_and_block_slices_agree_under_deletes(self):
         R = _schema_r()
         store = ColumnarFactStore(table=InternTable())
         facts = [R.fact(f"k{i}", f"v{i}", f"w{i}") for i in range(8)]
@@ -184,12 +149,14 @@ class TestColumnarFactStore:
         rng.shuffle(facts)
         for fact in facts[:5]:
             store.discard_fact(fact)
-        columns = store.relation_columns("R")
-        # Column arrays, row index, and block slices must agree exactly.
-        n = len(columns.row_index)
-        assert all(len(column) == n for column in columns.columns)
-        for row, position in columns.row_index.items():
-            assert tuple(column[position] for column in columns.columns) == row
+        relation = store.relation_columns("R")
+        # The row index and the block slices must hold the same rows.
+        sliced = [row for block in relation.blocks.values() for row in block]
+        assert sorted(sliced) == sorted(relation.row_index)
+        assert all(block for block in relation.blocks.values())
+        for key, block in relation.blocks.items():
+            assert all(row[: R.key_size] == key for row in block)
+        assert len(store) == len(relation.row_index) == 3
         remaining = {tuple(store.decode_row(r)) for r in store.relation_rows("R")}
         assert remaining == {f.terms for f in facts[5:]}
 
@@ -234,7 +201,7 @@ class TestColumnarFactStore:
         store.add_fact(R.fact("a", "1", "x"))
         stats = store.memory_stats()
         assert stats["facts"] == 1
-        assert stats["column_bytes"] == 3 * store.relation_columns("R").columns[0].itemsize
+        assert stats["row_index_bytes"] > 0 and stats["block_index_bytes"] > 0
 
 
 # --------------------------------------------------------------------------------
