@@ -46,7 +46,8 @@ def main() -> None:
     )
     print("uncertain database:")
     print(db.pretty())
-    print(f"\nblocks: {db.num_blocks()}, conflicting blocks: {len(db.conflicting_blocks())}")
+    conflicting = [block for block in db.blocks() if len(block) > 1]
+    print(f"\nblocks: {db.num_blocks()}, conflicting blocks: {len(conflicting)}")
 
     # 1. Where does the Boolean query sit on the tractability frontier?
     classification = classify(query)

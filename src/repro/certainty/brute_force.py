@@ -37,9 +37,12 @@ from ..model.database import BlockKey, UncertainDatabase
 from ..model.repairs import enumerate_repairs
 from ..query.conjunctive import ConjunctiveQuery
 from ..query.evaluation import satisfies
-from ..store.columnar import IntKey, IntRow
+from ..store.columnar import ColumnarFactStore, IntKey, IntRow
 from ..store.kernels import witness_row_sets
 from .context import SolverContext, scratch_index
+
+#: A block of the searched store: relation name plus its key ids.
+_BlockId = Tuple[str, IntKey]
 
 
 class BruteForceResult:
@@ -72,8 +75,12 @@ def certain_brute_force(
     query: ConjunctiveQuery,
     context: Optional[SolverContext] = None,
 ) -> bool:
-    """Decide ``db ∈ CERTAINTY(q)`` with the pruned witness-based search."""
-    return brute_force_with_certificate(db, query, context=context).certain
+    """Decide ``db ∈ CERTAINTY(q)`` with the pruned witness-based search.
+
+    The search runs on id-rows alone; unlike
+    :func:`brute_force_with_certificate`, a "no" answer decodes no facts.
+    """
+    return query.is_empty or _falsifying_choice(db, query, context)[1] is None
 
 
 def brute_force_with_certificate(
@@ -83,26 +90,51 @@ def brute_force_with_certificate(
 ) -> BruteForceResult:
     """Decide certainty and, when the answer is "no", exhibit a falsifying repair.
 
-    *context*, when given, supplies a shared columnar index over *db*;
-    otherwise a private one is built.  The witness computation and the
-    entire repair search run on the index's id-rows; the falsifying
-    certificate is decoded back to fact objects only on a "no" answer:
-    witnesses are frozensets of ``(name, id-row)`` pairs, blocks are
-    ``(name, key ids)`` and per-block choices iterate the store's block
-    slices.
+    The search is :func:`certain_brute_force`'s; on a "no" answer its
+    choice of rows is decoded back to fact objects and completed with the
+    least fact (by text) of every block it left open.
     """
     if query.is_empty:
         return BruteForceResult(True, None)
+    store, partial = _falsifying_choice(db, query, context)
+    if partial is None:
+        return BruteForceResult(True, None)
+    repair: Set[Fact] = set()
+    decoded_keys: Set[BlockKey] = set()
+    for (name, key), row in partial.items():
+        schema = store.relation_columns(name).schema  # type: ignore[union-attr]
+        repair.add(Fact(schema, store.decode_row(row)))
+        decoded_keys.add((name, store.table.decode(key)))
+    for block in db.blocks():
+        block_key = next(iter(block)).block_key
+        if block_key not in decoded_keys:
+            repair.add(sorted(block, key=str)[0])
+    return BruteForceResult(False, frozenset(repair))
+
+
+def _falsifying_choice(
+    db: UncertainDatabase,
+    query: ConjunctiveQuery,
+    context: Optional[SolverContext],
+) -> Tuple[ColumnarFactStore, Optional[Dict[_BlockId, IntRow]]]:
+    """The store searched, and a choice of rows that breaks every witness.
+
+    *context*, when given, supplies a shared columnar index over *db*;
+    otherwise a private one is built.  The witness computation and the
+    entire repair search run on the index's id-rows: witnesses are
+    frozensets of ``(name, id-row)`` pairs, blocks are ``(name, key ids)``
+    and per-block choices iterate the store's block slices.  The choice is
+    ``None`` when every repair satisfies *query*, and empty when no witness
+    exists (then any repair falsifies it).
+    """
     index = context.index_for(db) if context is not None else None
     if index is None:
         index = scratch_index(db.facts)
     store = index.store
     witness_sets = witness_row_sets(query, store)
     if not witness_sets:
-        # No repair can satisfy the query; any repair falsifies it.
-        return BruteForceResult(False, next(enumerate_repairs(db)))
+        return store, {}
 
-    _BlockId = Tuple[str, IntKey]
     key_sizes: Dict[str, int] = {}
 
     def block_of(name: str, row: IntRow) -> _BlockId:
@@ -186,18 +218,4 @@ def brute_force_with_certificate(
             del choice[block]
         return None
 
-    partial = search(0)
-    if partial is None:
-        return BruteForceResult(True, None)
-    # Decode the partial choice and extend it to a full repair.
-    repair: Set[Fact] = set()
-    decoded_keys: Set[BlockKey] = set()
-    for (name, key), row in partial.items():
-        schema = store.relation_columns(name).schema  # type: ignore[union-attr]
-        repair.add(Fact(schema, store.decode_row(row)))
-        decoded_keys.add((name, store.table.decode(key)))
-    for block in db.blocks():
-        block_key = next(iter(block)).block_key
-        if block_key not in decoded_keys:
-            repair.add(sorted(block, key=str)[0])
-    return BruteForceResult(False, frozenset(repair))
+    return store, search(0)

@@ -36,7 +36,6 @@ from ..certainty.brute_force import certain_brute_force
 from ..certainty.context import SolverContext
 from ..certainty.cycle_query import certain_cycle_query
 from ..certainty.exceptions import IntractableQueryError, UnsupportedQueryError
-from ..certainty.rewriting import certain_fo
 from ..certainty.solver import CertaintyOutcome
 from ..certainty.terminal_cycles import certain_terminal_cycles
 from ..fo.compile import CompiledFormula, ReadSetRecorder, compile_formula
@@ -63,16 +62,16 @@ def _record_query_support(
 ) -> None:
     """Record the *static* support of a non-rewriting decision on *target*.
 
-    The Theorem 3/4 solvers, the peeling fallback and brute force read the
-    database through their own algorithms rather than the instrumented
-    compiled-formula evaluator, but their verdict is still a function of a
-    statically known sub-database: per atom of the (grounded, Boolean)
-    query, the blocks whose key constants agree with the atom's key terms.
-    A block matching no atom's key pattern contains no fact any witness can
-    use — the key pattern constrains *key* positions only, so the whole
-    block matches or misses — and purification (Lemma 1) removes it without
-    changing certainty; hence mutations confined to such blocks can never
-    flip the verdict.
+    The Theorem 3/4 solvers and brute force read the database through their
+    own algorithms rather than the instrumented compiled-formula evaluator,
+    but their verdict is still a function of a statically known
+    sub-database: per atom of the (grounded, Boolean) query, the blocks
+    whose key constants agree with the atom's key terms.  A block matching
+    no atom's key pattern contains no fact any witness can use — the key
+    pattern constrains *key* positions only, so the whole block matches or
+    misses — and purification (Lemma 1) removes it without changing
+    certainty; hence mutations confined to such blocks can never flip the
+    verdict.
 
     Per atom this records: a single block when every key term is a constant
     (as a dense block id of the session store — interning the id even when
@@ -108,17 +107,14 @@ def _representative_grounding(query: ConjunctiveQuery) -> ConjunctiveQuery:
     return ground_free_variables(query, placeholders)
 
 
-def _fo_rewriting_plan(query: ConjunctiveQuery) -> Optional[CompiledFormula]:
-    """The compiled certain FO rewriting of *query*, or ``None``.
+def _fo_rewriting_plan(query: ConjunctiveQuery) -> CompiledFormula:
+    """The compiled certain FO rewriting of the FO-band *query*.
 
-    ``None`` means the Theorem 1 construction is unavailable for this query
-    (a residual with no unattacked atom); execution then falls back to the
-    peeling solver, which implements the same induction operationally.
+    The construction always succeeds on the FO band: by Lemma 5 every
+    residual of a query with an acyclic attack graph keeps an unattacked
+    atom, so the rewriting of Theorem 1 exists.
     """
-    try:
-        return compile_formula(certain_rewriting_cached(query))
-    except UnsupportedQueryError:
-        return None
+    return compile_formula(certain_rewriting_cached(query))
 
 
 def _open_fo_rewriting_plan(
@@ -134,8 +130,8 @@ def _open_fo_rewriting_plan(
     (closures and join-tree labels are built from variables alone), so the
     rewriting *structure* is identical for every candidate tuple — only
     the constants differ.  Returns ``(compiled plan, valuation variables)``
-    or ``None`` when the construction is unavailable (fallback: compile per
-    grounding).
+    or ``None`` when a name of *source_query* collides with the placeholder
+    namespace (execution then compiles the rewriting of each grounding).
     """
     if any(v.name.startswith(_PLACEHOLDER_PREFIX) for v in grounded.variables):
         return None  # a user variable shadows the placeholder namespace
@@ -148,10 +144,7 @@ def _open_fo_rewriting_plan(
                 _PLACEHOLDER_PREFIX
             ):
                 return None
-    try:
-        formula = certain_rewriting_cached(grounded)
-    except UnsupportedQueryError:
-        return None
+    formula = certain_rewriting_cached(grounded)
     candidate_vars = tuple(
         Variable(f"{_PLACEHOLDER_PREFIX}{i}__")
         for i in range(len(source_query.free_variables))
@@ -319,11 +312,11 @@ class QueryPlan:
         *recorder*, when supplied, collects the read set of the decision
         (see :class:`~repro.fo.compile.ReadSet`).  Compiled-rewriting
         execution is instrumented probe-by-probe; every other path — the
-        peeling fallback, the Theorem 3/4 solvers, brute force — records
-        the *static* per-atom support of the grounded query instead (blocks
-        named by constant keys, key masks for partially constant keys, and
-        full relations otherwise; see :func:`_record_query_support`), so
-        callers always receive a sound over-approximation.
+        Theorem 3/4 solvers, brute force — records the *static* per-atom
+        support of the grounded query instead (blocks named by constant
+        keys, key masks for partially constant keys, and full relations
+        otherwise; see :func:`_record_query_support`), so callers always
+        receive a sound over-approximation.
         """
         if grounding is not None and self.per_grounding:
             return compile_plan(grounding).execute(
@@ -374,7 +367,7 @@ class QueryPlan:
         context: Optional[SolverContext],
         recorder: Optional[ReadSetRecorder] = None,
     ) -> bool:
-        """FO dispatch: evaluate the compiled rewriting, peel as fallback."""
+        """FO dispatch: evaluate the compiled certain rewriting (Theorem 1)."""
         index = context.index_for(db) if context is not None else None
         if index is None and recorder is not None:
             # Probes into a private index would record block ids the caller
@@ -398,15 +391,8 @@ class QueryPlan:
                 )
         elif self.fo_rewriting is not None and grounding is None:
             return self.fo_rewriting.evaluate(db, index=index, recorder=recorder)
-        rewriting = _fo_rewriting_plan(grounding) if grounding is not None else None
-        if rewriting is not None:
-            return rewriting.evaluate(db, index=index, recorder=recorder)
         target = grounding if grounding is not None else self.query
-        if recorder is not None:
-            # The peeling fallback is not probe-instrumented; record its
-            # static per-atom support instead.
-            _record_query_support(recorder, target, db, context)
-        return certain_fo(db, target, context=context)
+        return _fo_rewriting_plan(target).evaluate(db, index=index, recorder=recorder)
 
 
 def compile_plan(

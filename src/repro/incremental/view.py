@@ -16,9 +16,9 @@ Maintenance strategy per mutation batch (a
    to exactly the candidates whose decision depends on them; every other
    candidate's decision would replay identically and is skipped.  FO-band
    decisions record their probes through the instrumented compiled
-   rewriting; every other band (Theorem 3/4, peeling fallback, brute
-   force) records the static per-atom support of the grounded query —
-   blocks, key masks, relations — so *all* bands maintain fine-grained;
+   rewriting; every other band (Theorem 3/4, brute force) records the
+   static per-atom support of the grounded query — blocks, key masks,
+   relations — so *all* bands maintain fine-grained;
 3. **delta candidate discovery** — inserted facts can create brand-new
    candidate answers; a seeded delta-join over the session's columnar
    store (:func:`~repro.incremental.delta.delta_candidates`) finds them
@@ -176,9 +176,8 @@ class MaterializedCertainView:
         self._relations = frozenset(atom.relation.name for atom in query.atoms)
         plan = manager.session.plan_for(query)
         # Every band records support now — FO through the instrumented
-        # rewriting (or the peeling fallback's static per-atom support),
-        # PTIME/coNP through the static per-atom support of the grounded
-        # query — so only per-grounding (self-join) plans stay coarse: their
+        # rewriting, PTIME/coNP through the static per-atom support of the
+        # grounded query — so only per-grounding (self-join) plans stay coarse: their
         # groundings can collapse atoms, changing what the support covers.
         self._fine_grained = not plan.per_grounding
         # Sessions capture read sets as dense block ids; the store's
@@ -220,9 +219,8 @@ class MaterializedCertainView:
         """``True`` when mutations dirty candidates through the support index.
 
         Every complexity band is fine-grained — FO-band decisions capture
-        probe-level read sets, the Theorem 3/4 solvers,
-        the peeling fallback and brute force capture static per-atom
-        support.  Only per-grounding self-join plans are coarse (every
+        probe-level read sets, the Theorem 3/4 solvers and brute force
+        capture static per-atom support.  Only per-grounding self-join plans are coarse (every
         relevant mutation triggers a full refresh).
         """
         return self._fine_grained

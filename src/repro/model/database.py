@@ -4,6 +4,14 @@ An *uncertain database* is a finite set of facts in which primary keys need
 not be satisfied.  A *block* is a maximal set of key-equal facts.  The
 database is *consistent* when every block is a singleton.  A *repair* is a
 maximal consistent subset, i.e. it picks exactly one fact from every block.
+
+:class:`UncertainDatabase` stores exactly that: one insertion-ordered set
+of facts.  Blocks are derived from it on demand by one grouping pass, in
+the order of each block's first surviving fact, so block views and the
+repairs drawn from them do not depend on string hashing.  Indexed access
+by relation or block belongs to the engine's columnar store
+(:mod:`repro.store`), which sessions keep in step through the observer
+hooks below.
 """
 
 from __future__ import annotations
@@ -128,10 +136,9 @@ class UncertainDatabase:
     """A finite set of facts over a database schema.
 
     The database may violate primary keys; facts sharing a relation name and
-    a key value form a *block*.  The class is a mutable container but every
-    derived view (blocks, repairs) is computed from the current contents.
-    Per-relation fact and block indexes are maintained on mutation, and
-    observers can register for add/discard notifications.
+    a key value form a *block*.  The facts, kept in insertion order, are the
+    class's only state: every block view is grouped from them on demand.
+    Observers can register for add/discard notifications.
     """
 
     def __init__(
@@ -141,10 +148,8 @@ class UncertainDatabase:
         mutation_version: Optional[int] = None,
     ) -> None:
         self._schema = schema if schema is not None else DatabaseSchema()
-        self._facts: Set[Fact] = set()
-        self._blocks: Dict[BlockKey, Set[Fact]] = {}
-        self._by_relation: Dict[str, Set[Fact]] = {}
-        self._relation_block_keys: Dict[str, Set[BlockKey]] = {}
+        # Insertion-ordered dict-set: block views follow it, not hashing.
+        self._facts: Dict[Fact, None] = {}
         self._observers: List[DatabaseObserver] = []
         self._batch_depth = 0
         self._batch_changes: Optional[ChangeSet] = None
@@ -204,11 +209,7 @@ class UncertainDatabase:
         self._schema.add(fact.relation)
         if fact in self._facts:
             return
-        name = fact.relation.name
-        self._facts.add(fact)
-        self._blocks.setdefault(fact.block_key, set()).add(fact)
-        self._by_relation.setdefault(name, set()).add(fact)
-        self._relation_block_keys.setdefault(name, set()).add(fact.block_key)
+        self._facts[fact] = None
         if self._batch_changes is not None:
             self._batch_changes.record_added(fact)
         else:
@@ -225,23 +226,7 @@ class UncertainDatabase:
         """Remove a fact if present."""
         if fact not in self._facts:
             return
-        name = fact.relation.name
-        self._facts.discard(fact)
-        block = self._blocks.get(fact.block_key)
-        if block is not None:
-            block.discard(fact)
-            if not block:
-                del self._blocks[fact.block_key]
-                keys = self._relation_block_keys.get(name)
-                if keys is not None:
-                    keys.discard(fact.block_key)
-                    if not keys:
-                        del self._relation_block_keys[name]
-        relation_facts = self._by_relation.get(name)
-        if relation_facts is not None:
-            relation_facts.discard(fact)
-            if not relation_facts:
-                del self._by_relation[name]
+        del self._facts[fact]
         if self._batch_changes is not None:
             self._batch_changes.record_discarded(fact)
         else:
@@ -250,8 +235,8 @@ class UncertainDatabase:
                 observer.fact_discarded(fact)
 
     def remove_block(self, block_key: BlockKey) -> None:
-        """Remove an entire block of key-equal facts."""
-        for fact in list(self._blocks.get(block_key, ())):
+        """Remove an entire block of key-equal facts (one pass over the facts)."""
+        for fact in [f for f in self._facts if f.block_key == block_key]:
             self.discard(fact)
 
     # -- batched mutation --------------------------------------------------------
@@ -266,12 +251,12 @@ class UncertainDatabase:
         """Coalesce mutations into one consolidated observer notification.
 
         Inside the block, ``add``/``discard``/``remove_block`` update the
-        database (and its internal indexes) immediately, but observers are
-        *not* notified per fact.  When the outermost batch exits, every
-        observer receives a single :meth:`DatabaseObserver.batch_applied`
-        call carrying the net :class:`ChangeSet` — plain observers replay it
-        per fact through the default implementation, batch-aware observers
-        (incremental views, mutation counters) coalesce.
+        fact set immediately, but observers are *not* notified per fact.
+        When the outermost batch exits, every observer receives a single
+        :meth:`DatabaseObserver.batch_applied` call carrying the net
+        :class:`ChangeSet` — plain observers replay it per fact through the
+        default implementation, batch-aware observers (incremental views,
+        mutation counters) coalesce.
 
         Batches nest: inner batches merge into the outermost change set.
         If the block raises, mutations already applied are still reported
@@ -317,8 +302,8 @@ class UncertainDatabase:
     def bulk_add(self, facts: Iterable[Fact]) -> None:
         """Insert many facts; observers receive one batched notification.
 
-        Internal indexes are updated per fact exactly as :meth:`add` does,
-        but the observer fan-out is deferred to a single consolidated
+        The fact set is updated per fact exactly as :meth:`add` does, but
+        the observer fan-out is deferred to a single consolidated
         :meth:`DatabaseObserver.batch_applied` call.
         """
         with self.batch():
@@ -349,7 +334,7 @@ class UncertainDatabase:
         return isinstance(other, UncertainDatabase) and self._facts == other._facts
 
     def __repr__(self) -> str:
-        return f"UncertainDatabase({len(self._facts)} facts, {len(self._blocks)} blocks)"
+        return f"UncertainDatabase({len(self._facts)} facts, {self.num_blocks()} blocks)"
 
     # -- views ---------------------------------------------------------------------
 
@@ -363,46 +348,37 @@ class UncertainDatabase:
         """An immutable snapshot of the facts."""
         return frozenset(self._facts)
 
-    def relation_facts(self, name: str) -> FrozenSet[Fact]:
-        """All facts of relation *name* (read from the per-relation index)."""
-        return frozenset(self._by_relation.get(name, ()))
+    def _grouped(self) -> Dict[BlockKey, List[Fact]]:
+        """Every block's facts, keyed in the order of each block's first fact."""
+        groups: Dict[BlockKey, List[Fact]] = {}
+        for fact in self._facts:
+            key = fact.block_key
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [fact]
+            else:
+                group.append(fact)
+        return groups
 
     def blocks(self) -> List[FrozenSet[Fact]]:
         """All blocks, as frozensets of key-equal facts."""
-        return [frozenset(block) for block in self._blocks.values()]
+        return [frozenset(group) for group in self._grouped().values()]
 
     def block_keys(self) -> List[BlockKey]:
         """The identifiers of all blocks."""
-        return list(self._blocks)
-
-    def block_of(self, fact: Fact) -> FrozenSet[Fact]:
-        """``block(A, db)``: the block containing *fact*."""
-        if fact not in self._facts:
-            raise KeyError(f"fact {fact} is not in the database")
-        return frozenset(self._blocks[fact.block_key])
+        return list(self._grouped())
 
     def block(self, block_key: BlockKey) -> FrozenSet[Fact]:
         """The block identified by *block_key* (empty if absent)."""
-        return frozenset(self._blocks.get(block_key, frozenset()))
-
-    def blocks_of_relation(self, name: str) -> List[FrozenSet[Fact]]:
-        """All blocks of relation *name* (read from the per-relation index)."""
-        return [
-            frozenset(self._blocks[key])
-            for key in self._relation_block_keys.get(name, ())
-        ]
+        return frozenset(f for f in self._facts if f.block_key == block_key)
 
     def num_blocks(self) -> int:
         """The number of blocks."""
-        return len(self._blocks)
+        return len(self._grouped())
 
     def is_consistent(self) -> bool:
         """``True`` iff every block is a singleton (no key violations)."""
-        return all(len(block) == 1 for block in self._blocks.values())
-
-    def conflicting_blocks(self) -> List[FrozenSet[Fact]]:
-        """Blocks with more than one fact (the sources of uncertainty)."""
-        return [frozenset(b) for b in self._blocks.values() if len(b) > 1]
+        return self.num_blocks() == len(self._facts)
 
     def active_domain(self) -> FrozenSet[Constant]:
         """The set of constants occurring in the database."""
@@ -452,12 +428,13 @@ class UncertainDatabase:
     def pretty(self) -> str:
         """A human-readable multi-line rendering grouped by relation and block."""
         lines: List[str] = []
+        groups = self._grouped()
         by_relation: Dict[str, List[BlockKey]] = {}
-        for key in self._blocks:
+        for key in groups:
             by_relation.setdefault(key[0], []).append(key)
         for name in sorted(by_relation):
             lines.append(f"{name}:")
             for key in sorted(by_relation[name], key=lambda k: tuple(str(c) for c in k[1])):
-                rendered = sorted(str(f) for f in self._blocks[key])
+                rendered = sorted(str(f) for f in groups[key])
                 lines.append("  " + " | ".join(rendered))
         return "\n".join(lines)

@@ -247,21 +247,24 @@ class Tenant:
     def stats(self) -> dict:
         """This tenant's memory, staleness, and admission counters.
 
-        ``intern_memory`` is the private table's
-        :meth:`~repro.store.intern.InternTable.memory_stats` — the
-        previously un-aggregated footprint the service surfaces per tenant;
-        ``store_memory`` adds the columnar store's index footprint.
+        ``blocks`` counts the live blocks of the session's columnar store,
+        the tenant's only block index; ``intern_memory`` is the private
+        table's :meth:`~repro.store.intern.InternTable.memory_stats` and
+        ``store_memory`` the store's index footprint.
         """
         with self._lock:
             store = self.session.store
             return {
                 "facts": len(self.db),
-                "blocks": self.db.num_blocks(),
+                "blocks": sum(
+                    len(store.relation_columns(name).blocks)  # type: ignore[union-attr]
+                    for name in store.relation_names()
+                ),
                 "mutation_version": self.db.mutation_version,
                 "views": len(self.views.views),
                 "pending_view_mutations": self.views.pending_mutations,
                 "intern_memory": self.intern_table.memory_stats(),
-                "store_memory": store.memory_stats() if store is not None else {},
+                "store_memory": store.memory_stats(),
                 "staleness": self.views.staleness_stats.as_dict(),
                 "admission": self.admission_stats.as_dict(),
                 "sharded": (

@@ -221,8 +221,9 @@ def bursty_mutation_stream(
             relation = rng.choice(relations)
             hot_key = rng.choices(domain, weights, k=relation.key_size)
             block_key = (relation.name, tuple(Constant(v) for v in hot_key))
+            # The database does not change while a batch is staged.
+            victims = sorted(db.block(block_key), key=str)
             for _ in range(rng.randint(*burst_range)):
-                victims = sorted(db.block(block_key), key=str)
                 if victims and rng.random() < p_discard:
                     batch.append(("discard", rng.choice(victims)))
                 else:

@@ -100,16 +100,9 @@ def mutation_stream(
         relation = rng.choice(relations)
         return relation.fact(*[rng.choice(domain) for _ in range(relation.arity)])
 
-    def conflicting_fact() -> Optional[Fact]:
+    def conflicting_fact(keys: List[BlockKey]) -> Optional[Fact]:
         """A fact reusing an existing block's key with fresh non-key values."""
-        blocks = [
-            key
-            for relation in relations
-            for key in sorted(
-                (k for k in db.block_keys() if k[0] == relation.name),
-                key=lambda k: tuple(str(c) for c in k[1]),
-            )
-        ]
+        blocks = [key for relation in relations for key in keys if key[0] == relation.name]
         if not blocks:
             return None
         name, key_values = rng.choice(blocks)
@@ -123,19 +116,28 @@ def mutation_stream(
 
     for _ in range(steps):
         batch: List[MutationOp] = []
+        # The database does not change while a batch is staged, so its
+        # block keys are grouped at most once per batch.
+        keys: Optional[List[BlockKey]] = None
         for _ in range(rng.randint(*batch_range)):
             roll = rng.random()
             if roll < p_add or not db:
-                fact = conflicting_fact() if rng.random() < p_conflict else None
+                fact = None
+                if rng.random() < p_conflict:
+                    keys = keys if keys is not None else _sorted_block_keys(db)
+                    fact = conflicting_fact(keys)
                 batch.append(("add", fact if fact is not None else random_fact()))
             elif roll < p_add + p_discard:
                 victim = existing_fact()
                 if victim is not None:
                     batch.append(("discard", victim))
             else:
-                keys = sorted(
-                    db.block_keys(), key=lambda k: (k[0],) + tuple(str(c) for c in k[1])
-                )
+                keys = keys if keys is not None else _sorted_block_keys(db)
                 if keys:
                     batch.append(("remove_block", rng.choice(keys)))
         yield batch
+
+
+def _sorted_block_keys(db: UncertainDatabase) -> List[BlockKey]:
+    """The block keys of *db*, by relation name, then by key constants' text."""
+    return sorted(db.block_keys(), key=lambda k: (k[0],) + tuple(str(c) for c in k[1]))

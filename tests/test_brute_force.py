@@ -6,12 +6,14 @@ from repro.certainty import (
     certain_brute_force,
     certain_by_enumeration,
 )
-from repro.model import RelationSchema, UncertainDatabase
+from repro.engine import CertaintySession
+from repro.model import Fact, RelationSchema, UncertainDatabase
 from repro.model.repairs import is_repair
 from repro.query import ConjunctiveQuery, parse_query, satisfies
+from repro.query.families import figure2_q1
 from repro.workloads import figure1_database, figure1_query
 
-from tests.helpers import random_instance
+from tests.helpers import constructions, random_instance
 
 R = RelationSchema("R", 2, 1)
 S = RelationSchema("S", 2, 1)
@@ -96,3 +98,29 @@ class TestBruteForce:
         schema = q.schema()
         db = UncertainDatabase([schema["R"].fact("a", "b")])
         assert bool(brute_force_with_certificate(db, q))
+
+    def test_not_certain_decide_constructs_no_fact(self):
+        """Only a certificate decodes id-rows into facts; a verdict does not.
+
+        Conflict gadgets over Figure 2's coNP-complete ``q1``: each plants
+        one witness whose ``T`` block holds a second claim, so choosing
+        every claim falsifies the query.
+        """
+        q = figure2_q1()
+        r, s, t, p = (atom.relation for atom in q.atoms)
+        facts = []
+        for i in range(32):
+            u, x, y, z, w = (f"{prefix}{i}" for prefix in "uxyzw")
+            facts += [r.fact(u, "a", x), s.fact(y, x, z), t.fact(x, y), p.fact(x, z)]
+            facts.append(t.fact(x, w))  # the conflicting claim
+        db = UncertainDatabase(facts)
+        with CertaintySession(db, allow_exponential=True) as session:
+            with constructions(Fact) as built:
+                outcome = session.solve(q)
+        assert outcome.method == "brute-force" and not outcome.certain
+        assert built["Fact"] == 0
+        with constructions(Fact) as built:
+            result = brute_force_with_certificate(db, q)
+        assert built["Fact"] > 0
+        assert is_repair(db, result.falsifying_repair)
+        assert not satisfies(result.falsifying_repair, q)

@@ -1,5 +1,11 @@
 """Tests for repro.model.database and repro.model.schema."""
 
+import os
+import pathlib
+import subprocess
+import sys
+import tracemalloc
+
 import pytest
 
 from repro.model.atoms import RelationSchema
@@ -53,23 +59,9 @@ class TestUncertainDatabase:
         block_sizes = sorted(len(b) for b in db.blocks())
         assert block_sizes == [1, 2]
 
-    def test_block_of(self):
-        db = UncertainDatabase([R.fact("a", 1), R.fact("a", 2)])
-        assert db.block_of(R.fact("a", 1)) == {R.fact("a", 1), R.fact("a", 2)}
-
-    def test_block_of_missing_fact_raises(self):
-        db = UncertainDatabase([R.fact("a", 1)])
-        with pytest.raises(KeyError):
-            db.block_of(R.fact("z", 9))
-
     def test_consistency(self):
         assert UncertainDatabase([R.fact("a", 1), R.fact("b", 1)]).is_consistent()
         assert not UncertainDatabase([R.fact("a", 1), R.fact("a", 2)]).is_consistent()
-
-    def test_conflicting_blocks(self):
-        db = UncertainDatabase([R.fact("a", 1), R.fact("a", 2), R.fact("b", 1)])
-        conflicting = db.conflicting_blocks()
-        assert len(conflicting) == 1 and len(conflicting[0]) == 2
 
     def test_active_domain(self):
         db = UncertainDatabase([R.fact("a", 1)])
@@ -81,10 +73,6 @@ class TestUncertainDatabase:
         assert len(db) == 1
         db.remove_block(("R", (Constant("a"),)))
         assert len(db) == 0
-
-    def test_relation_facts(self):
-        db = UncertainDatabase([R.fact("a", 1), S.fact("a", "b", 1)])
-        assert db.relation_facts("R") == {R.fact("a", 1)}
 
     def test_restrict_to_relations(self):
         db = UncertainDatabase([R.fact("a", 1), S.fact("a", "b", 1)])
@@ -118,3 +106,74 @@ class TestUncertainDatabase:
         db = UncertainDatabase()
         with pytest.raises(TypeError):
             db.add(R.atom("x", "y"))
+
+
+class TestDerivedBlocks:
+    """Blocks are grouped from the fact set on demand, in the order of each
+    block's first surviving fact, never in hash order."""
+
+    FACTS = [R.fact("b", 1), S.fact("a", "b", 1), R.fact("a", 1), R.fact("b", 2)]
+    KEY_B = ("R", (Constant("b"),))
+    KEY_S = ("S", (Constant("a"), Constant("b")))
+    KEY_A = ("R", (Constant("a"),))
+
+    def test_blocks_come_out_in_first_insertion_order(self):
+        db = UncertainDatabase(self.FACTS)
+        assert db.block_keys() == [self.KEY_B, self.KEY_S, self.KEY_A]
+        assert db.blocks() == [
+            {R.fact("b", 1), R.fact("b", 2)},
+            {S.fact("a", "b", 1)},
+            {R.fact("a", 1)},
+        ]
+        assert db.block(self.KEY_B) == {R.fact("b", 1), R.fact("b", 2)}
+        assert db.num_blocks() == 3 and not db.is_consistent()
+
+    def test_discarding_a_blocks_first_fact_moves_the_block(self):
+        db = UncertainDatabase(self.FACTS)
+        db.discard(R.fact("b", 1))
+        assert db.block_keys() == [self.KEY_S, self.KEY_A, self.KEY_B]
+        assert db.blocks()[-1] == {R.fact("b", 2)}
+        assert db.is_consistent()
+        db.remove_block(self.KEY_S)
+        assert db.block_keys() == [self.KEY_A, self.KEY_B]
+        assert db.block(self.KEY_S) == frozenset()
+
+    def test_random_repair_is_the_same_under_other_hash_seeds(self):
+        """A copied database keeps its facts' order, so a seeded repair
+        draws the same choice per block in every interpreter."""
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        probe = (
+            "import random, sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "from repro.model.atoms import RelationSchema\n"
+            "from repro.model.database import UncertainDatabase\n"
+            "from repro.model.repairs import random_repair\n"
+            "R = RelationSchema('R', 2, 1)\n"
+            "db = UncertainDatabase(R.fact(f'k{i % 40}', f'v{i}') for i in range(160))\n"
+            "print(sorted(map(str, random_repair(db.copy(), random.Random(7)))))\n"
+        )
+        outputs = set()
+        for hash_seed in ("0", "1"):
+            result = subprocess.run(
+                [sys.executable, "-c", probe],
+                env={**os.environ, "PYTHONHASHSEED": hash_seed},
+                capture_output=True,
+                text=True,
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.add(result.stdout)
+        assert len(outputs) == 1
+
+    def test_fact_set_costs_at_most_100_bytes_per_fact(self):
+        """The database holds one container; blocks cost nothing at rest."""
+        facts = [R.fact(f"k{i // 3}", i) for i in range(6_000)]
+        facts += [S.fact(f"a{i}", f"b{i}", i) for i in range(6_000)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            db = UncertainDatabase(facts)
+            cost = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(db) == 12_000 and db.num_blocks() == 8_000
+        assert cost / len(db) <= 100

@@ -64,12 +64,12 @@ class TestGenerators:
         query = fuxman_miller_cfree_example()
         db = synthetic_instance(query, seed=1)
         for atom in query.atoms:
-            assert db.relation_facts(atom.relation.name)
+            assert any(f.relation.name == atom.relation.name for f in db.facts)
 
     def test_conflict_rate_creates_conflicts(self):
         query = fuxman_miller_cfree_example()
         db = synthetic_instance(query, seed=2, conflict_rate=1.0, witnesses=5, noise_per_relation=5)
-        assert db.conflicting_blocks()
+        assert any(len(block) > 1 for block in db.blocks())
 
     def test_planted_certain_instance_is_certain(self):
         query = fuxman_miller_cfree_example()
@@ -94,7 +94,7 @@ class TestPaperInstances:
     def test_figure1_database_shape(self):
         db = figure1_database()
         assert len(db) == 6 and db.num_blocks() == 4
-        assert len(db.conflicting_blocks()) == 2
+        assert sum(len(block) > 1 for block in db.blocks()) == 2
 
     def test_figure6_is_purified_and_not_certain(self):
         db = figure6_database()
