@@ -146,11 +146,9 @@ def main() -> None:
     #    *static* per-atom support (blocks, key masks, or whole relations), so
     #    materialized views stay fine-grained on every band: a mutation
     #    outside a decision's support never forces a full refresh.
-    #    Sessions additionally memoise candidate enumeration,
-    #    keyed on the database's mutation_version — a counter that bumps
-    #    on every effective mutation (once per batch), giving a one-int
-    #    staleness check.  BENCH_all_bands.json records the per-band
-    #    decision times.
+    #    The database's mutation_version is a counter that bumps on every
+    #    effective mutation (once per batch), giving a one-int staleness
+    #    check.  BENCH_all_bands.json records the per-band decision times.
     from repro.query import figure4_query
     from repro.workloads import synthetic_instance
 
@@ -161,7 +159,6 @@ def main() -> None:
         print("\nPTIME band on ids:", outcome.method,  # theorem3-terminal-cycles
               "->", outcome.certain)
         version = ptime_db.mutation_version
-        session.candidate_answers(ptime_query)         # memoised at `version`
         ptime_db.add(next(iter(ptime_db.facts)))       # no-op: version unchanged
         print("mutation_version:", version, "->", ptime_db.mutation_version)
     with ViewManager(ptime_db) as manager:

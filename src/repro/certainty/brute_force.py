@@ -129,7 +129,7 @@ def _falsifying_choice(
     """
     index = context.index_for(db) if context is not None else None
     if index is None:
-        index = scratch_index(db.facts)
+        index = scratch_index(db)
     store = index.store
     witness_sets = witness_row_sets(query, store)
     if not witness_sets:

@@ -60,7 +60,7 @@ def certain_cycle_query(
         raise UnsupportedQueryError(f"{query} is not of the C(k)/AC(k) shape of Definition 8")
     index = context.index_for(db) if context is not None else None
     if index is None:
-        index = scratch_index(db.facts)
+        index = scratch_index(db)
     live = purify_rows(query, index.store)
     if not any(live.values()):
         return False
@@ -277,7 +277,7 @@ def lemma9_expand(
         if not atom.relation.is_all_key:
             raise UnsupportedQueryError("Lemma 9 requires every added atom to be all-key")
     sub_names = {a.relation.name for a in subquery.atoms}
-    result = UncertainDatabase(f for f in db.facts if f.relation.name in sub_names)
+    result = UncertainDatabase(f for f in db if f.relation.name in sub_names)
     domain = sorted(db.active_domain(), key=str)
     for atom in extra_atoms:
         for values in itertools.product(domain, repeat=atom.relation.arity):

@@ -99,7 +99,7 @@ def certain_weak_cycle_pair(db: UncertainDatabase, query: ConjunctiveQuery) -> b
     """
     if not is_two_atom_query(query):
         raise UnsupportedQueryError("certain_weak_cycle_pair expects exactly two atoms")
-    store = scratch_index(db.facts).store
+    store = scratch_index(db).store
     live = purify_rows(query, store)
     first, second = query.atoms
     return certain_weak_cycle_pair_rows(

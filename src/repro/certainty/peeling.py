@@ -100,7 +100,7 @@ def peel_certain(
     if index is None and context is not None:
         index = context.index_for(db)
     if index is None:
-        index = scratch_index(db.facts)
+        index = scratch_index(db)
     return peel_rows(index.store, None, query, base_case, context)
 
 

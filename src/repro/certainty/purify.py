@@ -115,7 +115,7 @@ def purify(
     """
     if query.is_empty:
         return db
-    store = (index if index is not None else scratch_index(db.facts)).store
+    store = (index if index is not None else scratch_index(db)).store
     live = purify_rows(query, store)
     if sum(map(len, live.values())) == len(store):
         return db

@@ -28,8 +28,8 @@ session whose workers keep failing degrades to serial serving on the
 parent (:data:`DEGRADATION_LADDER`).
 
 Execution runs on the interned columnar store (:mod:`repro.store`):
-integer-row kernels, compiled candidate enumeration, batched set-at-a-time
-deciding, and block-id read sets.
+integer-row kernels (candidate enumeration among them), batched
+set-at-a-time deciding, and block-id read sets.
 """
 
 from .cache import CacheStats, PlanCache, default_plan_cache

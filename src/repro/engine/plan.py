@@ -39,7 +39,7 @@ from ..certainty.exceptions import IntractableQueryError, UnsupportedQueryError
 from ..certainty.solver import CertaintyOutcome
 from ..certainty.terminal_cycles import certain_terminal_cycles
 from ..fo.compile import CompiledFormula, ReadSetRecorder, compile_formula
-from ..fo.formulas import And, AtomFormula, Exists, replace_constants
+from ..fo.formulas import replace_constants
 from ..fo.rewrite import certain_rewriting_cached
 from ..model.valuation import Valuation
 
@@ -205,7 +205,6 @@ class QueryPlan:
         "fo_rewriting",
         "fo_candidate_vars",
         "per_grounding",
-        "_candidate_plan",
     )
 
     def __init__(
@@ -231,7 +230,6 @@ class QueryPlan:
                 if open_plan is not None:
                     self.fo_rewriting, self.fo_candidate_vars = open_plan
         self.per_grounding = per_grounding
-        self._candidate_plan: Optional[CompiledFormula] = None
 
     @property
     def band(self) -> ComplexityBand:
@@ -253,33 +251,6 @@ class QueryPlan:
             and self.fo_candidate_vars is not None
             and not self.per_grounding
         )
-
-    def candidate_plan(self) -> CompiledFormula:
-        """The compiled *candidate enumeration* plan of the source query.
-
-        Candidates of ``certain_answers`` are the answers of the query over
-        the whole (inconsistent) database; this compiles the query itself —
-        ``∃ bound-vars. ∧ atoms`` — into the same set-at-a-time relational
-        machinery the rewritings run on, so enumeration shares the
-        integer-encoded kernels and their per-block probes.  Built lazily,
-        cached on the plan.
-        """
-        plan = self._candidate_plan
-        if plan is None:
-            query = self.source_query
-            body = And([AtomFormula(atom) for atom in query.atoms])
-            bound = sorted(
-                query.variables - set(query.free_variables), key=lambda v: v.name
-            )
-            formula = Exists(bound, body) if bound else body
-            plan = compile_formula(formula)
-            self._candidate_plan = plan  # idempotent under races
-        return plan
-
-    @property
-    def requires_exponential(self) -> bool:
-        """``True`` when execution needs ``allow_exponential=True``."""
-        return self.method == "brute-force"
 
     def __repr__(self) -> str:
         return f"QueryPlan({self.source_query} → {self.band.name} via {self.method})"

@@ -23,9 +23,10 @@ way.
 
 Sessions run on the **interned columnar store** (:mod:`repro.store`): the
 index holds every fact as integer columns, compiled plans join and
-anti-join tuples of dense term ids, candidate enumeration runs through a
-compiled set-at-a-time plan, and open FO-band plans decide a whole
-``certain_answers`` batch with a single plan execution.
+anti-join tuples of dense term ids, candidates are enumerated by the
+store's id-row join (:func:`~repro.store.kernels.answer_rows`), and open
+FO-band plans decide a whole ``certain_answers`` batch with a single plan
+execution.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from ..model.symbols import Constant
 from ..query.conjunctive import ConjunctiveQuery
 from ..query.substitution import ground_free_variables
 from ..store import ColumnarFactIndex, ColumnarFactStore, InternTable
+from ..store.kernels import answer_rows
 from .cache import PlanCache, default_plan_cache
 from .plan import QueryPlan
 
@@ -85,15 +87,11 @@ class CertaintySession:
         intern_table: Optional[InternTable] = None,
     ) -> None:
         self._db = db
-        self._index = ColumnarFactIndex(db.facts, table=intern_table)
+        self._index = ColumnarFactIndex(db, table=intern_table)
         db.register_observer(self._index)
         self._cache = plan_cache if plan_cache is not None else default_plan_cache()
         self._allow_exponential = allow_exponential
         self._context = SolverContext(db=db, index=self._index)
-        #: query -> (db.mutation_version at compute time, sorted candidates).
-        self._candidate_memo: Dict[
-            ConjunctiveQuery, Tuple[int, List[Tuple[Constant, ...]]]
-        ] = {}
         self._closed = False
 
     # -- lifecycle ---------------------------------------------------------------
@@ -201,34 +199,19 @@ class CertaintySession:
         """The candidate tuples of *query* over the whole database, sorted.
 
         Candidates are the answers of the (inconsistent) database itself;
-        certain answers are always among them.  The enumeration runs
-        through the compiled set-at-a-time candidate plan (integer hash
-        joins over the store).
-
-        Results are memoised per query, keyed on
-        :attr:`~repro.model.database.UncertainDatabase.mutation_version`: a
-        repeated enumeration against an unchanged database (the common case
-        for incremental views re-deciding a few dirty candidates) is one
-        integer comparison plus a list copy.  Any effective ``add`` /
-        ``discard`` / ``remove_block`` — or any non-empty :meth:`batch` at
-        its exit — advances the version and invalidates the memo.  Inside a
-        batch the version (like the session index itself) is intentionally
-        stale; queries should run outside the batch.
+        certain answers are always among them.  The store's id-row join
+        (:func:`~repro.store.kernels.answer_rows`) enumerates them; they are
+        decoded and sorted by their text.  Inside a
+        :meth:`~repro.model.database.UncertainDatabase.batch` the store, like
+        every observer, has not yet seen the staged mutations; queries
+        should run outside the batch.
         """
         self._check_open()
-        version = self._db.mutation_version
-        cached = self._candidate_memo.get(query)
-        if cached is not None and cached[0] == version:
-            return list(cached[1])
-        plan = self.plan_for(query)
-        sat = plan.candidate_plan().satisfying_assignments(index=self._index)
-        positions = [sat.schema.index(v) for v in query.free_variables]
-        candidates = {tuple(row[p] for p in positions) for row in sat.rows}
-        result = sorted(candidates, key=lambda t: tuple(str(c) for c in t))
-        if len(self._candidate_memo) >= 64:
-            self._candidate_memo.clear()  # bound stale-version entries
-        self._candidate_memo[query] = (version, result)
-        return list(result)
+        decode = self.intern_table.decode
+        return sorted(
+            (decode(row) for row in answer_rows(query, self.store)),
+            key=lambda candidate: tuple(str(c) for c in candidate),
+        )
 
     def decide_candidates(
         self,

@@ -892,7 +892,7 @@ class ShardedCertaintySession:
         self._pending[shard] = _PendingDelta()
         pending = self._pending[shard]
         n = self._n_shards
-        for fact in self._db.facts:
+        for fact in self._db:
             if shard_of_key(fact.key_terms, n) != shard:
                 continue
             relation = fact.relation

@@ -74,8 +74,7 @@ from .formulas import (
     Top,
 )
 
-#: A row of a relation: interned term ids inside a plan (constants once
-#: :meth:`CompiledFormula.satisfying_assignments` has decoded them).
+#: A row of a relation: a tuple of interned term ids.
 Row = Tuple
 
 #: A key-position mask: one entry per primary-key position — a
@@ -470,7 +469,7 @@ def _scratch_index(db: UncertainDatabase) -> ColumnarFactIndex:
     # Imported lazily: the certainty package imports this module.
     from ..certainty.context import scratch_index
 
-    return scratch_index(db.facts)
+    return scratch_index(db)
 
 
 def push_negation(formula: Formula) -> Formula:
@@ -997,24 +996,6 @@ class CompiledFormula:
             )
             return bool(self.root.filter(ctx, seed).rows)
         return bool(self.root.produce(ctx, None).rows)
-
-    def satisfying_assignments(
-        self,
-        db: Optional[UncertainDatabase] = None,
-        *,
-        index: Optional[ColumnarFactIndex] = None,
-        domain: Optional[Iterable[Constant]] = None,
-        context: Optional[EvalContext] = None,
-    ) -> Relation:
-        """The full satisfying set over the formula's free variables.
-
-        Rows contain :class:`Constant` values: the id-rows of the execution
-        are decoded through the store before returning.
-        """
-        ctx = self._context(db, index, domain, context)
-        sat = _project(self.root.produce(ctx, None), self.root.schema)
-        decode = ctx.store.table.decode
-        return Relation(sat.schema, {decode(row) for row in sat.rows})
 
     @staticmethod
     def _context(

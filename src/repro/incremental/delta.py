@@ -12,10 +12,11 @@ are joined against the session's columnar store, and the free-variable ids
 of the completed bindings are decoded into the new candidates.
 
 This is the classic delta-join of incremental view maintenance, run by the
-id-row kernel :func:`~repro.store.kernels.seeded_bindings`.  Inserted facts
-are encoded by lookup only: a constant the intern table does not know
-occurs in no stored row, so such a fact seeds nothing and the table never
-grows on the view path.
+id-row kernel :func:`~repro.store.kernels.seeded_bindings` on the join loop
+the full enumeration (:func:`~repro.store.kernels.answer_rows`) also uses.
+Inserted facts are encoded by lookup only: a constant the intern table does
+not know occurs in no stored row, so such a fact seeds nothing and the
+table never grows on the view path.
 """
 
 from __future__ import annotations

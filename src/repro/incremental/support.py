@@ -135,10 +135,6 @@ class SupportIndex:
         """Candidates whose decision probed block *block_id* (global ones excluded)."""
         return set(self._by_block.get(block_id, _EMPTY))
 
-    def candidates_for_relation(self, name: str) -> Set[Candidate]:
-        """Candidates whose decision scanned relation *name* in full."""
-        return set(self._by_relation.get(name, _EMPTY))
-
     @property
     def global_candidates(self) -> Set[Candidate]:
         """Candidates dirtied by *every* mutation (domain-reading read sets)."""
@@ -174,15 +170,6 @@ class SupportIndex:
         for name in changes.touched_relations():
             dirty |= self._by_relation.get(name, _EMPTY)
         return dirty
-
-    def dependencies_of(self, candidate: Candidate) -> int:
-        """How many block/relation entries support *candidate* (0 if global)."""
-        read_set = self._reads.get(candidate)
-        if read_set is None or read_set.domain_read:
-            return 0
-        return (
-            len(read_set.block_ids) + len(read_set.key_masks) + len(read_set.relations)
-        )
 
     def __len__(self) -> int:
         return len(self._reads)

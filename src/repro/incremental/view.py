@@ -337,8 +337,8 @@ class MaterializedCertainView:
         if self._boolean:
             candidates: List[Candidate] = [()]
         else:
-            # The session enumerates through the compiled candidate plan, in
-            # its deterministic sorted order.
+            # Every answer over the whole store, certain or not: a later
+            # discard can make any of them certain.
             candidates = session.candidate_answers(self._query)
         support_out: Optional[Dict[Candidate, ReadSet]] = (
             {} if self._fine_grained else None

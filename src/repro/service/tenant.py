@@ -92,7 +92,7 @@ class Tenant:
         #: containment and graceful degradation (see
         #: :class:`~repro.engine.shards.ShardedCertaintySession`).  Its
         #: inline session is the tenant's session, so the database carries
-        #: one index and scans and lookups share one candidate memo.
+        #: one index, which scans and lookups both read.
         self.sharded: Optional[ShardedCertaintySession] = None
         if shard_workers is not None:
             # The tenant's clock threads down to shard dispatch so ticket

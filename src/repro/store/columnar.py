@@ -168,29 +168,12 @@ class ColumnarFactStore:
             key.append(term_id)
         return self._block_ids.get((name, tuple(key)))
 
-    def block_key_of(self, block_id: int) -> Tuple[str, IntKey]:
-        """The ``(name, key ids)`` pair of a block id."""
-        return self._block_keys[block_id]
-
     def decode_block_key(self, block_id: int) -> BlockKey:
         """The object-space :data:`BlockKey` of a block id."""
         name, key = self._block_keys[block_id]
         return (name, self._table.decode(key))
 
-    def live_block_ids(self, name: str) -> List[int]:
-        """The block ids of the *non-empty* blocks of relation *name*."""
-        rel = self._relations.get(name)
-        if rel is None:
-            return []
-        block_ids = self._block_ids
-        return [block_ids[(name, key)] for key in rel.blocks]
-
     # -- mutation ----------------------------------------------------------------
-
-    def encode_fact(self, fact: Fact) -> Tuple[str, IntRow]:
-        """Encode *fact* into its relation name and id-row (interning terms)."""
-        intern = self._table.intern
-        return fact.relation.name, tuple(intern(t) for t in fact.terms)
 
     def _relation_for(self, schema: RelationSchema) -> _RelationColumns:
         """The (possibly new) entry of *schema*'s relation, signature-checked."""

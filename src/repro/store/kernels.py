@@ -1,18 +1,28 @@
 """Integer-encoded execution kernels over the columnar store.
 
-The kernels here are the witness sweeps of the certainty solvers and of
-the incremental views: they reuse the compiled slot-based
-:func:`~repro.query.evaluation.backtrack_plan` of a query, look its
-constants up in the store's intern table once per call, and then run the
-backtracking join entirely on integer rows — block probes are dict lookups
-on id-tuples, bindings live in one mutable int array, and witness marking
-collects id-rows instead of fact objects.
+Every conjunctive-query join of the engine runs here, on integer rows.  A
+query's compiled slot-based :func:`~repro.query.evaluation.backtrack_plan`
+is encoded against the store once per call (its constants looked up, never
+interned), and the one backtracking loop :func:`_join` walks it: block
+probes are dict lookups on id-tuples, bindings live in one mutable int
+array, and a witness is a list of ``(name, id-row)`` pairs.  Its callers:
 
-:func:`used_rows` is the purification filter (Lemma 1): the id-rows of a
-(sub-)database that participate in some witness ``θ(q) ⊆ db``, which
-:func:`~repro.certainty.purify.purify_rows` turns into live rows.
-:func:`seeded_bindings` is the views' delta join, and :func:`has_witness`
-their candidate garbage collection.
+* :func:`used_rows`, the purification filter (Lemma 1): the id-rows on some
+  witness ``θ(q) ⊆ db``, which :func:`~repro.certainty.purify.purify_rows`
+  turns into live rows;
+* :func:`witness_row_sets`, the witnesses of the brute-force repair search;
+* :func:`has_witness`, the Theorem 3 base case and the views' candidate
+  garbage collection;
+* :func:`seeded_bindings`, the views' delta join;
+* :func:`answer_rows`, the candidates of ``certain_answers``.
+
+:func:`used_rows`, :func:`witness_row_sets` and :func:`answer_rows` first
+shrink each level to the rows of a pairwise semi-join fixpoint
+(:func:`_reduced_candidates`); for an α-acyclic query the first and the
+last read their result off those rows without joining.  The object-level
+loop of :mod:`repro.query.evaluation` runs the same plans over facts; it
+serves the object-level APIs and is the reference the tests compare these
+kernels against.
 """
 
 from __future__ import annotations
@@ -154,39 +164,46 @@ def _reduced_candidates(
     return rows_per_level
 
 
-def _enumerate_witnesses(
+#: ``emit(bindings, stack)`` of :func:`_join`; a true return stops the join.
+_Emit = Callable[[List[Optional[int]], List[Tuple[str, IntRow]]], bool]
+
+
+def _join(
     encoded: List[_EncodedStep],
     slot_count: int,
-    reduced: List[Set[IntRow]],
-    emit: Callable[[List[Tuple[str, IntRow]]], None],
-) -> None:
-    """Call *emit* with the ``(name, id-row)`` list of every valuation image.
+    emit: _Emit,
+    usable: Optional[Sequence[Set[IntRow]]] = None,
+    first: Optional[Iterable[IntRow]] = None,
+) -> bool:
+    """The backtracking join over the id-rows of a non-empty encoded plan.
 
-    The backtracking join over the reduced per-level rows; block probes
-    filter through the level's reduced set.  *emit* must copy what it keeps.
+    Calls ``emit(bindings, stack)`` with every valuation of the plan: the
+    slot array and the ``(name, id-row)`` image, one entry per level.  A
+    true return stops the search, and the join then returns ``True``.
+    ``usable[level]``, when given, limits that level to those rows of the
+    store; *first*, when given, holds the rows level 0 starts from instead.
+    A level whose key the earlier levels bind probes its block; any other
+    level scans its usable rows, or its whole relation.  *emit* must copy
+    what it keeps.
     """
     bindings: List[Optional[int]] = [None] * slot_count
-    depth = len(encoded)
     stack: List[Tuple[str, IntRow]] = []
+    last = len(encoded) - 1
 
-    def backtrack(level: int) -> None:
-        if level == depth:
-            emit(stack)
-            return
-        relation, ops, key_plan, _atom = encoded[level]
-        allowed = reduced[level]
-        if key_plan is not None:
-            key = tuple(
-                bindings[slot] if constant is None else constant
-                for slot, constant in key_plan
-            )
-            candidates: Iterable[IntRow] = [
-                row
-                for row in relation.blocks.get(key, ())  # type: ignore[union-attr]
-                if row in allowed
-            ]
-        else:
-            candidates = allowed
+    def rows(level: int) -> Iterable[IntRow]:
+        relation, _ops, key_plan, _atom = encoded[level]
+        allowed = None if usable is None else usable[level]
+        if key_plan is None:
+            return relation.row_index.keys() if allowed is None else allowed  # type: ignore[union-attr]
+        key = tuple(
+            bindings[slot] if constant is None else constant
+            for slot, constant in key_plan
+        )
+        block = relation.blocks.get(key, ())  # type: ignore[union-attr]
+        return block if allowed is None else [row for row in block if row in allowed]
+
+    def backtrack(level: int, candidates: Iterable[IntRow]) -> bool:
+        relation, ops, _key_plan, _atom = encoded[level]
         name = relation.schema.name  # type: ignore[union-attr]
         for row in candidates:
             matched = True
@@ -206,12 +223,32 @@ def _enumerate_witnesses(
                     bound.append(arg)
             if matched:
                 stack.append((name, row))
-                backtrack(level + 1)
+                if level == last:
+                    stop = emit(bindings, stack)
+                else:
+                    stop = backtrack(level + 1, rows(level + 1))
                 stack.pop()
+                if stop:
+                    return True
             for slot in bound:
                 bindings[slot] = None
+        return False
 
-    backtrack(0)
+    return backtrack(0, rows(0) if first is None else first)
+
+
+def _project_into(out: Set[IntRow], slots: Sequence[int]) -> _Emit:
+    """An emit adding the id tuple of *slots* to *out*.
+
+    With no slots the tuple is ``()`` whatever the valuation, so the first
+    witness completes the projection and stops the join.
+    """
+
+    def emit(bindings: List[Optional[int]], _stack: List[Tuple[str, IntRow]]) -> bool:
+        out.add(tuple(bindings[slot] for slot in slots))  # type: ignore[misc]
+        return not slots
+
+    return emit
 
 
 #: Memoised α-acyclicity test (residual queries repeat across blocks).
@@ -244,11 +281,12 @@ def used_rows(
             used[name] = rows | used[name] if name in used else rows
         return used
 
-    def mark(stack: List[Tuple[str, IntRow]]) -> None:
+    def mark(_bindings: List[Optional[int]], stack: List[Tuple[str, IntRow]]) -> bool:
         for name, row in stack:
             used.setdefault(name, set()).add(row)
+        return False
 
-    _enumerate_witnesses(encoded, slot_count, reduced, mark)
+    _join(encoded, slot_count, mark, reduced)
     return used
 
 
@@ -334,13 +372,14 @@ def witness_row_sets(
         return out
     seen: Set[FrozenSet[Tuple[str, IntRow]]] = set()
 
-    def collect(stack: List[Tuple[str, IntRow]]) -> None:
+    def collect(_bindings: List[Optional[int]], stack: List[Tuple[str, IntRow]]) -> bool:
         image = frozenset(stack)
         if image not in seen:
             seen.add(image)
             out.append(image)
+        return False
 
-    _enumerate_witnesses(encoded, slot_count, reduced, collect)
+    _join(encoded, slot_count, collect, reduced)
     return out
 
 
@@ -351,9 +390,9 @@ def has_witness(
 ) -> bool:
     """Is some witness ``θ(q)`` contained in the (restricted) store?
 
-    *allowed*, when given, maps relation names to the usable id-rows —
-    evaluation over a sub-database without materialising it.  Relations
-    absent from the map contribute no rows (mirroring
+    *allowed*, when given, maps relation names to the usable id-rows of
+    the store — evaluation over a sub-database without materialising it.
+    Relations absent from the map contribute no rows (mirroring
     ``satisfies(fact_subset, query)``).
     """
     if query.is_empty:
@@ -363,52 +402,10 @@ def has_witness(
         return False
     if not encoded:
         return True
-    bindings: List[Optional[int]] = [None] * slot_count
-    depth = len(encoded)
-
-    def backtrack(level: int) -> bool:
-        if level == depth:
-            return True
-        relation, ops, key_plan, _atom = encoded[level]
-        name = relation.schema.name  # type: ignore[union-attr]
-        usable: Optional[Iterable[IntRow]] = None
-        if allowed is not None:
-            usable = allowed.get(name)
-            if not usable:
-                return False
-        if key_plan is not None:
-            key = tuple(
-                bindings[slot] if constant is None else constant
-                for slot, constant in key_plan
-            )
-            candidates: Iterable[IntRow] = relation.blocks.get(key, ())  # type: ignore[union-attr]
-        else:
-            candidates = relation.row_index.keys()  # type: ignore[union-attr]
-        for row in candidates:
-            if usable is not None and row not in usable:
-                continue
-            matched = True
-            bound: List[int] = []
-            for op, pos, arg in ops:
-                value = row[pos]
-                if op == CHECK_CONST:
-                    if value != arg:
-                        matched = False
-                        break
-                elif op == CHECK_SLOT:
-                    if bindings[arg] != value:
-                        matched = False
-                        break
-                else:
-                    bindings[arg] = value
-                    bound.append(arg)
-            if matched and backtrack(level + 1):
-                return True
-            for slot in bound:
-                bindings[slot] = None
-        return False
-
-    return backtrack(0)
+    usable = None
+    if allowed is not None:
+        usable = [allowed.get(atom.relation.name, set()) for *_step, atom in encoded]
+    return _join(encoded, slot_count, lambda _bindings, _stack: True, usable)
 
 
 def seeded_bindings(
@@ -438,49 +435,38 @@ def seeded_bindings(
         if encoded is None:
             return out  # some atom matches no stored row: no witness at all
         slot_of = dict(backtrack_plan(query, atom)[1])
-        out_slots = [slot_of[v] for v in variables]
-        bindings: List[Optional[int]] = [None] * slot_count
-        depth = len(encoded)
-
-        def probe(level: int) -> Iterable[IntRow]:
-            relation, _ops, key_plan, _atom = encoded[level]  # type: ignore[index]
-            if key_plan is None:
-                return relation.row_index.keys()  # type: ignore[union-attr]
-            key = tuple(
-                bindings[slot] if constant is None else constant
-                for slot, constant in key_plan
-            )
-            return relation.blocks.get(key, ())  # type: ignore[union-attr]
-
-        def backtrack(level: int, candidates: Iterable[IntRow]) -> None:
-            ops = encoded[level][1]  # type: ignore[index]
-            last = level + 1 == depth
-            for row in candidates:
-                matched = True
-                bound: List[int] = []
-                for op, pos, arg in ops:
-                    value = row[pos]
-                    if op == CHECK_CONST:
-                        if value != arg:
-                            matched = False
-                            break
-                    elif op == CHECK_SLOT:
-                        if bindings[arg] != value:
-                            matched = False
-                            break
-                    else:
-                        bindings[arg] = value
-                        bound.append(arg)
-                if matched:
-                    if last:
-                        out.add(tuple(bindings[slot] for slot in out_slots))  # type: ignore[misc]
-                    else:
-                        backtrack(level + 1, probe(level + 1))
-                for slot in bound:
-                    bindings[slot] = None
-
+        collect = _project_into(out, [slot_of[v] for v in variables])
         stored = encoded[0][0].row_index  # type: ignore[union-attr]
-        for row in rows:
-            if row in stored:
-                backtrack(0, (row,))
+        _join(encoded, slot_count, collect, first=[row for row in rows if row in stored])
+    return out
+
+
+def answer_rows(query: ConjunctiveQuery, store: ColumnarFactStore) -> Set[IntRow]:
+    """The id tuples of *query*'s free variables over its witnesses.
+
+    The id-space counterpart of :func:`repro.query.evaluation.answer_tuples`:
+    the answers of *query* over the whole store, which are the candidates of
+    ``certain_answers``.  A Boolean query yields ``{()}`` exactly when it
+    has a witness.  When the query is α-acyclic and one atom holds every
+    free variable, the reduced rows of that atom's level all lie on
+    witnesses (see :func:`_reduced_candidates`), so projecting them is the
+    whole enumeration; otherwise the join runs over the reduced rows.
+    """
+    encoded, slot_count = _encode_plan(query, store)
+    if encoded is None:
+        return set()
+    if not encoded:
+        return {()}
+    reduced = _reduced_candidates(encoded, store)
+    if any(not rows for rows in reduced):
+        return set()
+    free = query.free_variables
+    if _acyclic(query):
+        for (_relation, _ops, _key_plan, atom), rows in zip(encoded, reduced):
+            if all(v in atom.terms for v in free):
+                positions = [atom.terms.index(v) for v in free]
+                return {tuple(row[p] for p in positions) for row in rows}
+    slot_of = dict(backtrack_plan(query)[1])
+    out: Set[IntRow] = set()
+    _join(encoded, slot_count, _project_into(out, [slot_of[v] for v in free]), reduced)
     return out

@@ -211,10 +211,6 @@ def bursty_mutation_stream(
         rest = [rng.choice(domain) for _ in range(relation.arity - relation.key_size)]
         return relation.fact(*(hot_key + rest))
 
-    def existing_fact() -> Optional["Fact"]:
-        facts = sorted(db.facts, key=str)
-        return rng.choice(facts) if facts else None
-
     for _ in range(steps):
         batch: List[MutationOp] = []
         if rng.random() < p_burst:
@@ -232,11 +228,13 @@ def bursty_mutation_stream(
             # a staged discard may name a fact a staged add re-creates —
             # db.batch() nets that out, which is exactly the point.
         else:
+            # The database does not change while a batch is staged, so its
+            # facts are sorted at most once per batch.
+            facts: Optional[List[Fact]] = None
             for _ in range(rng.randint(*quiet_range)):
                 if db and rng.random() < p_discard:
-                    victim = existing_fact()
-                    if victim is not None:
-                        batch.append(("discard", victim))
+                    facts = facts if facts is not None else sorted(db, key=str)
+                    batch.append(("discard", rng.choice(facts)))
                 else:
                     batch.append(("add", uniform_fact()))
         yield batch

@@ -110,15 +110,12 @@ def mutation_stream(
         rest = [rng.choice(domain) for _ in range(relation.arity - relation.key_size)]
         return relation.fact(*([c.value for c in key_values] + rest))
 
-    def existing_fact() -> Optional[Fact]:
-        facts = sorted(db.facts, key=str)
-        return rng.choice(facts) if facts else None
-
     for _ in range(steps):
         batch: List[MutationOp] = []
         # The database does not change while a batch is staged, so its
-        # block keys are grouped at most once per batch.
+        # block keys are grouped, and its facts sorted, at most once per batch.
         keys: Optional[List[BlockKey]] = None
+        facts: Optional[List[Fact]] = None
         for _ in range(rng.randint(*batch_range)):
             roll = rng.random()
             if roll < p_add or not db:
@@ -128,9 +125,9 @@ def mutation_stream(
                     fact = conflicting_fact(keys)
                 batch.append(("add", fact if fact is not None else random_fact()))
             elif roll < p_add + p_discard:
-                victim = existing_fact()
-                if victim is not None:
-                    batch.append(("discard", victim))
+                facts = facts if facts is not None else sorted(db, key=str)
+                if facts:
+                    batch.append(("discard", rng.choice(facts)))
             else:
                 keys = keys if keys is not None else _sorted_block_keys(db)
                 if keys:

@@ -1,5 +1,9 @@
 """Shared helpers for the test suite (importable, unlike conftest fixtures)."""
 
+import os
+import pathlib
+import subprocess
+import sys
 from contextlib import contextmanager
 
 from repro.model import UncertainDatabase
@@ -49,3 +53,24 @@ def constructions(*classes):
     finally:
         for cls, original in originals.items():
             cls.__init__ = original
+
+
+def outputs_under_hash_seeds(probe, seeds=("0", "1")):
+    """The distinct stdouts of the script *probe*, run once per ``PYTHONHASHSEED``.
+
+    Each run is a fresh interpreter with the repository's ``src`` on its
+    path, so a result that follows string hashing shows up as two outputs.
+    """
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    outputs = set()
+    for seed in seeds:
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.add(result.stdout)
+    return outputs

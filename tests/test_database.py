@@ -1,9 +1,5 @@
 """Tests for repro.model.database and repro.model.schema."""
 
-import os
-import pathlib
-import subprocess
-import sys
 import tracemalloc
 
 import pytest
@@ -12,6 +8,8 @@ from repro.model.atoms import RelationSchema
 from repro.model.database import UncertainDatabase
 from repro.model.schema import DatabaseSchema
 from repro.model.symbols import Constant
+
+from tests.helpers import outputs_under_hash_seeds
 
 R = RelationSchema("R", 2, 1)
 S = RelationSchema("S", 3, 2)
@@ -108,6 +106,33 @@ class TestUncertainDatabase:
             db.add(R.atom("x", "y"))
 
 
+class TestMutationVersion:
+    def test_ineffective_add_or_discard_keeps_the_version(self):
+        db = UncertainDatabase([R.fact("a", 1)])
+        version = db.mutation_version
+        db.add(R.fact("a", 1))  # already present
+        db.discard(R.fact("z", 9))  # absent
+        assert db.mutation_version == version
+
+    def test_empty_batch_keeps_the_version(self):
+        db = UncertainDatabase([R.fact("a", 1)])
+        version = db.mutation_version
+        with db.batch():
+            pass
+        assert db.mutation_version == version
+
+    def test_each_non_empty_batch_bumps_it_once(self):
+        db = UncertainDatabase([R.fact("a", 1)])
+        version = db.mutation_version
+        for fresh in ("b", "c"):
+            with db.batch():
+                db.add(R.fact(fresh, 1))
+                db.add(R.fact(fresh, 2))
+                db.discard(R.fact("a", 1))
+            version += 1
+            assert db.mutation_version == version
+
+
 class TestDerivedBlocks:
     """Blocks are grouped from the fact set on demand, in the order of each
     block's first surviving fact, never in hash order."""
@@ -141,10 +166,8 @@ class TestDerivedBlocks:
     def test_random_repair_is_the_same_under_other_hash_seeds(self):
         """A copied database keeps its facts' order, so a seeded repair
         draws the same choice per block in every interpreter."""
-        src = pathlib.Path(__file__).resolve().parents[1] / "src"
         probe = (
-            "import random, sys\n"
-            f"sys.path.insert(0, {str(src)!r})\n"
+            "import random\n"
             "from repro.model.atoms import RelationSchema\n"
             "from repro.model.database import UncertainDatabase\n"
             "from repro.model.repairs import random_repair\n"
@@ -152,17 +175,7 @@ class TestDerivedBlocks:
             "db = UncertainDatabase(R.fact(f'k{i % 40}', f'v{i}') for i in range(160))\n"
             "print(sorted(map(str, random_repair(db.copy(), random.Random(7)))))\n"
         )
-        outputs = set()
-        for hash_seed in ("0", "1"):
-            result = subprocess.run(
-                [sys.executable, "-c", probe],
-                env={**os.environ, "PYTHONHASHSEED": hash_seed},
-                capture_output=True,
-                text=True,
-            )
-            assert result.returncode == 0, result.stderr
-            outputs.add(result.stdout)
-        assert len(outputs) == 1
+        assert len(outputs_under_hash_seeds(probe)) == 1
 
     def test_fact_set_costs_at_most_100_bytes_per_fact(self):
         """The database holds one container; blocks cost nothing at rest."""

@@ -728,27 +728,12 @@ class TestDeepResidualPeeling:
 
 
 # --------------------------------------------------------------------------------
-# The mutation-versioned candidate memo
+# Candidates follow the database
 # --------------------------------------------------------------------------------
 
 
-class TestCandidateMemo:
-    def test_memo_serves_cached_candidates_until_version_advances(self):
-        query, schema, db = emp_dept()
-        with CertaintySession(db) as session:
-            baseline = session.candidate_answers(query)
-            # Plant a sentinel at the current version: a memo hit returns it
-            # verbatim, proving candidate enumeration was skipped.
-            sentinel = [(Constant("sentinel"),)]
-            session._candidate_memo[query] = (db.mutation_version, list(sentinel))
-            assert session.candidate_answers(query) == sentinel
-            # Any effective mutation bumps the version and drops the entry.
-            db.add(schema["Emp"].fact("eve", "db"))
-            fresh = session.candidate_answers(query)
-            assert fresh != sentinel
-            assert set(fresh) == set(baseline) | {(Constant("eve"),)}
-
-    def test_each_mutation_kind_invalidates(self):
+class TestCandidateFreshness:
+    def test_each_mutation_kind_changes_the_candidates(self):
         query, schema, db = emp_dept()
         with CertaintySession(db) as session:
             fact = schema["Emp"].fact("eve", "db")
@@ -765,18 +750,7 @@ class TestCandidateMemo:
             assert db.mutation_version > version
             assert (Constant("bob"),) not in set(session.candidate_answers(query))
 
-    def test_ineffective_mutations_keep_the_memo(self):
-        query, schema, db = emp_dept()
-        existing = schema["Emp"].fact("ada", "db")
-        with CertaintySession(db) as session:
-            session.candidate_answers(query)
-            version = db.mutation_version
-            db.add(existing)  # already present: no change, no bump
-            db.discard(schema["Emp"].fact("zoe", "db"))  # absent: no change
-            assert db.mutation_version == version
-            assert session._candidate_memo[query][0] == version
-
-    def test_memo_across_batch_boundaries(self):
+    def test_candidates_across_batch_boundaries(self):
         query, schema, db = emp_dept()
         with CertaintySession(db) as session:
             before = set(session.candidate_answers(query))
@@ -784,25 +758,13 @@ class TestCandidateMemo:
             fact = schema["Emp"].fact("eve", "db")
             with db.batch():
                 db.add(fact)
-                # Inside the batch the version is intentionally stale —
-                # observers (the session index included) have not been
-                # notified yet, so cached candidates match what the index
-                # would produce anyway.
+                # Inside the batch the version is intentionally stale, and so
+                # is the session store: observers hear of a batch at its exit.
                 assert db.mutation_version == version
                 assert set(session.candidate_answers(query)) == before
-            # The version advances once at batch exit, before observer
-            # fan-out, so the first post-batch read recomputes.
+            # The version advances once at batch exit, when the store also
+            # takes the insertion.
             assert db.mutation_version == version + 1
             assert set(session.candidate_answers(query)) == before | {
                 (Constant("eve"),)
             }
-
-    def test_empty_batch_does_not_advance_the_version(self):
-        query, schema, db = emp_dept()
-        with CertaintySession(db) as session:
-            session.candidate_answers(query)
-            version = db.mutation_version
-            with db.batch():
-                pass
-            assert db.mutation_version == version
-            assert session._candidate_memo[query][0] == version

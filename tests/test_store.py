@@ -19,15 +19,16 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import CertaintySession, UncertainDatabase, parse_facts, parse_query
 from repro.certainty import certain_by_enumeration, cycle_query, terminal_cycles
+from repro.fo.compile import EvalContext
 from repro.model.atoms import Fact, RelationSchema
 from repro.model.symbols import Constant, Variable
 from repro.query import figure2_q1, figure4_query
-from repro.query.evaluation import FactIndex, answer_tuples
+from repro.query.evaluation import FactIndex, answer_tuples, satisfies
 from repro.query.families import cycle_query_c, path_query
 from repro.query.substitution import ground_free_variables
 from repro.store import (
@@ -237,6 +238,22 @@ class TestColumnarFactIndex:
         db.discard(fact)
         assert not index.store.contains_fact(fact)
 
+    def test_stores_list_rows_in_database_insertion_order(self):
+        """The session store and a one-shot scratch index ingest the
+        database itself, not a hashed copy of its facts."""
+        R, S = RelationSchema("R", 2, 1), RelationSchema("S", 2, 1)
+        facts = [R.fact(f"k{i % 5}", f"v{7 * i % 40}") for i in range(40)]
+        facts += [S.fact(f"v{i}", f"k{i % 3}") for i in reversed(range(40))]
+        db = UncertainDatabase(facts)
+        with CertaintySession(db) as session:
+            stores = [session.store, EvalContext.for_database(db).store]
+            for store in stores:
+                for relation in (R, S):
+                    rows = store.relation_rows(relation.name)
+                    assert [store.decode_row(row) for row in rows] == [
+                        fact.terms for fact in db if fact.relation == relation
+                    ]
+
     def test_no_object_mirror(self):
         """The session index is the store alone, not a FactIndex."""
         assert not issubclass(ColumnarFactIndex, FactIndex)
@@ -375,6 +392,98 @@ def _verdicts_against_enumeration(query, allow, db):
         assert (candidate in certain) == expected, candidate
         verdicts.add(expected)
     return verdicts
+
+
+def candidate_cases():
+    return [
+        pytest.param(
+            parse_query("R(x | y, 'c0'), S(y | x, x)", free=["x"]), id="constants-repeats"
+        ),
+        pytest.param(parse_query("R(x | y), R(y | z)", free=["x", "z"]), id="self-join"),
+        pytest.param(open_variant(cycle_query_c(3), "x1"), id="c3"),
+        pytest.param(parse_query("R(x, y), S(y, z), T(z, x)", free=["x", "y"]), id="triangle"),
+        pytest.param(parse_query("R(x | y), S(y | z)", free=["x", "z"]), id="free-in-two-atoms"),
+        pytest.param(parse_query("R(x | y), S(y | x)"), id="boolean"),
+    ]
+
+
+_CONSTANTS = st.sampled_from(["c0", "c1", "c2"])
+#: Facts as (relation number, values): the number picks one of the query's
+#: relations (modulo their count) and the values are cut to its arity.
+_DRAWN_FACTS = st.lists(
+    st.tuples(st.integers(0, 2), st.tuples(_CONSTANTS, _CONSTANTS, _CONSTANTS)),
+    max_size=8,
+)
+
+
+#: Pairwise consistent on a triangle of binary relations, yet no triangle:
+#: the first and third relations are the identity on {c0, c1}, the second
+#: swaps.  Random draws at these sizes almost never hit it.
+_TRIANGLE_WITHOUT_WITNESS = [
+    (0, ("c0", "c0", "c0")),
+    (0, ("c1", "c1", "c1")),
+    (1, ("c0", "c1", "c1")),
+    (1, ("c1", "c0", "c0")),
+    (2, ("c0", "c0", "c0")),
+    (2, ("c1", "c1", "c1")),
+]
+
+
+def _drawn_facts(query, drawn):
+    relations = sorted({atom.relation.name: atom.relation for atom in query.atoms}.items())
+    facts = []
+    for number, values in drawn:
+        relation = relations[number % len(relations)][1]
+        facts.append(relation.fact(*values[: relation.arity]))
+    return facts
+
+
+def _candidates_against_definition(session, db, query):
+    """Check the session's candidates and verdicts; return the candidates."""
+    candidates = session.candidate_answers(query)
+    if query.is_boolean:
+        assert candidates == ([()] if satisfies(db, query) else [])
+        assert session.is_certain(query) == certain_by_enumeration(db, query)
+        return candidates
+    expected = answer_tuples(query, db)
+    assert candidates == sorted(expected, key=lambda t: tuple(map(str, t)))
+    certain = session.certain_answers(query)
+    for candidate in candidates:
+        grounded = ground_free_variables(query, [c.value for c in candidate])
+        assert (candidate in certain) == certain_by_enumeration(db, grounded), candidate
+    return candidates
+
+
+class TestCandidateDifferential:
+    """``candidate_answers`` is ``answer_tuples`` over the whole database,
+    before and after a mutation batch, on the store's id-row join."""
+
+    @pytest.mark.parametrize("query", candidate_cases())
+    def test_candidates_match_answer_tuples(self, query):
+        answered = []
+
+        @settings(max_examples=30, derandomize=True, deadline=None, database=None)
+        @given(
+            initial=_DRAWN_FACTS,
+            added=_DRAWN_FACTS.map(lambda drawn: drawn[:3]),
+            discarded=st.lists(st.integers(0, 7), max_size=3),
+        )
+        @example(initial=_TRIANGLE_WITHOUT_WITNESS, added=[], discarded=[])
+        def check(initial, added, discarded):
+            db = UncertainDatabase(_drawn_facts(query, initial))
+            with CertaintySession(db, allow_exponential=True) as session:
+                answered.append(bool(_candidates_against_definition(session, db, query)))
+                facts = list(db)
+                with db.batch():
+                    for fact in _drawn_facts(query, added):
+                        db.add(fact)
+                    for position in discarded:
+                        if facts:
+                            db.discard(facts[position % len(facts)])
+                answered.append(bool(_candidates_against_definition(session, db, query)))
+
+        check()
+        assert True in answered and False in answered  # non-vacuous both ways
 
 
 class TestOracleDifferential:

@@ -1,10 +1,5 @@
 """Tests for the workload generators, paper instances, and experiment harness."""
 
-import os
-import pathlib
-import subprocess
-import sys
-
 import pytest
 
 from repro.certainty import certain_brute_force, is_certain, is_purified
@@ -27,6 +22,8 @@ from repro.workloads import (
     uniform_random_instance,
 )
 
+from tests.helpers import outputs_under_hash_seeds
+
 
 class TestGenerators:
     def test_synthetic_instance_deterministic(self):
@@ -39,26 +36,29 @@ class TestGenerators:
         """A seed names one instance in every process: the generator's RNG
         draws must not follow set iteration order, which string hashing
         salts per interpreter."""
-        src = pathlib.Path(__file__).resolve().parents[1] / "src"
         probe = (
-            "import sys\n"
-            f"sys.path.insert(0, {str(src)!r})\n"
             "from repro.query.families import path_query\n"
             "from repro.workloads import synthetic_instance\n"
             "db = synthetic_instance(path_query(3), seed=2, domain_size=6, witnesses=12)\n"
             "print(sorted(map(str, db.facts)))\n"
         )
-        outputs = set()
-        for hash_seed in ("1", "2"):
-            result = subprocess.run(
-                [sys.executable, "-c", probe],
-                env={**os.environ, "PYTHONHASHSEED": hash_seed},
-                capture_output=True,
-                text=True,
-            )
-            assert result.returncode == 0, result.stderr
-            outputs.add(result.stdout)
-        assert len(outputs) == 1
+        assert len(outputs_under_hash_seeds(probe, seeds=("1", "2"))) == 1
+
+    def test_mutation_streams_are_the_same_under_other_hash_seeds(self):
+        """A seed names one live mutation stream in every process."""
+        probe = (
+            "from repro.query.families import path_query\n"
+            "from repro.workloads import apply_batch, bursty_mutation_stream,"
+            " mutation_stream, synthetic_instance\n"
+            "query = path_query(3)\n"
+            "for stream in (mutation_stream, bursty_mutation_stream):\n"
+            "    db = synthetic_instance(query, seed=2, domain_size=6, witnesses=12)\n"
+            "    for batch in stream(query, db, steps=40, seed=5):\n"
+            "        print([(op, str(arg)) for op, arg in batch])\n"
+            "        apply_batch(db, batch)\n"
+        )
+        (output,) = outputs_under_hash_seeds(probe)
+        assert "'discard'" in output
 
     def test_synthetic_instance_covers_all_relations(self):
         query = fuxman_miller_cfree_example()
