@@ -17,15 +17,33 @@ of which can be decided without enumerating all cycles:
   must in fact be a 2-cycle.
 
 Explicit cycle enumeration (bounded) is still provided for reporting and for
-property-based tests of the lemmas.
+property-based tests of the lemmas.  :func:`tarjan_components` is the
+engine's one strongly-connected-components routine; the marking graphs of
+Theorems 3 and 4 use it too.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    TypeVar,
+)
 
 from ..model.atoms import Atom
 from .graph import AttackGraph
+
+#: A vertex of a graph given as a successor map.
+Node = TypeVar("Node", bound=Hashable)
 
 
 class AttackCycle:
@@ -63,55 +81,56 @@ class AttackCycle:
 
 
 def strongly_connected_components(graph: AttackGraph) -> List[FrozenSet[Atom]]:
-    """Tarjan's algorithm over the attack graph (iterative, deterministic order)."""
-    index: Dict[Atom, int] = {}
-    lowlink: Dict[Atom, int] = {}
-    on_stack: Set[Atom] = set()
-    stack: List[Atom] = []
-    components: List[FrozenSet[Atom]] = []
-    counter = [0]
+    """Tarjan's algorithm over the attack graph (deterministic order)."""
+    return tarjan_components(
+        {atom: sorted(graph.attacks_from(atom), key=str) for atom in sorted(graph.atoms, key=str)}
+    )
 
-    atoms = sorted(graph.atoms, key=str)
 
-    def strongconnect(root: Atom) -> None:
-        work: List[Tuple[Atom, Iterator[Atom]]] = [(root, iter(sorted(graph.attacks_from(root), key=str)))]
-        index[root] = lowlink[root] = counter[0]
-        counter[0] += 1
+def tarjan_components(successors: Mapping[Node, Iterable[Node]]) -> List[FrozenSet[Node]]:
+    """Tarjan's strongly connected components of a successor map (iterative).
+
+    Every successor must itself be a key of *successors*.  Roots are taken
+    in the map's order and successors in their iteration order, so the
+    components come out in one deterministic (reverse topological) order.
+    """
+    index: Dict[Node, int] = {}
+    lowlink: Dict[Node, int] = {}
+    on_stack: Set[Node] = set()
+    stack: List[Node] = []
+    components: List[FrozenSet[Node]] = []
+    for root in successors:
+        if root in index:
+            continue
+        index[root] = lowlink[root] = len(index)
         stack.append(root)
         on_stack.add(root)
+        work: List[Tuple[Node, Iterator[Node]]] = [(root, iter(successors[root]))]
         while work:
-            node, successors = work[-1]
-            advanced = False
-            for successor in successors:
+            node, pending = work[-1]
+            for successor in pending:
                 if successor not in index:
-                    index[successor] = lowlink[successor] = counter[0]
-                    counter[0] += 1
+                    index[successor] = lowlink[successor] = len(index)
                     stack.append(successor)
                     on_stack.add(successor)
-                    work.append((successor, iter(sorted(graph.attacks_from(successor), key=str))))
-                    advanced = True
+                    work.append((successor, iter(successors[successor])))
                     break
                 if successor in on_stack:
                     lowlink[node] = min(lowlink[node], index[successor])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                component: Set[Atom] = set()
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.add(member)
-                    if member == node:
-                        break
-                components.append(frozenset(component))
-
-    for atom in atoms:
-        if atom not in index:
-            strongconnect(atom)
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[node])
+                if lowlink[node] == index[node]:
+                    component: Set[Node] = set()
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.add(member)
+                        if member == node:
+                            break
+                    components.append(frozenset(component))
     return components
 
 

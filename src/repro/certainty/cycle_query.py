@@ -16,9 +16,12 @@ cycle or an elementary cycle longer than ``k``.  Hence
 
     ``db ∈ CERTAINTY(q)``  ⇔  some component contains neither.
 
-Purification filters the id-rows of the one columnar index the decision
-starts from (:func:`~repro.certainty.purify.purify_rows`), and the fact
-graph reads the live rows; no database is copied.
+:func:`marking_certain` is that component test, and the engine's only one:
+the Theorem 3 pair solver (:mod:`repro.certainty.pair_solver`) runs it at
+``k = 2`` on its block digraph.  Purification filters the id-rows of the
+one columnar index the decision starts from
+(:func:`~repro.certainty.purify.purify_rows`), and the fact graph reads the
+live rows; no database is copied.
 
 ``C(k)`` (cyclic for ``k ≥ 3``, so outside the attack-graph framework) is
 solved both directly (witness cycles = all ``k``-cycles) and through the
@@ -29,19 +32,19 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
+from ..attacks.cycles import Node, tarjan_components
 from ..model.atoms import RelationSchema
 from ..model.database import UncertainDatabase
 from ..query.conjunctive import ConjunctiveQuery
-from ..query.families import CycleQueryShape, cycle_query_shape
-from ..store.columnar import LiveRows
+from ..query.families import cycle_query_shape
 from .context import SolverContext, scratch_index
 from .exceptions import UnsupportedQueryError
 from .purify import purify_rows
 
-#: Graph vertex: (ring position starting at 0, term id).
-_Node = Tuple[int, int]
+#: Fact-graph vertex: (ring position starting at 0, term id).
+_Vertex = Tuple[int, int]
 
 
 def certain_cycle_query(
@@ -62,196 +65,121 @@ def certain_cycle_query(
     if index is None:
         index = scratch_index(db)
     live = purify_rows(query, index.store)
-    if not any(live.values()):
-        return False
-    graph = _FactGraph(shape, live)
-    components = graph.strongly_connected_components()
-    for component in components:
-        if not graph.component_falsifiable(component):
+    k = shape.k
+    adjacency: Dict[_Vertex, Set[_Vertex]] = defaultdict(set)
+    for position, atom in enumerate(shape.ring_atoms):
+        for row in live.get(atom.relation.name, ()):
+            target = ((position + 1) % k, row[1])
+            adjacency[(position, row[0])].add(target)
+            adjacency.setdefault(target, set())
+    if shape.sk_atom is None:
+        # C(k): every k-cycle is a witness cycle, so Case 1 never applies.
+        return marking_certain(adjacency, k, lambda _cycle: False)
+    witnesses: Set[Tuple[_Vertex, ...]] = set()
+    for row in live.get(shape.sk_atom.relation.name, ()):
+        values = dict(zip(shape.sk_atom.terms, row))
+        witnesses.add(
+            tuple((position, values[variable]) for position, variable in enumerate(shape.variables))
+        )
+    # The test meets each k-cycle once from every vertex; the rotation that
+    # starts at ring position 0 is the one an Sk fact encodes.
+    return marking_certain(
+        adjacency, k, lambda cycle: cycle[0][0] == 0 and cycle not in witnesses
+    )
+
+
+def marking_certain(
+    adjacency: Mapping[Node, Set[Node]],
+    k: int,
+    non_witness_k_cycle: Callable[[Tuple[Node, ...]], bool],
+) -> bool:
+    """Theorem 4's component test: is every repair of the graph's database
+    forced to mark a witness cycle?
+
+    *adjacency* maps every vertex to its successors.  It is the graph of a
+    purified database: one vertex per block, and an edge from each fact's
+    block to the block its values lead to, so a repair marks one outgoing
+    edge per vertex.  The graph is ``k``-partite, every edge leading from
+    one part to the next (cyclically).  *non_witness_k_cycle* receives a
+    ``k``-cycle as its ``k`` vertices and says whether the falsifier may
+    mark it: whether some choice of its edges' facts is no witness.  The
+    graph is certain iff some strongly connected component holds neither
+    such a ``k``-cycle (Case 1) nor an elementary cycle longer than ``k``
+    (Case 2).
+    """
+    for component in tarjan_components(adjacency):
+        if not _component_falsifiable(adjacency, component, k, non_witness_k_cycle):
             return True
     return False
 
 
-class _FactGraph:
-    """The k-partite fact graph of Theorem 4, with per-component decisions.
+def _component_falsifiable(
+    adjacency: Mapping[Node, Set[Node]],
+    component: FrozenSet[Node],
+    k: int,
+    non_witness_k_cycle: Callable[[Tuple[Node, ...]], bool],
+) -> bool:
+    """Can the falsifier mark one outgoing edge per vertex of this component
+    without completing a witness cycle?
 
-    Vertices are (ring position, term id) pairs and edges are the live
-    id-rows of the purified ring relations.
+    Every walk ``a1, ..., a_{k+1}`` of ``k`` edges inside the component is
+    tested.  When it closes (``a_{k+1} = a1``) it is a ``k``-cycle, and
+    Case 1 asks the caller's test.  Otherwise (Case 2) an elementary cycle
+    longer than ``k`` exists iff some such walk has a path from ``a_{k+1}``
+    back to ``a1`` that uses no edge leaving ``{a1, ..., ak}``.  A walk's
+    first ``k`` vertices lie in ``k`` different parts, so they are distinct.
     """
-
-    def __init__(self, shape: CycleQueryShape, live: LiveRows) -> None:
-        self.shape = shape
-        self.k = shape.k
-        self.adjacency: Dict[_Node, Set[_Node]] = defaultdict(set)
-        self.witness_cycles: Optional[Set[Tuple[_Node, ...]]] = None
-        for position, atom in enumerate(shape.ring_atoms):
-            for row in live.get(atom.relation.name, ()):
-                source = (position, row[0])
-                target = ((position + 1) % self.k, row[1])
-                self.adjacency[source].add(target)
-                self.adjacency.setdefault(target, set())
-        if shape.sk_atom is not None:
-            self.witness_cycles = set()
-            for row in live.get(shape.sk_atom.relation.name, ()):
-                values = dict(zip(shape.sk_atom.terms, row))
-                nodes = tuple(
-                    (position, values[variable])
-                    for position, variable in enumerate(shape.variables)
-                )
-                self.witness_cycles.add(nodes)
-
-    # -- structure ---------------------------------------------------------------
-
-    def strongly_connected_components(self) -> List[FrozenSet[_Node]]:
-        """Tarjan SCC over the fact graph (iterative)."""
-        index: Dict[_Node, int] = {}
-        lowlink: Dict[_Node, int] = {}
-        on_stack: Set[_Node] = set()
-        stack: List[_Node] = []
-        components: List[FrozenSet[_Node]] = []
-        counter = [0]
-
-        for root in sorted(self.adjacency, key=str):
-            if root in index:
-                continue
-            work: List[Tuple[_Node, List[_Node], int]] = [
-                (root, sorted(self.adjacency[root], key=str), 0)
-            ]
-            index[root] = lowlink[root] = counter[0]
-            counter[0] += 1
-            stack.append(root)
-            on_stack.add(root)
-            while work:
-                node, successors, position = work.pop()
-                advanced = False
-                while position < len(successors):
-                    successor = successors[position]
-                    position += 1
-                    if successor not in index:
-                        work.append((node, successors, position))
-                        index[successor] = lowlink[successor] = counter[0]
-                        counter[0] += 1
-                        stack.append(successor)
-                        on_stack.add(successor)
-                        work.append((successor, sorted(self.adjacency[successor], key=str), 0))
-                        advanced = True
-                        break
-                    if successor in on_stack:
-                        lowlink[node] = min(lowlink[node], index[successor])
-                if advanced:
-                    continue
-                if lowlink[node] == index[node]:
-                    component: Set[_Node] = set()
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.add(member)
-                        if member == node:
-                            break
-                    components.append(frozenset(component))
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[node])
-        return components
-
-    # -- per-component decision -----------------------------------------------------
-
-    def component_falsifiable(self, component: FrozenSet[_Node]) -> bool:
-        """Can the falsifier mark one outgoing edge per vertex of this component
-        without completing a witness cycle?"""
-        if len(component) < 2:
-            # A vertex with no outgoing edge inside its component cannot occur
-            # after purification; treat it as non-falsifiable (forces certainty).
-            return False
-        if self._has_non_witness_k_cycle(component):
-            return True
-        return self._has_long_cycle(component)
-
-    def _k_cycles_from(self, start: _Node, component: FrozenSet[_Node]) -> Iterable[Tuple[_Node, ...]]:
-        """All k-cycles through *start* (walking positions forward), inside the component."""
-        path = [start]
-
-        def extend(node: _Node, depth: int) -> Iterable[Tuple[_Node, ...]]:
-            for successor in sorted(self.adjacency.get(node, set()), key=str):
-                if successor not in component:
-                    continue
-                if depth == self.k:
-                    if successor == start:
-                        yield tuple(path)
-                    continue
-                path.append(successor)
-                yield from extend(successor, depth + 1)
-                path.pop()
-
-        yield from extend(start, 1)
-
-    def _has_non_witness_k_cycle(self, component: FrozenSet[_Node]) -> bool:
-        """Case 1 of Theorem 4: a k-cycle that is not a witness cycle."""
-        if self.witness_cycles is None:
-            # C(k): every k-cycle is a witness cycle; case 1 never applies.
-            return False
-        starts = sorted((node for node in component if node[0] == 0), key=str)
-        for start in starts:
-            for cycle in self._k_cycles_from(start, component):
-                if cycle not in self.witness_cycles:
+    for start in component:
+        for path in _paths_of_length(adjacency, start, k, component):
+            last = path[-1]
+            if last == start:
+                if non_witness_k_cycle(path[:-1]):
                     return True
-        return False
-
-    def _has_long_cycle(self, component: FrozenSet[_Node]) -> bool:
-        """Case 2 of Theorem 4: an elementary cycle of length strictly greater than k.
-
-        Such a cycle exists iff there is a path ``a1, ..., a_{k+1}`` with
-        ``a1 ≠ a_{k+1}`` and a path from ``a_{k+1}`` back to ``a1`` that uses
-        no edge leaving ``{a1, ..., ak}``.
-        """
-        for start in sorted(component, key=str):
-            for path in self._paths_of_length(start, self.k, component):
-                last = path[-1]
-                if last == start:
-                    continue
-                blocked = set(path[:-1])
-                if self._reaches(last, start, blocked, component):
-                    return True
-        return False
-
-    def _paths_of_length(
-        self, start: _Node, length: int, component: FrozenSet[_Node]
-    ) -> Iterable[Tuple[_Node, ...]]:
-        path = [start]
-
-        def extend(node: _Node, remaining: int) -> Iterable[Tuple[_Node, ...]]:
-            if remaining == 0:
-                yield tuple(path)
-                return
-            for successor in sorted(self.adjacency.get(node, set()), key=str):
-                if successor not in component:
-                    continue
-                path.append(successor)
-                yield from extend(successor, remaining - 1)
-                path.pop()
-
-        yield from extend(start, length)
-
-    def _reaches(
-        self,
-        start: _Node,
-        goal: _Node,
-        blocked_sources: Set[_Node],
-        component: FrozenSet[_Node],
-    ) -> bool:
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            node = frontier.pop()
-            if node == goal:
+            elif _reaches(adjacency, last, start, set(path[:-1]), component):
                 return True
-            if node in blocked_sources:
-                continue
-            for successor in self.adjacency.get(node, set()):
-                if successor in component and successor not in seen:
-                    seen.add(successor)
-                    frontier.append(successor)
-        return False
+    return False
+
+
+def _paths_of_length(
+    adjacency: Mapping[Node, Set[Node]],
+    start: Node,
+    length: int,
+    component: FrozenSet[Node],
+) -> List[Tuple[Node, ...]]:
+    """Every walk of *length* edges from *start* inside *component*."""
+    paths: List[Tuple[Node, ...]] = [(start,)]
+    for _ in range(length):
+        paths = [
+            path + (successor,)
+            for path in paths
+            for successor in adjacency[path[-1]]
+            if successor in component
+        ]
+    return paths
+
+
+def _reaches(
+    adjacency: Mapping[Node, Set[Node]],
+    start: Node,
+    goal: Node,
+    blocked_sources: Set[Node],
+    component: FrozenSet[Node],
+) -> bool:
+    """Does a path inside *component* lead from *start* to *goal* without
+    taking an edge out of *blocked_sources*?"""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        node = frontier.pop()
+        if node == goal:
+            return True
+        if node in blocked_sources:
+            continue
+        for successor in adjacency[node]:
+            if successor in component and successor not in seen:
+                seen.add(successor)
+                frontier.append(successor)
+    return False
 
 
 # -- the Lemma 9 reduction ------------------------------------------------------------

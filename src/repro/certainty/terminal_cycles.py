@@ -35,7 +35,7 @@ from ..query.conjunctive import ConjunctiveQuery
 from ..store.columnar import ColumnarFactStore, IntRow, LiveRows
 from ..store.kernels import AtomMatcher, has_witness
 from .context import SolverContext
-from .exceptions import IntractableQueryError, UnsupportedQueryError
+from .exceptions import UnsupportedQueryError
 from .pair_solver import certain_weak_cycle_pair_rows
 from .peeling import peel_certain
 
@@ -78,9 +78,7 @@ def _weak_terminal_base_case(
 
     The peeling recursion hands in the rows its purification kept.  They
     are partitioned by shared-variable id vectors through
-    :class:`~repro.store.kernels.AtomMatcher` (no fact decoding), and the
-    attack graph of each cycle's pair query is classified once per cycle
-    instead of once per partition.
+    :class:`~repro.store.kernels.AtomMatcher` (no fact decoding).
 
     Each partition goes to the pair solver, because the pair query of a
     cycle ``F ⇄ G`` keeps its 2-cycle.  In the base case every attack from
@@ -89,7 +87,13 @@ def _weak_terminal_base_case(
     atom: the variables of the direct edge carry the attack.  F's closure
     in the pair query is contained in ``F⁺,q``, so those variables still
     escape it there, and ``F ⇝ G`` holds in the pair query; symmetrically
-    so does ``G ⇝ F``.
+    so does ``G ⇝ F``.  The pair solver's key check refuses a pair query
+    whose cycle is strong, so no attack graph is built for it here.
+
+    Each partition is purified relative to its pair query: a row lies on a
+    witness of the query inside *live*, whose partner row has the same
+    shared-variable vector and joins it, and a block never spans two
+    partitions.
     """
     cycles = _disjoint_two_cycles(graph)
     shared_variables = _cross_cycle_variables(query, cycles)
@@ -105,15 +109,10 @@ def _weak_terminal_base_case(
         # variables are key variables of both atoms, Lemma 7), so every
         # repair of the pair sub-database decomposes into independent
         # repairs per partition.
-        matchers = (AtomMatcher(first, store), AtomMatcher(second, store))
         partitions: Dict[IntRow, Tuple[List[IntRow], List[IntRow]]] = {}
-        for side, matcher in enumerate(matchers):
-            for row in live.get(matcher.name, ()):
-                if not matcher.match(row):
-                    # The base case is always entered with a purified
-                    # database, so non-matching rows do not occur; skip
-                    # defensively.
-                    continue
+        for side, atom in enumerate((first, second)):
+            matcher = AtomMatcher(atom, store)
+            for row in live.get(atom.relation.name, ()):
                 vector = matcher.values(row, pair_shared)
                 entry = partitions.get(vector)
                 if entry is None:
@@ -121,11 +120,6 @@ def _weak_terminal_base_case(
                     partitions[vector] = entry
                 entry[side].append(row)
 
-        if has_strong_cycle(AttackGraph(pair_query)):
-            raise IntractableQueryError(
-                f"CERTAINTY({pair_query}) is coNP-complete (strong attack cycle); "
-                "no polynomial algorithm applies"
-            )
         for first_rows, second_rows in partitions.values():
             if certain_weak_cycle_pair_rows(store, pair_query, first_rows, second_rows):
                 certified.setdefault(first.relation.name, set()).update(first_rows)

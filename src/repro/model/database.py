@@ -177,12 +177,12 @@ class UncertainDatabase:
         one, a batch that nets out to nothing) leave it unchanged.
 
         Two reads returning the same version therefore guarantee the fact
-        set is identical, which is what lets derived caches — e.g. the
-        candidate-enumeration memo of
-        :class:`~repro.engine.session.CertaintySession` — validate with one
-        integer comparison.  Inside a batch the version is *not* yet
-        advanced, matching the documented staleness of observer-derived
-        structures there.
+        set is identical, which is what lets
+        :class:`~repro.durability.DurableStore` key its changelog records
+        and checkpoints by the version and recognise a database it
+        recovered with one integer comparison.  Inside a batch the version
+        is *not* yet advanced, matching the documented staleness of
+        observer-derived structures there.
         """
         return self._mutation_version
 

@@ -286,7 +286,7 @@ class AdmissionTicket:
             if self._stats is not None:
                 self._stats.timeouts += 1
             if self._controller is not None:
-                self._controller._breaker_failure(self.tenant_id)
+                self._controller._breaker_failure(self.tenant_id, self._stats)
             raise
 
     def cancel(self) -> bool:

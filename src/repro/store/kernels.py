@@ -291,53 +291,22 @@ def used_rows(
 
 
 class AtomMatcher:
-    """One atom's term pattern, encoded against a store for id-row matching.
+    """One atom's variable positions, for reading id vectors off its rows.
 
-    Constants are interned once at construction; :meth:`match` then runs
-    entirely on ints (constant checks plus repeated-variable equalities).
-    The Theorem 3/4 solvers use matchers to partition and project id-rows
-    without decoding them back into :class:`~repro.model.atoms.Fact`
-    objects.
+    The Theorem 3 base case and the pair solver use matchers to partition
+    and project id-rows without decoding them back into
+    :class:`~repro.model.atoms.Fact` objects.  The rows they read are
+    purified, so every one grounds the atom already.
     """
 
-    __slots__ = (
-        "atom",
-        "name",
-        "_const_checks",
-        "_eq_checks",
-        "_var_position",
-        "_intern",
-    )
+    __slots__ = ("_var_position", "_intern")
 
     def __init__(self, atom: Atom, store: ColumnarFactStore) -> None:
-        self.atom = atom
-        self.name = atom.relation.name
         self._intern = store.table.intern
-        const_checks: List[Tuple[int, int]] = []
-        eq_checks: List[Tuple[int, int]] = []
-        var_position: Dict[object, int] = {}
+        self._var_position: Dict[object, int] = {}
         for position, term in enumerate(atom.terms):
-            if is_constant(term):
-                const_checks.append((position, self._intern(term)))
-            else:
-                first = var_position.get(term)
-                if first is None:
-                    var_position[term] = position
-                else:
-                    eq_checks.append((position, first))
-        self._const_checks = tuple(const_checks)
-        self._eq_checks = tuple(eq_checks)
-        self._var_position = var_position
-
-    def match(self, row: IntRow) -> bool:
-        """Does *row* ground the atom (constants agree, repeats equal)?"""
-        for position, value in self._const_checks:
-            if row[position] != value:
-                return False
-        for position, first in self._eq_checks:
-            if row[position] != row[first]:
-                return False
-        return True
+            if not is_constant(term):
+                self._var_position.setdefault(term, position)
 
     def values(self, row: IntRow, variables: Sequence) -> IntRow:
         """The id vector of *variables* (all must occur in the atom)."""

@@ -4,7 +4,7 @@ import pytest
 
 from repro.certainty import (
     UnsupportedQueryError,
-    certain_brute_force,
+    certain_by_enumeration,
     certain_ck_via_reduction,
     certain_cycle_query,
     lemma9_expand,
@@ -25,7 +25,7 @@ class TestFigure6:
     def test_oracle_agrees(self):
         db = figure6_database()
         q = cycle_query_ac(3)
-        assert certain_cycle_query(db, q) == certain_brute_force(db, q)
+        assert certain_cycle_query(db, q) == certain_by_enumeration(db, q)
 
     def test_figure7_repairs_falsify(self):
         db = figure6_database()
@@ -41,7 +41,7 @@ class TestFigure6:
         q = cycle_query_ac(3)
         s3 = q.schema()["S3"]
         db.add(s3.fact("a", "b", "c"))
-        assert certain_cycle_query(db, q) == certain_brute_force(db, q)
+        assert certain_cycle_query(db, q) == certain_by_enumeration(db, q)
 
 
 class TestAgainstOracle:
@@ -50,24 +50,24 @@ class TestAgainstOracle:
         query = cycle_query_ac(k)
         for _ in range(20):
             db = random_instance(query, rng, domain_size=3, facts_per_relation=5)
-            assert certain_cycle_query(db, query) == certain_brute_force(db, query)
+            assert certain_cycle_query(db, query) == certain_by_enumeration(db, query)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_ck_random_agreement(self, k, rng):
         query = cycle_query_c(k)
         for _ in range(15):
             db = random_instance(query, rng, domain_size=3, facts_per_relation=4)
-            assert certain_cycle_query(db, query) == certain_brute_force(db, query)
+            assert certain_cycle_query(db, query) == certain_by_enumeration(db, query)
 
     def test_ring_instances(self):
         for seed in range(6):
             query, db = ring_instance(3, copies=2, chords=2, encoded_fraction=0.7, seed=seed)
-            assert certain_cycle_query(db, query) == certain_brute_force(db, query)
+            assert certain_cycle_query(db, query) == certain_by_enumeration(db, query)
 
     def test_ring_instances_ck(self):
         for seed in range(6):
             query, db = ring_instance(3, copies=2, chords=1, seed=seed, with_sk=False)
-            assert certain_cycle_query(db, query) == certain_brute_force(db, query)
+            assert certain_cycle_query(db, query) == certain_by_enumeration(db, query)
 
     def test_empty_database_not_certain(self):
         assert not certain_cycle_query(UncertainDatabase(), cycle_query_ac(3))
@@ -129,7 +129,7 @@ class TestLemma9:
             db = random_instance(query, rng, domain_size=2, facts_per_relation=3)
             direct = certain_cycle_query(db, query)
             reduced = certain_ck_via_reduction(db, query)
-            oracle = certain_brute_force(db, query)
+            oracle = certain_by_enumeration(db, query)
             assert direct == reduced == oracle
 
     def test_reduction_rejects_ack(self):

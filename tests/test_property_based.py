@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.attacks import AttackGraph, enumerate_cycles, has_strong_cycle
 from repro.certainty import (
-    certain_brute_force,
+    certain_by_enumeration,
     certain_two_atom,
     is_certain,
     is_purified,
@@ -130,7 +130,7 @@ def test_purification_preserves_certainty(case):
     purified = purify(db, query)
     assert is_purified(purified, query)
     assert purified.facts <= db.facts
-    assert certain_brute_force(db, query) == certain_brute_force(purified, query)
+    assert certain_by_enumeration(db, query) == certain_by_enumeration(purified, query)
 
 
 # --------------------------------------------------------------------------------
@@ -142,14 +142,14 @@ def test_purification_preserves_certainty(case):
 @given(pair_databases())
 def test_pair_solver_agrees_with_oracle(case):
     query, db = case
-    assert certain_two_atom(db, query) == certain_brute_force(db, query)
+    assert certain_two_atom(db, query) == certain_by_enumeration(db, query)
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(pair_databases())
 def test_dispatcher_agrees_with_oracle_on_pairs(case):
     query, db = case
-    assert is_certain(db, query) == certain_brute_force(db, query)
+    assert is_certain(db, query) == certain_by_enumeration(db, query)
 
 
 # --------------------------------------------------------------------------------

@@ -151,6 +151,31 @@ def test_ticket_timeout_then_completion():
     controller.close()
 
 
+def test_result_timeout_that_trips_the_breaker_is_counted():
+    """A breaker opened by a ``result(timeout)`` expiry shows in the
+    tenant's admission stats and the service totals, as in
+    ``breaker_state``."""
+    release = threading.Event()
+
+    def blocked():
+        release.wait(10)
+        return frozenset()
+
+    with CertaintyService(max_workers=1, breaker_threshold=1, breaker_cooldown=60.0) as svc:
+        tenant = svc.create_tenant("a", facts=tenant_facts("a"))
+        ticket = svc.admission.submit(
+            "a", queued_query(), ComplexityBand.PTIME_NOT_FO, blocked, tenant.admission_stats
+        )
+        try:
+            with pytest.raises(FutureTimeoutError):
+                ticket.result(timeout=0.01)
+        finally:
+            release.set()
+        assert svc.admission.breaker_state("a")["opens"] == 1
+        assert tenant.admission_stats.breaker_opens == 1
+        assert svc.stats()["totals"]["breaker_opens"] == 1
+
+
 def test_cancel_releases_queue_slot():
     controller = AdmissionController(max_workers=1, queue_depth=1)
     stats = AdmissionStats()

@@ -23,6 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import CertaintySession, UncertainDatabase, parse_facts, parse_query
+from repro.attacks import AttackGraph
 from repro.certainty import certain_by_enumeration, cycle_query, terminal_cycles
 from repro.fo.compile import EvalContext
 from repro.model.atoms import Fact, RelationSchema
@@ -39,7 +40,7 @@ from repro.store import (
     used_rows,
 )
 from repro.workloads import mutation_stream, apply_mutation, synthetic_instance
-from tests.helpers import open_variant, random_instance
+from tests.helpers import constructions, open_variant, random_instance
 
 
 # --------------------------------------------------------------------------------
@@ -530,6 +531,21 @@ class TestOracleDifferential:
         planted = _planted_certain_instance(query)
         assert _verdicts_against_enumeration(query, False, planted) == {True}
 
+    def test_theorem3_warm_decide_builds_no_attack_graph(self):
+        """The base case decides each 2-cycle without a pair attack graph.
+
+        The pair solver's key check is the weakness test of a two-atom
+        query, and the peeling recursion's graphs are memoised by the
+        session, so a warm decide that reaches the base case builds none.
+        """
+        query = figure4_query()
+        db = _planted_block_cycle_instance(query)
+        with CertaintySession(db) as session:
+            assert not session.is_certain(query)  # cold: memoises the graphs
+            with constructions(AttackGraph) as built:
+                assert not session.is_certain(query)
+        assert built == {"AttackGraph": 0}
+
     def test_theorem4_ring_with_falsifiable_component(self, monkeypatch):
         """A planted ``C(3)`` ring whose one component holds a 6-cycle.
 
@@ -538,13 +554,13 @@ class TestOracleDifferential:
         component would pass them; this instance is not certain.
         """
         calls = []
-        falsifiable = cycle_query._FactGraph.component_falsifiable
+        falsifiable = cycle_query._component_falsifiable
 
-        def recorded(graph, component):
-            calls.append(falsifiable(graph, component))
+        def recorded(*args):
+            calls.append(falsifiable(*args))
             return calls[-1]
 
-        monkeypatch.setattr(cycle_query._FactGraph, "component_falsifiable", recorded)
+        monkeypatch.setattr(cycle_query, "_component_falsifiable", recorded)
         query = cycle_query_c(3)
         ring = _planted_falsifiable_ring(query)
         assert _verdicts_against_enumeration(query, False, ring) == {False}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.certainty import UnsupportedQueryError, certain_brute_force, certain_terminal_cycles
+from repro.certainty import UnsupportedQueryError, certain_by_enumeration, certain_terminal_cycles
 from repro.certainty.terminal_cycles import applies_to
 from repro.model import UncertainDatabase
 from repro.query import (
@@ -48,13 +48,13 @@ class TestAgainstOracle:
             db = synthetic_instance(
                 query, seed=seed, domain_size=3, witnesses=2, noise_per_relation=2, conflict_rate=0.5
             )
-            assert certain_terminal_cycles(db, query) == certain_brute_force(db, query)
+            assert certain_terminal_cycles(db, query) == certain_by_enumeration(db, query)
 
     def test_uniform_random_agreement_c2(self, rng):
         query = cycle_query_c(2)
         for _ in range(25):
             db = random_instance(query, rng, domain_size=3, facts_per_relation=5)
-            assert certain_terminal_cycles(db, query) == certain_brute_force(db, query)
+            assert certain_terminal_cycles(db, query) == certain_by_enumeration(db, query)
 
     def test_two_disjoint_cycle_pairs(self, rng):
         """A query whose base case has two independent weak cycles."""
@@ -62,7 +62,7 @@ class TestAgainstOracle:
         assert applies_to(query)
         for _ in range(15):
             db = random_instance(query, rng, domain_size=2, facts_per_relation=3)
-            assert certain_terminal_cycles(db, query) == certain_brute_force(db, query)
+            assert certain_terminal_cycles(db, query) == certain_by_enumeration(db, query)
 
     def test_empty_database(self):
         assert not certain_terminal_cycles(UncertainDatabase(), figure4_query())
@@ -74,7 +74,7 @@ class TestAgainstOracle:
         for atom in query.atoms:
             db.add(atom.relation.fact(*[values[t.name] for t in atom.terms]))
         assert certain_terminal_cycles(db, query)
-        assert certain_brute_force(db, query)
+        assert certain_by_enumeration(db, query)
 
     def test_partitioning_separates_vectors(self):
         """Facts with different shared-variable vectors are decided independently."""
@@ -94,4 +94,4 @@ class TestAgainstOracle:
                 schema["E"].fact("c2", "p2", "q2"),
             ]
         )
-        assert certain_terminal_cycles(db, query) == certain_brute_force(db, query)
+        assert certain_terminal_cycles(db, query) == certain_by_enumeration(db, query)
