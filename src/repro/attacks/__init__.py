@@ -13,7 +13,7 @@ from .cycles import (
     strongly_connected_components,
     weak_cycles,
 )
-from .graph import Attack, AttackGraph
+from .graph import Attack, AttackGraph, attack_graph
 from .properties import (
     check_lemma2,
     check_lemma3,
@@ -32,6 +32,7 @@ __all__ = [
     "all_cycles_terminal",
     "all_plus_closures",
     "atoms_on_cycles",
+    "attack_graph",
     "box_closure",
     "check_lemma2",
     "check_lemma3",

@@ -14,6 +14,7 @@ Definition 5: an attack ``F ⤳ G`` is *weak* when ``key(G) ⊆ F^{⊞,q}`` and
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..model.atoms import Atom
@@ -176,3 +177,15 @@ class AttackGraph:
     def to_edge_set(self) -> Set[Tuple[str, str]]:
         """The attack edges as pairs of relation names (useful for comparisons)."""
         return {(s.name, t.name) for (s, t) in self._attacks}
+
+
+@lru_cache(maxsize=4096)
+def attack_graph(query: ConjunctiveQuery) -> AttackGraph:
+    """The attack graph of *query*, memoised per query for the process.
+
+    The graph depends on the query alone and is never mutated once built,
+    so every solver and session shares one per query: the peeling
+    recursion's residual queries repeat across blocks, candidates and
+    sessions.
+    """
+    return AttackGraph(query)

@@ -6,7 +6,6 @@ from .brute_force import (
     certain_brute_force,
     certain_by_enumeration,
 )
-from .context import SolverContext
 from .cycle_query import certain_ck_via_reduction, certain_cycle_query, lemma9_expand
 from .exceptions import CertaintyError, IntractableQueryError, UnsupportedQueryError
 from .pair_solver import certain_two_atom, certain_weak_cycle_pair, is_two_atom_query
@@ -22,7 +21,6 @@ __all__ = [
     "CertaintyError",
     "CertaintyOutcome",
     "IntractableQueryError",
-    "SolverContext",
     "Theorem2Reduction",
     "UnsupportedQueryError",
     "brute_force_with_certificate",

@@ -7,7 +7,7 @@ repair falsifying the query.  Two solvers live here:
   repair and check that each one satisfies ``q``.  It is the oracle the
   test suite checks every other solver against, on small instances;
 * :func:`certain_brute_force` — the pruned search for a falsifying repair,
-  running on the id-rows of a columnar index.  It is the engine's solver
+  running on the id-rows of a columnar store.  It is the engine's solver
   for queries classified coNP-complete or open.
 
 Two optimisations keep the pruned search usable on small-to-medium
@@ -37,9 +37,8 @@ from ..model.database import BlockKey, UncertainDatabase
 from ..model.repairs import enumerate_repairs
 from ..query.conjunctive import ConjunctiveQuery
 from ..query.evaluation import satisfies
-from ..store.columnar import ColumnarFactStore, IntKey, IntRow
+from ..store.columnar import ColumnarFactStore, IntKey, IntRow, scratch_store
 from ..store.kernels import witness_row_sets
-from .context import SolverContext, scratch_index
 
 #: A block of the searched store: relation name plus its key ids.
 _BlockId = Tuple[str, IntKey]
@@ -70,23 +69,25 @@ def certain_by_enumeration(db: UncertainDatabase, query: ConjunctiveQuery) -> bo
     return all(satisfies(repair, query) for repair in enumerate_repairs(db))
 
 
-def certain_brute_force(
-    db: UncertainDatabase,
-    query: ConjunctiveQuery,
-    context: Optional[SolverContext] = None,
-) -> bool:
+def certain_brute_force(db: UncertainDatabase, query: ConjunctiveQuery) -> bool:
     """Decide ``db ∈ CERTAINTY(q)`` with the pruned witness-based search.
+
+    Searches one scratch store through :func:`certain_brute_force_rows`.
+    """
+    return certain_brute_force_rows(scratch_store(db), query)
+
+
+def certain_brute_force_rows(store: ColumnarFactStore, query: ConjunctiveQuery) -> bool:
+    """:func:`certain_brute_force` on every row of *store*.
 
     The search runs on id-rows alone; unlike
     :func:`brute_force_with_certificate`, a "no" answer decodes no facts.
     """
-    return query.is_empty or _falsifying_choice(db, query, context)[1] is None
+    return query.is_empty or _falsifying_choice(store, query) is None
 
 
 def brute_force_with_certificate(
-    db: UncertainDatabase,
-    query: ConjunctiveQuery,
-    context: Optional[SolverContext] = None,
+    db: UncertainDatabase, query: ConjunctiveQuery
 ) -> BruteForceResult:
     """Decide certainty and, when the answer is "no", exhibit a falsifying repair.
 
@@ -96,7 +97,8 @@ def brute_force_with_certificate(
     """
     if query.is_empty:
         return BruteForceResult(True, None)
-    store, partial = _falsifying_choice(db, query, context)
+    store = scratch_store(db)
+    partial = _falsifying_choice(store, query)
     if partial is None:
         return BruteForceResult(True, None)
     repair: Set[Fact] = set()
@@ -113,27 +115,20 @@ def brute_force_with_certificate(
 
 
 def _falsifying_choice(
-    db: UncertainDatabase,
-    query: ConjunctiveQuery,
-    context: Optional[SolverContext],
-) -> Tuple[ColumnarFactStore, Optional[Dict[_BlockId, IntRow]]]:
-    """The store searched, and a choice of rows that breaks every witness.
+    store: ColumnarFactStore, query: ConjunctiveQuery
+) -> Optional[Dict[_BlockId, IntRow]]:
+    """A choice of rows of *store* that breaks every witness of *query*.
 
-    *context*, when given, supplies a shared columnar index over *db*;
-    otherwise a private one is built.  The witness computation and the
-    entire repair search run on the index's id-rows: witnesses are
-    frozensets of ``(name, id-row)`` pairs, blocks are ``(name, key ids)``
-    and per-block choices iterate the store's block slices.  The choice is
-    ``None`` when every repair satisfies *query*, and empty when no witness
-    exists (then any repair falsifies it).
+    The witness computation and the entire repair search run on the
+    store's id-rows: witnesses are frozensets of ``(name, id-row)`` pairs,
+    blocks are ``(name, key ids)`` and per-block choices iterate the
+    store's block slices.  The choice is ``None`` when every repair
+    satisfies *query*, and empty when no witness exists (then any repair
+    falsifies it).
     """
-    index = context.index_for(db) if context is not None else None
-    if index is None:
-        index = scratch_index(db)
-    store = index.store
     witness_sets = witness_row_sets(query, store)
     if not witness_sets:
-        return store, {}
+        return {}
 
     key_sizes: Dict[str, int] = {}
 
@@ -218,4 +213,4 @@ def _falsifying_choice(
             del choice[block]
         return None
 
-    return store, search(0)
+    return search(0)

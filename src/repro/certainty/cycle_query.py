@@ -19,7 +19,7 @@ cycle or an elementary cycle longer than ``k``.  Hence
 :func:`marking_certain` is that component test, and the engine's only one:
 the Theorem 3 pair solver (:mod:`repro.certainty.pair_solver`) runs it at
 ``k = 2`` on its block digraph.  Purification filters the id-rows of the
-one columnar index the decision starts from
+one columnar store the decision starts from
 (:func:`~repro.certainty.purify.purify_rows`), and the fact graph reads the
 live rows; no database is copied.
 
@@ -32,14 +32,14 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Mapping, Set, Tuple
 
 from ..attacks.cycles import Node, tarjan_components
 from ..model.atoms import RelationSchema
 from ..model.database import UncertainDatabase
 from ..query.conjunctive import ConjunctiveQuery
 from ..query.families import cycle_query_shape
-from .context import SolverContext, scratch_index
+from ..store.columnar import ColumnarFactStore, scratch_store
 from .exceptions import UnsupportedQueryError
 from .purify import purify_rows
 
@@ -47,24 +47,24 @@ from .purify import purify_rows
 _Vertex = Tuple[int, int]
 
 
-def certain_cycle_query(
-    db: UncertainDatabase,
-    query: ConjunctiveQuery,
-    context: Optional[SolverContext] = None,
-) -> bool:
+def certain_cycle_query(db: UncertainDatabase, query: ConjunctiveQuery) -> bool:
     """Decide ``db ∈ CERTAINTY(q)`` for a query of the ``C(k)``/``AC(k)`` shape.
 
-    *context* optionally supplies the memoised cycle shape and a shared fact
-    index; without it a scratch index is built.  Purification filters the
-    index's id-rows, and the fact graph is built from the live rows.
+    Decides on one scratch store through :func:`certain_cycle_query_rows`.
     """
-    shape = context.cycle_shape(query) if context is not None else cycle_query_shape(query)
+    return certain_cycle_query_rows(scratch_store(db), query)
+
+
+def certain_cycle_query_rows(store: ColumnarFactStore, query: ConjunctiveQuery) -> bool:
+    """:func:`certain_cycle_query` on every row of *store*.
+
+    Purification filters the store's id-rows, and the fact graph is built
+    from the live rows.
+    """
+    shape = cycle_query_shape(query)
     if shape is None:
         raise UnsupportedQueryError(f"{query} is not of the C(k)/AC(k) shape of Definition 8")
-    index = context.index_for(db) if context is not None else None
-    if index is None:
-        index = scratch_index(db)
-    live = purify_rows(query, index.store)
+    live = purify_rows(query, store)
     k = shape.k
     adjacency: Dict[_Vertex, Set[_Vertex]] = defaultdict(set)
     for position, atom in enumerate(shape.ring_atoms):

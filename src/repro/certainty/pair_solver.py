@@ -29,7 +29,7 @@ it: ``db ∈ CERTAINTY(q)`` iff some component has neither an anti-parallel
 pair of edges with *different* labels (a non-witness 2-cycle) nor an
 elementary cycle longer than two.  Everything runs on the id-rows of a
 columnar store: the Theorem 3 base case hands in one partition at a time,
-and the one-shot entry points build a private index first.  The solver is
+and the one-shot entry points build a scratch store first.  The solver is
 validated against repair enumeration in the test suite.
 """
 
@@ -42,9 +42,8 @@ from ..attacks.cycles import has_strong_cycle
 from ..attacks.graph import AttackGraph
 from ..model.database import UncertainDatabase
 from ..query.conjunctive import ConjunctiveQuery
-from ..store.columnar import ColumnarFactStore, IntKey, IntRow
+from ..store.columnar import ColumnarFactStore, IntKey, IntRow, scratch_store
 from ..store.kernels import AtomMatcher
-from .context import scratch_index
 from .cycle_query import marking_certain
 from .exceptions import IntractableQueryError, UnsupportedQueryError
 from .peeling import peel_certain, empty_base_case
@@ -81,13 +80,13 @@ def certain_two_atom(db: UncertainDatabase, query: ConjunctiveQuery) -> bool:
 def certain_weak_cycle_pair(db: UncertainDatabase, query: ConjunctiveQuery) -> bool:
     """The graph-marking decision procedure for a weak attack cycle ``F ⇄ G``.
 
-    Purifies *db* (Lemma 1) on the id-rows of a private columnar index,
+    Purifies *db* (Lemma 1) on the id-rows of a scratch columnar store,
     then decides on the live rows through
     :func:`certain_weak_cycle_pair_rows`.
     """
     if not is_two_atom_query(query):
         raise UnsupportedQueryError("certain_weak_cycle_pair expects exactly two atoms")
-    store = scratch_index(db).store
+    store = scratch_store(db)
     live = purify_rows(query, store)
     first, second = query.atoms
     return certain_weak_cycle_pair_rows(

@@ -25,7 +25,7 @@ The recursion is polynomial in the size of the database for a fixed query
 (the branching factor at each level is bounded by the number of blocks and
 facts, and the depth is bounded by the number of atoms).  It runs on the
 one columnar store a decision starts from (a session's, or one scratch
-index for a one-shot call): each level is a set of live id-rows that
+store for a one-shot call): each level is a set of live id-rows that
 :func:`~repro.certainty.purify.purify_rows` filters, so no level copies
 the database or builds an index.
 """
@@ -34,14 +34,13 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Sequence
 
-from ..attacks.graph import AttackGraph
+from ..attacks.graph import AttackGraph, attack_graph
 from ..model.database import UncertainDatabase
 from ..model.symbols import Constant, Term, Variable, is_constant
 from ..query.conjunctive import ConjunctiveQuery
 from ..query.substitution import substitute_atom, substitute_query
-from ..store.columnar import ColumnarFactStore, LiveRows
+from ..store.columnar import ColumnarFactStore, LiveRows, scratch_store
 from ..store.index import ColumnarFactIndex
-from .context import SolverContext, scratch_index
 from .exceptions import UnsupportedQueryError
 from .purify import purify_rows
 
@@ -82,26 +81,20 @@ def peel_certain(
     db: UncertainDatabase,
     query: ConjunctiveQuery,
     base_case: BaseCaseHandler,
-    context: Optional[SolverContext] = None,
     index: Optional[ColumnarFactIndex] = None,
 ) -> bool:
     """Decide ``db ∈ CERTAINTY(q)`` by the unattacked-atom recursion.
 
     *base_case* is invoked when the attack graph of the (residual) query has
-    no unattacked atom (see :data:`BaseCaseHandler`).  *context*, when
-    given, supplies memoised attack graphs (residual queries repeat across
-    blocks) and a shared fact index.  *index*, when given, must cover
-    exactly the facts of *db*; without one (or the context's), a scratch
-    index is built once.  The recursion then runs on that one store
-    through :func:`peel_rows`.
+    no unattacked atom (see :data:`BaseCaseHandler`).  *index*, when given,
+    must cover exactly the facts of *db*; without one, a scratch store is
+    built once.  The recursion then runs on that one store through
+    :func:`peel_rows`.
     """
     if query.has_self_join:
         raise UnsupportedQueryError("the peeling recursion requires a self-join-free query")
-    if index is None and context is not None:
-        index = context.index_for(db)
-    if index is None:
-        index = scratch_index(db)
-    return peel_rows(index.store, None, query, base_case, context)
+    store = index.store if index is not None else scratch_store(db)
+    return peel_rows(store, None, query, base_case)
 
 
 def peel_rows(
@@ -109,12 +102,13 @@ def peel_rows(
     live: Optional[LiveRows],
     query: ConjunctiveQuery,
     base_case: BaseCaseHandler,
-    context: Optional[SolverContext] = None,
 ) -> bool:
     """:func:`peel_certain` over the sub-database *live* of *store*.
 
     *live* maps relation names to id-rows (``None``: every row of the
-    store) and is never mutated.  Every level purifies by filtering rows.
+    store) and is never mutated.  Every level purifies by filtering rows;
+    the attack graphs of the residual queries, which repeat across blocks,
+    come from the :func:`~repro.attacks.graph.attack_graph` memo.
     """
     if query.is_empty:
         return True
@@ -122,7 +116,7 @@ def peel_rows(
     if not any(live.values()):
         return False
 
-    graph = context.attack_graph(query) if context is not None else AttackGraph(query)
+    graph = attack_graph(query)
     unattacked = graph.unattacked_atoms()
     if not unattacked:
         return base_case(store, live, query, graph)
@@ -154,7 +148,7 @@ def peel_rows(
             residual_query = substitute_query(
                 substitute_query(residual, key_binding), full_binding
             )
-            if not peel_rows(store, candidate, residual_query, base_case, context):
+            if not peel_rows(store, candidate, residual_query, base_case):
                 success = False
                 break
         if success:

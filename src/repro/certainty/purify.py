@@ -33,10 +33,9 @@ from ..model.database import UncertainDatabase
 from ..model.schema import DatabaseSchema
 from ..query.conjunctive import ConjunctiveQuery
 from ..query.evaluation import FactIndex, iterate_valuations
-from ..store.columnar import ColumnarFactStore, LiveRows
+from ..store.columnar import ColumnarFactStore, LiveRows, scratch_store
 from ..store.index import ColumnarFactIndex
 from ..store.kernels import used_rows
-from .context import scratch_index
 
 
 def relevant_facts(
@@ -108,14 +107,14 @@ def purify(
     ``purify(db, q) ∈ CERTAINTY(q)  ⇔  db ∈ CERTAINTY(q)``.
 
     *index*, when given, must cover exactly the facts of *db*; otherwise a
-    scratch index is built.  The rows are filtered by :func:`purify_rows`.
+    scratch store is built.  The rows are filtered by :func:`purify_rows`.
     When no block needs removing, *db itself* is returned; otherwise a new
     database is decoded from the live rows.  Neither *db* nor *index* is
     mutated.
     """
     if query.is_empty:
         return db
-    store = (index if index is not None else scratch_index(db)).store
+    store = index.store if index is not None else scratch_store(db)
     live = purify_rows(query, store)
     if sum(map(len, live.values())) == len(store):
         return db

@@ -15,70 +15,52 @@ that ``CERTAINTY(q)`` is first-order expressible iff the attack graph of
 
 The engine's ``QueryPlan`` routes FO-band queries through the compiled
 rewriting; the two solvers are cross-checked against each other and against
-the brute-force oracle in the test suite.
+repair enumeration (the paper's definition) in the test suite.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..attacks.graph import AttackGraph
+from ..attacks.graph import attack_graph
 from ..fo.compile import compile_formula
 from ..fo.rewrite import certain_rewriting_cached
 from ..model.database import UncertainDatabase
 from ..query.conjunctive import ConjunctiveQuery
-from .context import SolverContext
 from .exceptions import UnsupportedQueryError
 from .peeling import empty_base_case, peel_certain
 
 
-def is_fo_expressible(
-    query: ConjunctiveQuery, context: Optional[SolverContext] = None
-) -> bool:
+def is_fo_expressible(query: ConjunctiveQuery) -> bool:
     """``True`` iff the attack graph of *query* is acyclic (Theorem 1)."""
     if query.has_self_join:
         raise UnsupportedQueryError("FO classification requires a self-join-free query")
     if query.is_empty:
         return True
-    graph = context.attack_graph(query) if context is not None else AttackGraph(query)
-    return graph.is_acyclic()
+    return attack_graph(query).is_acyclic()
 
 
-def certain_fo(
-    db: UncertainDatabase,
-    query: ConjunctiveQuery,
-    context: Optional[SolverContext] = None,
-) -> bool:
+def certain_fo(db: UncertainDatabase, query: ConjunctiveQuery) -> bool:
     """Decide ``db ∈ CERTAINTY(q)`` by peeling unattacked atoms.
 
     Raises :class:`UnsupportedQueryError` when the attack graph is cyclic.
-    *context* optionally supplies precomputed attack graphs and fact indexes.
     """
-    if not is_fo_expressible(query, context=context):
+    if not is_fo_expressible(query):
         raise UnsupportedQueryError(
             f"the attack graph of {query} is cyclic; CERTAINTY(q) is not first-order expressible"
         )
-    return peel_certain(db, query, empty_base_case, context=context)
+    return peel_certain(db, query, empty_base_case)
 
 
-def certain_fo_rewriting(
-    db: UncertainDatabase,
-    query: ConjunctiveQuery,
-    context: Optional[SolverContext] = None,
-) -> bool:
+def certain_fo_rewriting(db: UncertainDatabase, query: ConjunctiveQuery) -> bool:
     """Decide ``db ∈ CERTAINTY(q)`` by evaluating the compiled FO rewriting.
 
     The certain first-order rewriting of *query* is constructed (memoised
     per query) and compiled (memoised per formula) into a guarded
-    set-at-a-time plan, which is then evaluated against *db* — reusing the
-    incrementally maintained fact index of an engine session when *context*
-    carries one.  Raises :class:`UnsupportedQueryError` when the attack
-    graph is cyclic (Theorem 1: no FO rewriting exists).
+    set-at-a-time plan, which is then evaluated against *db* on a scratch
+    store.  Raises :class:`UnsupportedQueryError` when the attack graph is
+    cyclic (Theorem 1: no FO rewriting exists).
     """
-    if not is_fo_expressible(query, context=context):
+    if not is_fo_expressible(query):
         raise UnsupportedQueryError(
             f"the attack graph of {query} is cyclic; CERTAINTY(q) is not first-order expressible"
         )
-    plan = compile_formula(certain_rewriting_cached(query))
-    index = context.index_for(db) if context is not None else None
-    return plan.evaluate(db, index=index)
+    return compile_formula(certain_rewriting_cached(query)).evaluate(db)

@@ -34,6 +34,7 @@ from ..core.classify import Classification
 from ..model.database import UncertainDatabase
 from ..model.symbols import Constant
 from ..query.conjunctive import ConjunctiveQuery
+from ..store.columnar import scratch_store
 
 
 class CertaintyOutcome:
@@ -64,8 +65,9 @@ def solve(
 
     Delegates to the engine: the query is compiled into a :class:`QueryPlan`
     through the process-wide plan cache, so repeated calls with the same
-    query skip classification.  An explicitly provided *classification*
-    bypasses the cache and compiles an ad-hoc plan from it.
+    query skip classification, and the plan runs on one scratch store over
+    *db*.  An explicitly provided *classification* bypasses the cache and
+    compiles an ad-hoc plan from it.
     """
     # Imported lazily: repro.engine imports this module for CertaintyOutcome.
     from ..engine.cache import default_plan_cache
@@ -76,7 +78,7 @@ def solve(
         plan = compile_plan(boolean, classification=classification)
     else:
         plan = default_plan_cache().get_or_compile(boolean)
-    return plan.execute(db, allow_exponential=allow_exponential)
+    return plan.execute(scratch_store(db), allow_exponential=allow_exponential)
 
 
 def is_certain(

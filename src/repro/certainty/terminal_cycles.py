@@ -20,27 +20,26 @@ the proof of Theorem 3:
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from ..attacks.cycles import (
     all_cycles_terminal,
     has_strong_cycle,
     strongly_connected_components,
 )
-from ..attacks.graph import AttackGraph
+from ..attacks.graph import AttackGraph, attack_graph
 from ..model.atoms import Atom
 from ..model.database import UncertainDatabase
 from ..model.symbols import Variable
 from ..query.conjunctive import ConjunctiveQuery
-from ..store.columnar import ColumnarFactStore, IntRow, LiveRows
+from ..store.columnar import ColumnarFactStore, IntRow, LiveRows, scratch_store
 from ..store.kernels import AtomMatcher, has_witness
-from .context import SolverContext
 from .exceptions import UnsupportedQueryError
 from .pair_solver import certain_weak_cycle_pair_rows
-from .peeling import peel_certain
+from .peeling import peel_rows
 
 
-def applies_to(query: ConjunctiveQuery, context: Optional[SolverContext] = None) -> bool:
+def applies_to(query: ConjunctiveQuery) -> bool:
     """``True`` iff Theorem 3 covers the query (weak terminal cycles only).
 
     Queries with an *acyclic* attack graph are also covered (they simply
@@ -48,24 +47,31 @@ def applies_to(query: ConjunctiveQuery, context: Optional[SolverContext] = None)
     """
     if query.has_self_join or query.is_empty:
         return not query.has_self_join
-    graph = context.attack_graph(query) if context is not None else AttackGraph(query)
+    graph = attack_graph(query)
     return not has_strong_cycle(graph) and all_cycles_terminal(graph)
 
 
-def certain_terminal_cycles(
-    db: UncertainDatabase,
-    query: ConjunctiveQuery,
-    context: Optional[SolverContext] = None,
-) -> bool:
+def certain_terminal_cycles(db: UncertainDatabase, query: ConjunctiveQuery) -> bool:
     """Decide ``db ∈ CERTAINTY(q)`` for a query with weak terminal cycles only.
 
-    *context* optionally supplies precomputed attack graphs and fact indexes.
+    Checks that Theorem 3 applies, then decides on one scratch store
+    through :func:`certain_terminal_cycles_rows`.
     """
-    if not applies_to(query, context=context):
+    if not applies_to(query):
         raise UnsupportedQueryError(
             f"Theorem 3 does not apply to {query}: its attack graph has a strong or nonterminal cycle"
         )
-    return peel_certain(db, query, _weak_terminal_base_case, context=context)
+    return certain_terminal_cycles_rows(scratch_store(db), query)
+
+
+def certain_terminal_cycles_rows(store: ColumnarFactStore, query: ConjunctiveQuery) -> bool:
+    """:func:`certain_terminal_cycles` on every row of *store*, unchecked.
+
+    The caller vouches that Theorem 3 applies, as a compiled plan does: it
+    classified the query once, so a decide does not re-run
+    :func:`applies_to`.
+    """
+    return peel_rows(store, None, query, _weak_terminal_base_case)
 
 
 def _weak_terminal_base_case(

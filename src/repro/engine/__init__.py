@@ -5,14 +5,14 @@ heavy query traffic, following the standard query-compilation architecture
 of database engines:
 
 * **compile once per query** — :func:`compile_plan` classifies the query on
-  the tractability frontier, fixes the solver dispatch and the greedy atom
-  order, and packages the result as a :class:`QueryPlan`; plans are cached
-  by query signature in a bounded LRU :class:`PlanCache`;
+  the tractability frontier, fixes the solver dispatch, and packages the
+  result as a :class:`QueryPlan`; plans are cached by query signature in a
+  bounded LRU :class:`PlanCache`;
 * **execute many times per database** — a :class:`CertaintySession` wraps
-  one ``UncertainDatabase``, maintains incrementally updated fact indexes
+  one ``UncertainDatabase``, maintains an incrementally updated fact index
   (wired into the database's observer hooks, so ``add``/``discard`` update
-  the index instead of rebuilding it), and runs plans through a shared
-  :class:`~repro.certainty.SolverContext`.
+  the index instead of rebuilding it), and runs every plan on its store
+  (``QueryPlan.execute(session.store, ...)``).
 
 The module-level one-shot APIs (``repro.solve``, ``repro.is_certain``,
 ``repro.certain_answers``) keep their signatures and delegate here.

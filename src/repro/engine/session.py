@@ -6,9 +6,8 @@ builds a :class:`~repro.store.index.ColumnarFactIndex` over it **once**, and
 registers the index as a database observer so every ``add``/``discard``/
 ``remove_block`` on the database updates the index incrementally instead of
 forcing a rebuild.  Queries are compiled into cached
-:class:`~repro.engine.plan.QueryPlan` objects, and a shared
-:class:`~repro.certainty.context.SolverContext` carries the index and
-memoised attack graphs into the solvers.
+:class:`~repro.engine.plan.QueryPlan` objects, and every decision runs a
+plan on the session's store (``QueryPlan.execute(session.store, ...)``).
 
 The batched :meth:`certain_answers` classifies the query *shape* once and
 reuses the plan for every candidate grounding — unlike the historical
@@ -33,7 +32,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..certainty.context import SolverContext
 from ..certainty.solver import CertaintyOutcome
 from ..fo.compile import EvalContext, ReadSet, ReadSetRecorder, Relation, compile_formula
 from ..fo.formulas import Formula
@@ -91,7 +89,6 @@ class CertaintySession:
         db.register_observer(self._index)
         self._cache = plan_cache if plan_cache is not None else default_plan_cache()
         self._allow_exponential = allow_exponential
-        self._context = SolverContext(db=db, index=self._index)
         self._closed = False
 
     # -- lifecycle ---------------------------------------------------------------
@@ -164,7 +161,7 @@ class CertaintySession:
         self._check_open()
         allow = self._allow_exponential if allow_exponential is None else allow_exponential
         plan = self.plan_for(query.as_boolean() if not query.is_boolean else query)
-        return plan.execute(self._db, allow_exponential=allow, context=self._context)
+        return plan.execute(self.store, allow_exponential=allow)
 
     def is_certain(
         self,
@@ -233,39 +230,27 @@ class CertaintySession:
         from.  Decisions off the instrumented compiled-rewriting path record
         the static support of the grounded query instead.
 
-        Plans carrying an *open* compiled rewriting decide the whole batch
-        with **one** set-at-a-time plan execution (seed every candidate
-        row, keep the satisfying subset) when no per-candidate read sets
-        were requested; per-candidate evaluation remains for support
-        capture and per-grounding plans, and provably returns the same list
-        (each seeded row filters independently through the same plan).
+        Plans carrying an *open* compiled rewriting are decided by
+        :meth:`_decide_open_fo`; every other plan executes once per
+        candidate grounding.
         """
         self._check_open()
         allow = self._allow_exponential if allow_exponential is None else allow_exponential
         plan = self.plan_for(query)
-        # A Boolean query has exactly one candidate, the empty tuple; it
-        # executes the plan's own (compiled) query rather than a grounding.
-        boolean = query.is_boolean
-        batched = plan.batched_fo and not boolean
-        if batched and support is None and len(candidates) > 1:
-            return self._decide_batched(plan, candidates)
+        if plan.batched_fo:
+            return self._decide_open_fo(plan, candidates, support)
         certain: List[Tuple[Constant, ...]] = []
         for candidate in candidates:
-            # Open-FO plans never read the grounding (the candidate binds a
-            # valuation instead) — skip building one query per candidate.
+            # A Boolean query has exactly one candidate, the empty tuple; it
+            # executes the plan's own (compiled) query rather than a grounding.
             grounded = (
                 None
-                if boolean or batched
+                if query.is_boolean
                 else ground_free_variables(query, [c.value for c in candidate])
             )
             recorder = ReadSetRecorder() if support is not None else None
             outcome = plan.execute(
-                self._db,
-                grounding=grounded,
-                allow_exponential=allow,
-                context=self._context,
-                candidate=None if boolean else candidate,
-                recorder=recorder,
+                self.store, grounding=grounded, allow_exponential=allow, recorder=recorder
             )
             if support is not None:
                 support[candidate] = recorder.freeze()
@@ -273,37 +258,42 @@ class CertaintySession:
                 certain.append(candidate)
         return certain
 
-    def _decide_batched(
+    def _decide_open_fo(
         self,
         plan: QueryPlan,
         candidates: Sequence[Tuple[Constant, ...]],
+        support: Optional[Dict[Tuple[Constant, ...], ReadSet]],
     ) -> List[Tuple[Constant, ...]]:
-        """Decide every candidate with one set-at-a-time rewriting execution.
+        """Decide candidates by seeding their rows into the open rewriting.
 
-        Equivalent to evaluating the open rewriting once per candidate: the
-        plan's ``filter`` is row-local (each seeded assignment survives iff
-        its own evaluation would return true), so seeding all candidate
-        rows at once only amortises the joins, never mixes verdicts.
+        Each candidate is one seed row over the rewriting's free variables;
+        the plan's ``filter`` is row-local (a seeded row survives iff its
+        own evaluation would return true), so seeding every row in one
+        execution only amortises the joins, never mixes verdicts.  With
+        *support*, each row is filtered alone through its own
+        :class:`~repro.fo.compile.ReadSetRecorder`, so each candidate gets
+        the read set of its own decision.
         """
-        rewriting = plan.fo_rewriting
-        assert rewriting is not None and plan.fo_candidate_vars is not None
-        ctx = EvalContext(self._index)
-        root = rewriting.root
-        if not root.free:
-            # The rewriting ignores the candidate constants entirely: one
-            # Boolean evaluation decides every candidate the same way.
-            verdict = bool(root.produce(ctx, None).rows)
-            return list(candidates) if verdict else []
+        if not candidates:
+            return []
+        root = plan.fo_rewriting.root
         # The rewriting's free variables are a subset of the candidate
         # variables (aligned with the query's free variables, in order).
         positions = [plan.fo_candidate_vars.index(v) for v in root.schema]
-        encode = ctx.encode_constant
-        rows = [
-            tuple(encode(candidate[p]) for p in positions) for candidate in candidates
-        ]
-        seed = Relation(root.schema, set(rows))
-        satisfied = root.filter(ctx, seed).rows
-        return [c for c, row in zip(candidates, rows) if row in satisfied]
+        intern = self.intern_table.intern
+        rows = [tuple(intern(candidate[p]) for p in positions) for candidate in candidates]
+        if support is None:
+            seed = Relation(root.schema, set(rows))
+            satisfied = root.filter(EvalContext(self.store), seed).rows
+            return [c for c, row in zip(candidates, rows) if row in satisfied]
+        certain: List[Tuple[Constant, ...]] = []
+        for candidate, row in zip(candidates, rows):
+            recorder = ReadSetRecorder()
+            ctx = EvalContext(self.store, recorder=recorder)
+            if root.filter(ctx, Relation(root.schema, {row})).rows:
+                certain.append(candidate)
+            support[candidate] = recorder.freeze()
+        return certain
 
     def evaluate_formula(self, formula: "Formula") -> bool:
         """Evaluate a first-order sentence against the session's database.
@@ -314,7 +304,7 @@ class CertaintySession:
         re-compilation and re-indexing.
         """
         self._check_open()
-        return compile_formula(formula).evaluate(self._db, index=self._index)
+        return compile_formula(formula).evaluate(index=self._index)
 
     def _check_open(self) -> None:
         if self._closed:

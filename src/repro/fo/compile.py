@@ -59,6 +59,7 @@ from ..model.atoms import Atom
 from ..model.database import BlockKey, UncertainDatabase
 from ..model.symbols import Constant, Variable, is_constant
 from ..model.valuation import Valuation
+from ..store.columnar import ColumnarFactStore, scratch_store
 from ..store.index import ColumnarFactIndex
 from .formulas import (
     And,
@@ -190,7 +191,7 @@ class ReadSet:
 class ReadSetRecorder:
     """Mutable collector the evaluator writes its index accesses into.
 
-    Hand one to :meth:`CompiledFormula.evaluate` (or thread it through
+    Hand one to an :class:`EvalContext` (or thread it through
     ``QueryPlan.execute``) and call :meth:`freeze` afterwards to obtain the
     immutable :class:`ReadSet` of that execution.
     """
@@ -328,9 +329,9 @@ def _semijoin(rel: Relation, keep: Relation) -> Relation:
 class EvalContext:
     """Per-database state for one or more compiled-plan evaluations.
 
-    Bundles the :class:`~repro.store.index.ColumnarFactIndex` whose store
-    the atom scans read, the active domain used by the (rare) unguarded
-    fallbacks, and instrumentation counters:
+    Bundles the :class:`~repro.store.columnar.ColumnarFactStore` the atom
+    scans read, the active domain used by the (rare) unguarded fallbacks,
+    and instrumentation counters:
 
     ``domain_expansions``
         number of times a plan node had to enumerate the active domain for
@@ -347,13 +348,10 @@ class EvalContext:
 
     Atom leaves scan id-rows from the store, the quantification domain is a
     tuple of term ids, plan constants are interned on first use, and every
-    relation row that flows through the plan is a tuple of small ints.  An
-    index without a ``store`` (a plain
-    :class:`~repro.query.evaluation.FactIndex`) raises :class:`TypeError`.
+    relation row that flows through the plan is a tuple of small ints.
     """
 
     __slots__ = (
-        "index",
         "store",
         "_domain",
         "_domain_set",
@@ -366,16 +364,10 @@ class EvalContext:
 
     def __init__(
         self,
-        index: ColumnarFactIndex,
+        store: ColumnarFactStore,
         domain: Optional[Iterable[Constant]] = None,
         recorder: Optional[ReadSetRecorder] = None,
     ) -> None:
-        store = getattr(index, "store", None)
-        if store is None:
-            raise TypeError(
-                f"compiled plans run on a ColumnarFactIndex, not {type(index).__name__}"
-            )
-        self.index = index
         self.store = store
         self.recorder = recorder
         # An explicitly supplied domain may be *smaller* than the set of
@@ -427,10 +419,8 @@ class EvalContext:
         index: Optional[ColumnarFactIndex] = None,
         domain: Optional[Iterable[Constant]] = None,
     ) -> "EvalContext":
-        """A context over *db*, reusing *index* when supplied (else building one)."""
-        if index is None:
-            index = _scratch_index(db)
-        return cls(index, domain=domain)
+        """A context over *db*, on *index*'s store when supplied (see :func:`store_of`)."""
+        return cls(store_of(index, db), domain=domain)
 
     def in_domain(self, rel: Relation, variables: Iterable[Variable]) -> Relation:
         """Restrict *rel* to rows whose *variables* columns lie in the domain.
@@ -464,12 +454,22 @@ class EvalContext:
         return Relation(schema, rows)
 
 
-def _scratch_index(db: UncertainDatabase) -> ColumnarFactIndex:
-    """A private index over *db* for evaluations handed no index."""
-    # Imported lazily: the certainty package imports this module.
-    from ..certainty.context import scratch_index
+def store_of(
+    index: Optional[ColumnarFactIndex], db: Optional[UncertainDatabase]
+) -> ColumnarFactStore:
+    """The store of *index*, or a scratch store over *db* when no index is given.
 
-    return scratch_index(db)
+    Compiled plans run on id-rows: an index without a ``store`` (a plain
+    :class:`~repro.query.evaluation.FactIndex`) raises :class:`TypeError`.
+    """
+    if index is None:
+        if db is None:
+            raise ValueError("compiled plans need a database, a fact index or an EvalContext")
+        return scratch_store(db)
+    store = getattr(index, "store", None)
+    if store is None:
+        raise TypeError(f"compiled plans run on a ColumnarFactIndex, not {type(index).__name__}")
+    return store
 
 
 def push_negation(formula: Formula) -> Formula:
@@ -970,19 +970,15 @@ class CompiledFormula:
         db: Optional[UncertainDatabase] = None,
         *,
         index: Optional[ColumnarFactIndex] = None,
-        domain: Optional[Iterable[Constant]] = None,
         valuation: Optional[Valuation] = None,
         context: Optional[EvalContext] = None,
-        recorder: Optional[ReadSetRecorder] = None,
     ) -> bool:
         """``db |= formula [valuation]`` via the compiled plan.
 
         Either *db*, an *index*, or a prebuilt *context* must be supplied;
-        free variables of the formula must be covered by *valuation*.  A
-        *recorder* captures the read set of this execution (pass it via the
-        context instead when supplying a prebuilt one).
+        free variables of the formula must be covered by *valuation*.
         """
-        ctx = self._context(db, index, domain, context, recorder)
+        ctx = context if context is not None else EvalContext(store_of(index, db))
         free = self.root.free
         if free:
             valuation = valuation if valuation is not None else Valuation()
@@ -996,26 +992,6 @@ class CompiledFormula:
             )
             return bool(self.root.filter(ctx, seed).rows)
         return bool(self.root.produce(ctx, None).rows)
-
-    @staticmethod
-    def _context(
-        db: Optional[UncertainDatabase],
-        index: Optional[ColumnarFactIndex],
-        domain: Optional[Iterable[Constant]],
-        context: Optional[EvalContext],
-        recorder: Optional[ReadSetRecorder] = None,
-    ) -> EvalContext:
-        if context is not None:
-            if recorder is not None:
-                raise ValueError(
-                    "pass the recorder through the EvalContext when supplying one"
-                )
-            return context
-        if index is not None:
-            return EvalContext(index, domain=domain, recorder=recorder)
-        if db is not None:
-            return EvalContext(_scratch_index(db), domain=domain, recorder=recorder)
-        raise ValueError("evaluate needs a database, a fact index, or an EvalContext")
 
     def __repr__(self) -> str:
         names = ", ".join(v.name for v in self.root.schema)

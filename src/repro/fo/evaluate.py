@@ -28,7 +28,7 @@ from ..model.database import UncertainDatabase
 from ..model.symbols import Constant, Variable
 from ..model.valuation import Valuation
 from ..store.index import ColumnarFactIndex
-from .compile import EvalContext, _scratch_index, compile_formula
+from .compile import EvalContext, compile_formula, store_of
 from .formulas import (
     And,
     AtomFormula,
@@ -55,11 +55,11 @@ class FormulaEvaluator:
         Quantification domain; defaults to the active domain of *db*.
     index:
         An externally shared columnar index over *db* (e.g. the
-        incrementally maintained index of an engine session, via
-        ``SolverContext.index_for``) for the compiled strategy.  When
-        omitted, the first compiled evaluation builds a private one from
-        the database's facts.  The naive strategy reads fact membership
-        from *db* and never touches an index.
+        incrementally maintained index of an engine session) for the
+        compiled strategy.  When omitted, the first compiled evaluation
+        builds a scratch store from the database's facts (``index`` stays
+        ``None``).  The naive strategy reads fact membership from *db* and
+        never touches an index.
     compiled:
         When ``True`` (the default) formulas are evaluated through the
         set-at-a-time plans of :mod:`repro.fo.compile`; ``False`` selects
@@ -109,10 +109,9 @@ class FormulaEvaluator:
     def _eval_context(self) -> EvalContext:
         """The (lazily built, reused) compiled-plan context over the index."""
         if self._context is None:
-            if self.index is None:
-                self.index = _scratch_index(self.db)
             self._context = EvalContext(
-                self.index, domain=self.domain if self._explicit_domain else None
+                store_of(self.index, self.db),
+                domain=self.domain if self._explicit_domain else None,
             )
         return self._context
 

@@ -21,7 +21,7 @@ second implementation: repair enumeration
 :class:`~repro.fo.evaluate.FormulaEvaluator`.
 """
 
-from .columnar import ColumnarFactStore
+from .columnar import ColumnarFactStore, scratch_store
 from .index import ColumnarFactIndex
 from .intern import InternTable, global_intern_table
 from .kernels import used_rows
@@ -31,5 +31,6 @@ __all__ = [
     "ColumnarFactStore",
     "InternTable",
     "global_intern_table",
+    "scratch_store",
     "used_rows",
 ]

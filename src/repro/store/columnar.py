@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import sys
 import threading
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..model.atoms import Fact, RelationSchema
 from ..model.symbols import Constant
@@ -291,3 +291,15 @@ class ColumnarFactStore:
             "row_index_bytes": row_index_bytes,
             "block_index_bytes": block_bytes,
         }
+
+
+def scratch_store(facts: Iterable[Fact]) -> ColumnarFactStore:
+    """A private store over *facts*, on a fresh intern table.
+
+    Every decision made without a session store runs on one of these: the
+    one-shot solvers, and compiled formulas evaluated against a bare
+    database.  The fresh table keeps such throwaway stores from growing the
+    process-wide table or a session's table, both append-only; the table
+    dies with the store.
+    """
+    return ColumnarFactStore(facts, table=InternTable())

@@ -6,7 +6,7 @@ definition of active-domain semantics; the compiled plans of
 The tests below fuzz that agreement over randomly generated formulas and
 workload databases, check the guardedness analysis on the rewritings of
 Theorem 1, and cross-check the compiled-rewriting certainty solver against
-the peeling solver and the brute-force oracle.
+the peeling solver and repair enumeration (the paper's definition).
 """
 
 import random
@@ -15,7 +15,7 @@ import pytest
 
 from repro.certainty import (
     UnsupportedQueryError,
-    certain_brute_force,
+    certain_by_enumeration,
     certain_fo,
     certain_fo_rewriting,
 )
@@ -259,7 +259,7 @@ class TestCompiledRewritingSolver:
     def test_agrees_with_peeling_and_oracle(self, query, rng):
         for _ in range(8):
             db = random_instance(query, rng, domain_size=3, facts_per_relation=4)
-            expected = certain_brute_force(db, query)
+            expected = certain_by_enumeration(db, query)
             assert certain_fo(db, query) == expected
             assert certain_fo_rewriting(db, query) == expected
 
@@ -327,28 +327,31 @@ class TestEngineRouting:
             # exercising the shared open-plan + valuation path end to end.
             for candidate in batched:
                 grounded = ground_free_variables(query, [c.value for c in candidate])
-                assert certain_brute_force(db, grounded)
+                assert certain_by_enumeration(db, grounded)
 
-    def test_placeholder_named_constant_falls_back_safely(self):
-        """A user constant in the placeholder namespace must not be captured
-        by the open-plan back-substitution (regression test)."""
+    @pytest.mark.parametrize(
+        "text,city",
+        [
+            ("Emp(name | dept), Dept(dept | '__plan_placeholder_0__')", "__plan_placeholder_0__"),
+            ("Emp(name | __plan_placeholder_0__), Dept(__plan_placeholder_0__ | 'Mons')", "Mons"),
+        ],
+        ids=["constant", "bound-variable"],
+    )
+    def test_placeholders_never_collide(self, text, city):
+        """A constant or a bound variable named like a placeholder is neither
+        captured by the open-plan back-substitution nor a reason to give up
+        the batched plan."""
         from repro import certain_answers
         from repro.query.substitution import ground_free_variables
 
-        query = parse_query(
-            "Emp(name | dept), Dept(dept | '__plan_placeholder_0__')", free=["name"]
-        )
-        plan = compile_plan(query)
-        assert plan.fo_candidate_vars is None  # open-plan path bailed out
+        query = parse_query(text, free=["name"])
+        assert compile_plan(query).batched_fo
         schema = query.schema()
         db = UncertainDatabase(
-            [
-                schema["Emp"].fact("alice", "d1"),
-                schema["Dept"].fact("d1", "__plan_placeholder_0__"),
-            ]
+            [schema["Emp"].fact("alice", "d1"), schema["Dept"].fact("d1", city)]
         )
         grounded = ground_free_variables(query, ["alice"])
-        assert certain_brute_force(db, grounded)
+        assert certain_by_enumeration(db, grounded)
         with CertaintySession(db) as session:
             assert len(session.certain_answers(query)) == 1
         assert len(certain_answers(db, query)) == 1

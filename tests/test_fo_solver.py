@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.certainty import UnsupportedQueryError, certain_brute_force, certain_fo, is_fo_expressible
+from repro.certainty import UnsupportedQueryError, certain_by_enumeration, certain_fo, is_fo_expressible
 from repro.fo import certain_rewriting, evaluate_sentence, formula_size
 from repro.fo.formulas import Exists
 from repro.model import UncertainDatabase
@@ -56,7 +56,7 @@ class TestFOSolverAgainstOracle:
     def test_random_agreement(self, query, rng):
         for _ in range(12):
             db = random_instance(query, rng, domain_size=3, facts_per_relation=4)
-            assert certain_fo(db, query) == certain_brute_force(db, query)
+            assert certain_fo(db, query) == certain_by_enumeration(db, query)
 
     def test_planted_witness_certain(self):
         q = fuxman_miller_cfree_example()
@@ -107,7 +107,7 @@ class TestCertainRewriting:
         formula = certain_rewriting(query)
         for _ in range(8):
             db = random_instance(query, rng, domain_size=3, facts_per_relation=4)
-            assert evaluate_sentence(db, formula) == certain_brute_force(db, query)
+            assert evaluate_sentence(db, formula) == certain_by_enumeration(db, query)
 
     def test_rewriting_on_figure1(self):
         formula = certain_rewriting(figure1_query())

@@ -313,12 +313,12 @@ def test_session_store_uses_private_table():
 
 
 def test_solver_scratch_indexes_grow_no_shared_table():
-    """Solver scratch indexes of Theorem 3/4 decisions intern into private tables.
+    """Solver scratch stores of Theorem 3/4 decisions intern into private tables.
 
     Each round writes a witness and a noise fact over fresh constants,
     decides, and undoes the writes.  The noise fact lies in no witness, so
-    the decision purifies the database, and a one-shot solver would index
-    it afresh.  Such an index must grow neither the process-wide table nor
+    the decision purifies the database, and a one-shot solver would build a
+    store of it afresh.  Such a store must grow neither the process-wide table nor
     the tenant's: every constant in a tenant's table is one that some write
     to that tenant brought in.
     """

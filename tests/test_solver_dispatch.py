@@ -6,7 +6,7 @@ from repro.certainty import (
     IntractableQueryError,
     UnsupportedQueryError,
     certain_answers,
-    certain_brute_force,
+    certain_by_enumeration,
     is_certain,
     solve,
 )
@@ -50,19 +50,19 @@ class TestDispatch:
             solve(db, query)
         outcome = solve(db, query, allow_exponential=True)
         assert outcome.method == "brute-force"
-        assert outcome.certain == certain_brute_force(db, query)
+        assert outcome.certain == certain_by_enumeration(db, query)
 
     def test_unsupported_requires_opt_in(self, rng):
         query = parse_query("R(x | y, w), S(y | z, w), T(z | x, w)")
         db = random_instance(query, rng, facts_per_relation=3)
         with pytest.raises(UnsupportedQueryError):
             solve(db, query)
-        assert solve(db, query, allow_exponential=True).certain == certain_brute_force(db, query)
+        assert solve(db, query, allow_exponential=True).certain == certain_by_enumeration(db, query)
 
     def test_is_certain_boolean_wrapper(self, rng):
         query = fuxman_miller_cfree_example()
         db = random_instance(query, rng)
-        assert is_certain(db, query) == certain_brute_force(db, query)
+        assert is_certain(db, query) == certain_by_enumeration(db, query)
 
     def test_outcome_bool_protocol(self, rng):
         query = fuxman_miller_cfree_example()
@@ -78,7 +78,7 @@ class TestDispatch:
     def test_polynomial_paths_agree_with_oracle(self, query, rng):
         for _ in range(10):
             db = random_instance(query, rng, domain_size=3, facts_per_relation=4)
-            assert is_certain(db, query) == certain_brute_force(db, query)
+            assert is_certain(db, query) == certain_by_enumeration(db, query)
 
 
 class TestCertainAnswers:
@@ -114,7 +114,7 @@ class TestCertainAnswers:
             expected = set()
             for candidate in answer_tuples(query, db.facts):
                 grounded = ground_free_variables(query, [c.value for c in candidate])
-                if certain_brute_force(db, grounded):
+                if certain_by_enumeration(db, grounded):
                     expected.add(candidate)
             assert computed == expected
 

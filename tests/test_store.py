@@ -28,7 +28,7 @@ from repro.certainty import certain_by_enumeration, cycle_query, terminal_cycles
 from repro.fo.compile import EvalContext
 from repro.model.atoms import Fact, RelationSchema
 from repro.model.symbols import Constant, Variable
-from repro.query import figure2_q1, figure4_query
+from repro.query import ConjunctiveQuery, figure2_q1, figure4_query
 from repro.query.evaluation import FactIndex, answer_tuples, satisfies
 from repro.query.families import cycle_query_c, path_query
 from repro.query.substitution import ground_free_variables
@@ -240,7 +240,7 @@ class TestColumnarFactIndex:
         assert not index.store.contains_fact(fact)
 
     def test_stores_list_rows_in_database_insertion_order(self):
-        """The session store and a one-shot scratch index ingest the
+        """The session store and a one-shot scratch store ingest the
         database itself, not a hashed copy of its facts."""
         R, S = RelationSchema("R", 2, 1), RelationSchema("S", 2, 1)
         facts = [R.fact(f"k{i % 5}", f"v{7 * i % 40}") for i in range(40)]
@@ -344,15 +344,26 @@ def _planted_block_cycle_instance(query):
     }
     db = UncertainDatabase()
     for atom in query.atoms:
-        if atom.relation.name not in ("R5", "R6"):
+        if not atom.relation.name.endswith(("R5", "R6")):
             db.add(atom.relation.fact(*[values[t.name] for t in atom.terms]))
-    r5 = next(a.relation for a in query.atoms if a.relation.name == "R5")
-    r6 = next(a.relation for a in query.atoms if a.relation.name == "R6")
+    r5 = next(a.relation for a in query.atoms if a.relation.name.endswith("R5"))
+    r6 = next(a.relation for a in query.atoms if a.relation.name.endswith("R6"))
     for m in ("m1", "m2"):
         for n in ("n1", "n2"):
             db.add(r5.fact("y0", m, n))
             db.add(r6.fact("y0", n, m))
     return db
+
+
+def _renamed_relations(query, prefix):
+    """*query* over relations named *prefix* + their name (fresh to the process)."""
+    return ConjunctiveQuery(
+        [
+            RelationSchema(prefix + a.relation.name, a.relation.arity, a.relation.key_size)
+            .atom(*a.terms)
+            for a in query.atoms
+        ]
+    )
 
 
 def _planted_falsifiable_ring(query):
@@ -535,8 +546,8 @@ class TestOracleDifferential:
         """The base case decides each 2-cycle without a pair attack graph.
 
         The pair solver's key check is the weakness test of a two-atom
-        query, and the peeling recursion's graphs are memoised by the
-        session, so a warm decide that reaches the base case builds none.
+        query, and the peeling recursion's graphs are memoised per query,
+        so a warm decide that reaches the base case builds none.
         """
         query = figure4_query()
         db = _planted_block_cycle_instance(query)
@@ -545,6 +556,38 @@ class TestOracleDifferential:
             with constructions(AttackGraph) as built:
                 assert not session.is_certain(query)
         assert built == {"AttackGraph": 0}
+
+    def test_session_decide_does_not_reclassify(self, monkeypatch):
+        """A session decide trusts its plan's classification and shares the
+        process's attack graphs.
+
+        Warm Theorem 3 decides run no :func:`applies_to`: the plan
+        classified the query when it compiled.  A second session over the
+        same database builds no attack graph on its first decide, because
+        the graphs are memoised per query, not per session.  Relation names
+        no other test uses make the first session build graphs.
+        """
+        query = _renamed_relations(figure4_query(), "Reclassify")
+        db = _planted_block_cycle_instance(query)
+        with constructions(AttackGraph) as first:
+            with CertaintySession(db) as session:
+                assert not session.is_certain(query)  # cold
+                calls = []
+                check = terminal_cycles.applies_to
+
+                def counted(*args, **kwargs):
+                    calls.append(args)
+                    return check(*args, **kwargs)
+
+                monkeypatch.setattr(terminal_cycles, "applies_to", counted)
+                for _ in range(3):
+                    assert not session.is_certain(query)
+        assert calls == []
+        with constructions(AttackGraph) as second:
+            with CertaintySession(db) as session:
+                assert not session.is_certain(query)
+        assert first["AttackGraph"] > 0
+        assert second == {"AttackGraph": 0}
 
     def test_theorem4_ring_with_falsifiable_component(self, monkeypatch):
         """A planted ``C(3)`` ring whose one component holds a 6-cycle.
