@@ -988,9 +988,6 @@ def run_service_load_benchmark(
                     "rejected": stats["tenants"][trace.tenant_id]["admission"][
                         "rejected"
                     ],
-                    "stale_reads": stats["tenants"][trace.tenant_id][
-                        "staleness"
-                    ]["stale_reads"],
                 }
                 for trace in workload.traces
             ]

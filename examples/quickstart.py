@@ -191,19 +191,18 @@ def main() -> None:
     # 10. Serving certain answers.  A CertaintyService hosts isolated
     #     tenants — each gets a private InternTable (its own constant id
     #     space; tenants can never observe each other's ids), database,
-    #     session, and bounded-staleness views — behind band-aware
-    #     admission: the classifier's trichotomy is the scheduling policy.
+    #     session, and views — behind band-aware admission: the
+    #     classifier's trichotomy is the scheduling policy.
     #     FO-band requests run inline on the submitting thread (the hot
     #     compiled path); PTIME/coNP requests become futures on a bounded
     #     worker pool with per-tenant queue-depth caps (AdmissionRejected
-    #     is the back-pressure signal).  Mutations defer view maintenance
-    #     under each tenant's StalenessPolicy: with a stale budget of
-    #     max_stale_mutations (and an optional refresh_deadline in
-    #     seconds), view reads are served stale-but-bounded, and a read
-    #     past either bound — or an explicit flush — is identical to a
-    #     cold recompute.  Per-tenant memory (the InternTable footprint),
-    #     staleness, and admission counters aggregate in svc.stats().
-    from repro import CertaintyService, StalenessPolicy
+    #     is the back-pressure signal).  A tenant's view manager is
+    #     deferred: a write only merges into one pending changelog, and
+    #     the next view read (or tenant.flush_views()) delivers it, so
+    #     every read is identical to a cold recompute.  Per-tenant memory
+    #     (the InternTable footprint), deferred-view and admission
+    #     counters aggregate in svc.stats().
+    from repro import CertaintyService
 
     with CertaintyService(max_workers=2, queue_depth=8) as svc:
         svc.create_tenant(
@@ -211,7 +210,6 @@ def main() -> None:
             facts=parse_facts(
                 ["Emp('ada' | 'db')", "Dept('db' | 'Mons')"], schema=schema
             ),
-            staleness=StalenessPolicy(max_stale_mutations=4),
         )
         ticket = svc.submit("acme", open_query)        # FO band -> inline
         print("\nadmission:", ticket.outcome,
@@ -223,11 +221,10 @@ def main() -> None:
         tenant = svc.tenant("acme")
         view = tenant.register_view(open_query)
         svc.apply("acme", [("add", schema["Emp"].fact("eve", "db"))])
-        print("stale read (within budget):",
+        print("pending after the write:", tenant.views.pending_mutations)
+        print("next read (delivers them):",
               sorted(t[0].value for t in view.answers),
               f"({tenant.views.pending_mutations} pending)")
-        tenant.flush_views()                           # or read past the bound
-        print("after flush:", sorted(t[0].value for t in view.answers))
         totals = svc.stats()["totals"]
         print("service totals:", {k: totals[k] for k in
               ("tenants", "facts", "intern_bytes", "inline_served", "queued")})

@@ -66,9 +66,10 @@ deltas:
 Serving certain answers
 -----------------------
 The :mod:`repro.service` layer hosts isolated tenants (each with a private
-:class:`InternTable`, database, session, and bounded-staleness views)
-behind band-aware admission control: FO-band requests run inline on the
-hot compiled path, harder bands queue onto a bounded worker pool:
+:class:`InternTable`, database, session, and views that a write defers
+until the next read) behind band-aware admission control: FO-band
+requests run inline on the hot compiled path, harder bands queue onto a
+bounded worker pool:
 
 >>> from repro.service import CertaintyService                # doctest: +SKIP
 >>> with CertaintyService(max_workers=4) as svc:
@@ -125,7 +126,6 @@ from .faults import FaultInjector, FaultPlan, FaultSpec, InjectedFault, inject
 from .fo import certain_rewriting, evaluate_sentence
 from .incremental import (
     MaterializedCertainView,
-    StalenessPolicy,
     StalenessStats,
     SupportIndex,
     ViewManager,
@@ -214,7 +214,6 @@ __all__ = [
     "RelationSchema",
     "SegmentCorruption",
     "ShardedCertaintySession",
-    "StalenessPolicy",
     "StalenessStats",
     "SupportIndex",
     "Tenant",

@@ -20,6 +20,7 @@ the proof of Theorem 3:
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import lru_cache
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from ..attacks.cycles import (
@@ -101,8 +102,7 @@ def _weak_terminal_base_case(
     shared-variable vector and joins it, and a block never spans two
     partitions.
     """
-    cycles = _disjoint_two_cycles(graph)
-    shared_variables = _cross_cycle_variables(query, cycles)
+    cycles, shared_variables = _base_case_cycles(query)
 
     certified: Dict[str, Set[IntRow]] = {}
     for first, second in cycles:
@@ -133,6 +133,19 @@ def _weak_terminal_base_case(
     # Sublemma 5: certain iff the union of the certain partitions satisfies
     # the query — evaluated without materialising the union as facts.
     return has_witness(query, store, allowed=certified)
+
+
+@lru_cache(maxsize=4096)
+def _base_case_cycles(
+    query: ConjunctiveQuery,
+) -> Tuple[Tuple[Tuple[Atom, Atom], ...], FrozenSet[Variable]]:
+    """The base case's 2-cycles and cross-cycle variables, memoised per query.
+
+    Both depend on the query alone, like :func:`attack_graph`, so a warm
+    decide re-derives neither.
+    """
+    cycles = tuple(_disjoint_two_cycles(attack_graph(query)))
+    return cycles, _cross_cycle_variables(query, cycles)
 
 
 def _disjoint_two_cycles(graph: AttackGraph) -> List[Tuple[Atom, Atom]]:

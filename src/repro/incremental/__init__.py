@@ -32,10 +32,9 @@ Public surface:
   index, stats, and ``subscribe(on_insert, on_retract)`` delta feed;
 * :class:`SupportIndex` / :func:`delta_candidates` — the maintenance
   machinery, exposed for inspection and testing;
-* :class:`StalenessPolicy` / :class:`StalenessStats` — bounded-staleness
-  (deferred) maintenance: mutations merge into a pending changelog and
-  views refresh lazily on read or flush, within a configured staleness
-  bound (see :mod:`repro.incremental.staleness`).
+* :class:`StalenessStats` — the counters of a deferred manager
+  (``ViewManager(db, deferred=True)``), whose mutations merge into one
+  pending changelog that the next view read or ``flush()`` delivers.
 
 >>> from repro import ViewManager                       # doctest: +SKIP
 >>> with ViewManager(db) as manager:
@@ -46,14 +45,12 @@ Public surface:
 """
 
 from .delta import delta_candidates
-from .manager import ViewManager
-from .staleness import StalenessPolicy, StalenessStats
+from .manager import StalenessStats, ViewManager
 from .support import SupportIndex
 from .view import MaterializedCertainView, Subscription, ViewStats
 
 __all__ = [
     "MaterializedCertainView",
-    "StalenessPolicy",
     "StalenessStats",
     "Subscription",
     "SupportIndex",

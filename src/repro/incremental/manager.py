@@ -15,6 +15,10 @@ refreshes, the index's columnar store (which candidate enumeration, delta
 joins, and the compiled rewritings all read) already reflects the mutation.
 Every view decides through that one session.
 
+A manager is *eager* (the default: views refresh inside each mutation)
+or *deferred* (mutations wait for the next view read or flush); either
+way every read equals a cold ``certain_answers`` recompute.
+
 Like :class:`~repro.model.database.UncertainDatabase` itself, the manager
 assumes a single writer: mutations (and hence maintenance) run on the
 mutating thread.
@@ -22,8 +26,7 @@ mutating thread.
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..engine.cache import PlanCache
 from ..engine.session import CertaintySession
@@ -31,8 +34,49 @@ from ..model.atoms import Fact
 from ..model.database import ChangeSet, DatabaseObserver, UncertainDatabase
 from ..query.conjunctive import ConjunctiveQuery
 from ..store import InternTable
-from .staleness import StalenessPolicy, StalenessStats
 from .view import MaterializedCertainView
+
+
+class StalenessStats:
+    """Counters describing deferred maintenance (all zero in eager mode).
+
+    ``deferred_batches`` / ``deferred_mutations``
+        mutation notifications merged into the pending changelog, and the
+        facts they carried (before merging, so cancellations still count);
+    ``flushes``
+        pending changelogs delivered to the views, split by trigger into
+        ``flushes_on_read`` (a view read) and ``flushes_explicit``
+        (:meth:`ViewManager.flush`);
+    ``max_pending_mutations``
+        high-water mark of the pending net mutation count.
+    """
+
+    __slots__ = (
+        "deferred_batches",
+        "deferred_mutations",
+        "flushes",
+        "flushes_on_read",
+        "flushes_explicit",
+        "max_pending_mutations",
+    )
+
+    def __init__(self) -> None:
+        self.deferred_batches = 0
+        self.deferred_mutations = 0
+        self.flushes = 0
+        self.flushes_on_read = 0
+        self.flushes_explicit = 0
+        self.max_pending_mutations = 0
+
+    def as_dict(self) -> dict:
+        """A plain-dict rendering (for service stats aggregation)."""
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __repr__(self) -> str:
+        return (
+            f"StalenessStats(deferred={self.deferred_batches}, "
+            f"flushes={self.flushes}, max_pending={self.max_pending_mutations})"
+        )
 
 
 class ViewManager(DatabaseObserver):
@@ -48,23 +92,15 @@ class ViewManager(DatabaseObserver):
         stays the caller's to close.
     plan_cache / allow_exponential:
         Forwarded to the owned session (ignored when *session* is given).
-    full_refresh_threshold:
-        Dirty fraction above which a view abandons incremental maintenance
-        for a full refresh (default ``0.5``).
     intern_table:
         Scoped intern table of the owned session.  Ignored when *session*
         is supplied — the supplied session's table governs.
-    staleness:
-        When set, **deferred maintenance mode**: mutations merge into one
-        pending net :class:`ChangeSet` instead of refreshing views
-        synchronously, and views refresh lazily — on a read that exceeds
-        the policy's mutation budget or deadline, or on an explicit
-        :meth:`flush`.  See :class:`~repro.incremental.staleness.StalenessPolicy`;
-        progress is counted in :attr:`staleness_stats`.  ``None`` (default)
-        keeps the eager always-fresh behaviour.
-    clock:
-        Monotonic time source for the staleness deadline (default
-        :func:`time.monotonic`); injectable for deterministic tests.
+    deferred:
+        When ``True``, mutations merge into one pending net
+        :class:`ChangeSet` instead of refreshing the views, and the next
+        view read or :meth:`flush` delivers it (counted in
+        :attr:`staleness_stats`).  ``False`` (default) refreshes inside
+        every mutation.
 
     Example
     -------
@@ -82,13 +118,9 @@ class ViewManager(DatabaseObserver):
         session: Optional[CertaintySession] = None,
         plan_cache: Optional[PlanCache] = None,
         allow_exponential: bool = False,
-        full_refresh_threshold: float = 0.5,
         intern_table: Optional[InternTable] = None,
-        staleness: Optional[StalenessPolicy] = None,
-        clock: Callable[[], float] = time.monotonic,
+        deferred: bool = False,
     ) -> None:
-        if not 0.0 <= full_refresh_threshold <= 1.0:
-            raise ValueError("full_refresh_threshold must lie in [0, 1]")
         self._db = db
         if session is None:
             session = CertaintySession(
@@ -103,14 +135,11 @@ class ViewManager(DatabaseObserver):
                 raise ValueError("the supplied session wraps a different database")
             self._owns_session = False
         self._session = session
-        self._full_refresh_threshold = full_refresh_threshold
         self._views: Dict[ConjunctiveQuery, MaterializedCertainView] = {}
         self._pending: List[ChangeSet] = []
         self._delivering = False
-        self._staleness = staleness
-        self._clock = clock
-        self._deferred: Optional[ChangeSet] = None
-        self._deferred_since: Optional[float] = None
+        self._deferred = deferred
+        self._changelog = ChangeSet()
         self._staleness_stats = StalenessStats()
         self._closed = False
         db.register_observer(self)
@@ -172,28 +201,9 @@ class ViewManager(DatabaseObserver):
         existing = self._views.get(query)
         if existing is not None:
             return existing
-        view = MaterializedCertainView(
-            self,
-            query,
-            allow_exponential=allow_exponential,
-            full_refresh_threshold=self._full_refresh_threshold,
-        )
+        view = MaterializedCertainView(self, query, allow_exponential=allow_exponential)
         self._views[query] = view
         return view
-
-    def register_many(
-        self,
-        queries: Iterable[ConjunctiveQuery],
-        allow_exponential: Optional[bool] = None,
-    ) -> List[MaterializedCertainView]:
-        """Register every query in *queries*, returning the views in order.
-
-        The warm-start helper of the recovery path: after a
-        :class:`~repro.durability.DurableStore` rebuilds a database, the
-        serving layer re-registers its whole query catalog in one call and
-        each view materializes against the recovered state.
-        """
-        return [self.register(q, allow_exponential=allow_exponential) for q in queries]
 
     def unregister(self, view: MaterializedCertainView) -> None:
         """Stop maintaining *view* (no-op if not registered)."""
@@ -206,8 +216,7 @@ class ViewManager(DatabaseObserver):
         self._check_open()
         # A cold refresh runs against the live database, which subsumes any
         # deferred changelog — drop it instead of replaying it afterwards.
-        self._deferred = None
-        self._deferred_since = None
+        self._changelog = ChangeSet()
         for view in self._views.values():
             view.refresh()
 
@@ -242,17 +251,13 @@ class ViewManager(DatabaseObserver):
         A subscriber callback may trigger further database mutations; those
         arrive here re-entrantly and are queued, then drained after the
         current delivery completes — every view refresh runs against the
-        *current* database, so late deliveries only confirm verdicts.
-
-        In deferred (bounded-staleness) mode, mutations arriving outside a
-        flush delivery merge into the pending changelog instead; mutations
-        triggered *by* a flush's subscriber callbacks still deliver through
-        the re-entrancy queue, so a flush leaves the views fully caught up
-        with everything it (transitively) caused.
+        *current* database, so late deliveries only confirm verdicts.  A
+        deferred manager merges the mutations made outside a delivery into
+        its pending changelog instead.
         """
         if self._closed:
             return
-        if self._staleness is not None and not self._delivering:
+        if self._deferred and not self._delivering:
             self._defer(changes)
             return
         self._deliver(changes)
@@ -271,12 +276,12 @@ class ViewManager(DatabaseObserver):
         finally:
             self._delivering = False
 
-    # -- bounded-staleness (deferred) maintenance --------------------------------
+    # -- deferred maintenance ----------------------------------------------------
 
     @property
-    def staleness(self) -> Optional[StalenessPolicy]:
-        """The bounded-staleness policy (``None`` in eager mode)."""
-        return self._staleness
+    def deferred(self) -> bool:
+        """``True`` when mutations wait for the next read or :meth:`flush`."""
+        return self._deferred
 
     @property
     def staleness_stats(self) -> StalenessStats:
@@ -286,80 +291,53 @@ class ViewManager(DatabaseObserver):
     @property
     def pending_mutations(self) -> int:
         """Net deferred mutations not yet delivered to the views."""
-        return len(self._deferred) if self._deferred is not None else 0
+        return len(self._changelog)
 
     def _defer(self, changes: ChangeSet) -> None:
         """Merge *changes* into the pending changelog (net semantics)."""
         if not changes:
             return
-        stats = self._staleness_stats
-        if self._deferred is None:
-            self._deferred = ChangeSet()
-            self._deferred_since = self._clock()
         for fact in changes.added:
-            self._deferred.record_added(fact)
+            self._changelog.record_added(fact)
         for fact in changes.discarded:
-            self._deferred.record_discarded(fact)
+            self._changelog.record_discarded(fact)
+        stats = self._staleness_stats
         stats.deferred_batches += 1
         stats.deferred_mutations += len(changes)
         stats.max_pending_mutations = max(
-            stats.max_pending_mutations, len(self._deferred)
+            stats.max_pending_mutations, len(self._changelog)
         )
 
     def flush(self) -> bool:
         """Deliver every deferred mutation to the views now.
 
-        Returns ``True`` when pending work was delivered.  After a flush
-        (and until the next mutation) every view read is identical to a
-        cold recompute.  A no-op in eager mode, where nothing ever defers.
+        Returns ``True`` when pending work was delivered.  A view read
+        flushes by itself; this moves the cost to a chosen moment.
         """
         self._check_open()
-        return self._flush("explicit")
+        return self._flush(explicit=True)
 
-    def _flush(self, trigger: str) -> bool:
-        if self._deferred is None:
+    def _flush(self, explicit: bool = False) -> bool:
+        if not self._changelog:
             return False
-        changes = self._deferred
-        self._deferred = None
-        self._deferred_since = None
+        changes, self._changelog = self._changelog, ChangeSet()
         stats = self._staleness_stats
         stats.flushes += 1
-        if trigger == "read_budget":
-            stats.flushes_on_read_budget += 1
-        elif trigger == "read_deadline":
-            stats.flushes_on_read_deadline += 1
-        else:
+        if explicit:
             stats.flushes_explicit += 1
-        if changes:
-            self._deliver(changes)
+        else:
+            stats.flushes_on_read += 1
+        self._deliver(changes)
         return True
 
     def _sync_for_read(self) -> None:
-        """Read-path hook: refresh first when the policy's bounds are hit.
+        """Read-path hook: deliver every pending mutation first.
 
-        Called by every :attr:`MaterializedCertainView.answers` /
-        ``is_certain`` read.  A read served without flushing is *stale but
-        bounded*: at most ``max_stale_mutations`` net mutations and (when a
-        deadline is configured) ``refresh_deadline`` seconds behind.
+        The changelog stays empty while a delivery runs (a subscriber's
+        mutations join it), so a read mid-delivery sees it in progress.
         """
-        if self._staleness is None or self._deferred is None or self._closed:
-            return
-        if self._delivering:
-            # A subscriber callback reading its own view mid-delivery sees
-            # the in-progress refresh; deferral cannot be flushed here.
-            return
-        policy = self._staleness
-        if (
-            policy.refresh_deadline is not None
-            and self._deferred_since is not None
-            and self._clock() - self._deferred_since >= policy.refresh_deadline
-        ):
-            self._flush("read_deadline")
-            return
-        if len(self._deferred) > policy.max_stale_mutations:
-            self._flush("read_budget")
-            return
-        self._staleness_stats.stale_reads += 1
+        if self._changelog and not self._closed:
+            self._flush()
 
     def _check_open(self) -> None:
         if self._closed:

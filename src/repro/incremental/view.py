@@ -26,7 +26,7 @@ Maintenance strategy per mutation batch (a
 4. **re-decision** — the dirty candidates are re-decided through the
    session's ``decide_candidates`` loop, refreshing their support entries;
 5. **fallbacks** — views over self-join (per-grounding) plans, or batches
-   dirtying more than ``full_refresh_threshold`` of the tracked
+   dirtying more than :data:`FULL_REFRESH_FRACTION` of the tracked
    candidates, fall back to a full refresh (cold re-enumeration +
    re-decision), which is always correct; :class:`ViewStats` counts each
    full refresh by cause.
@@ -52,6 +52,10 @@ from ..store.kernels import has_witness
 from .delta import delta_candidates
 from .support import Candidate, SupportIndex
 
+#: Dirty fraction of the tracked candidates above which a batch gets a full
+#: refresh instead of an incremental one.
+FULL_REFRESH_FRACTION = 0.5
+
 #: Deterministic candidate ordering (same key the sessions sort by).
 def _sort_key(candidate: Candidate) -> Tuple[str, ...]:
     return tuple(str(c) for c in candidate)
@@ -69,7 +73,7 @@ class ViewStats:
     ``full_refreshes_per_grounding`` / ``full_refreshes_oversized``
         why mutation-driven full refreshes happened: the view is coarse
         because its plan re-classifies per grounding (self-joins), or the
-        dirty set exceeded ``full_refresh_threshold``.  The initial
+        dirty set exceeded :data:`FULL_REFRESH_FRACTION`.  The initial
         materialization and explicit
         :meth:`MaterializedCertainView.refresh` calls count in
         ``full_refreshes`` only;
@@ -166,13 +170,11 @@ class MaterializedCertainView:
         manager,  # ViewManager; untyped to avoid a circular import
         query: ConjunctiveQuery,
         allow_exponential: Optional[bool] = None,
-        full_refresh_threshold: float = 0.5,
     ) -> None:
         self._manager = manager
         self._query = query
         self._boolean = query.is_boolean
         self._allow_exponential = allow_exponential
-        self._full_refresh_threshold = full_refresh_threshold
         self._relations = frozenset(atom.relation.name for atom in query.atoms)
         plan = manager.session.plan_for(query)
         # Every band records support now — FO through the instrumented
@@ -200,10 +202,8 @@ class MaterializedCertainView:
     def answers(self) -> frozenset:
         """The current certain answers (``{()}``/``set()`` for Boolean queries).
 
-        Under the manager's bounded-staleness (deferred) mode this is the
-        read-path sync point: pending mutations past the policy's budget or
-        deadline are flushed first, so the returned set is never staler
-        than the configured bound.  Eager mode returns directly.
+        A deferred manager delivers its pending mutations first, so the
+        returned set always equals a cold recompute.
         """
         self._manager._sync_for_read()
         return frozenset(self._answers)
@@ -368,7 +368,7 @@ class MaterializedCertainView:
         # Count (not materialise) the union: dirty is small, verdicts can
         # be huge, and this runs on every mutation batch.
         total = len(self._verdicts) + sum(1 for c in dirty if c not in self._verdicts)
-        if total and len(dirty) > self._full_refresh_threshold * total:
+        if total and len(dirty) > FULL_REFRESH_FRACTION * total:
             # Most of the view is dirty: a cold refresh costs the same and
             # also prunes stale candidates.
             self.stats.full_refreshes_oversized += 1

@@ -1,4 +1,4 @@
-"""Multi-tenant certainty serving: tenants, admission control, staleness.
+"""Multi-tenant certainty serving: tenants, admission control, deferred views.
 
 The serving layer on top of the engine (conf_pods_Wijsen13).  The paper's
 trichotomy — ``CERTAINTY(q)`` is FO, PTIME-complete, or coNP-complete
@@ -11,9 +11,9 @@ depending only on the query shape — becomes an *admission policy*:
   submitted query once and routes the FO band inline (hot compiled path)
   while dispatching PTIME/coNP bands onto bounded background workers with
   per-tenant queue-depth caps;
-* bounded-staleness views — tenant mutations defer view maintenance into
-  the changelog; views refresh lazily on read, flush, or staleness
-  deadline (:class:`~repro.incremental.staleness.StalenessPolicy`).
+* deferred views — tenant mutations merge into one pending changelog,
+  which the next view read (or ``flush_views``) delivers, so a view read
+  equals a cold recompute.
 """
 
 from .admission import (

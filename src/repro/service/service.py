@@ -2,7 +2,7 @@
 
 :class:`CertaintyService` hosts any number of :class:`~repro.service.tenant.Tenant`
 objects — each with its own intern table, database, session, and
-bounded-staleness views — behind one band-aware
+deferred views — behind one band-aware
 :class:`~repro.service.admission.AdmissionController`:
 
 >>> from repro.service import CertaintyService            # doctest: +SKIP
@@ -10,7 +10,7 @@ bounded-staleness views — behind one band-aware
 ...     svc.create_tenant("acme", facts=acme_facts)
 ...     ticket = svc.submit("acme", query)      # FO band: answered inline
 ...     answers = ticket.result(timeout=1.0)
-...     svc.apply("acme", [("add", fact)])      # views go bounded-stale
+...     svc.apply("acme", [("add", fact)])      # views defer to the next read
 ...     svc.stats()["totals"]
 
 Design points:
@@ -23,12 +23,11 @@ Design points:
   and mutation runs under its tenant's re-entrant lock, so a queued coNP
   decision never interleaves with that tenant's writes — but two tenants'
   work proceeds concurrently.
-* **Writes are cheap, reads are honest.**  Mutations update the session's
-  incremental index synchronously but view maintenance is deferred under
-  the tenant's :class:`~repro.incremental.staleness.StalenessPolicy`; the
-  default policy (zero stale budget) flushes on the next read, so view
-  reads through the service are always fresh unless the tenant opted into
-  staleness.
+* **Writes are cheap, reads are exact.**  Mutations update the session's
+  incremental index synchronously, but view maintenance waits: each
+  tenant's deferred :class:`~repro.incremental.manager.ViewManager`
+  delivers the pending mutations at the next view read, so every view
+  read equals a cold recompute.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..engine.cache import PlanCache
-from ..incremental.staleness import StalenessPolicy
 from ..model.atoms import Fact
 from ..model.schema import DatabaseSchema
 from ..query.conjunctive import ConjunctiveQuery
@@ -54,7 +52,6 @@ class CertaintyService:
         self,
         max_workers: int = 2,
         queue_depth: int = 8,
-        staleness: Optional[StalenessPolicy] = None,
         plan_cache_size: int = 256,
         allow_exponential: bool = True,
         clock=None,
@@ -71,10 +68,6 @@ class CertaintyService:
         max_workers / queue_depth:
             Worker-pool size and per-tenant queued-request cap of the
             admission controller.
-        staleness:
-            Default :class:`StalenessPolicy` for new tenants (overridable
-            per tenant).  ``None`` means the zero-budget policy: writes
-            defer view maintenance, reads always see fresh views.
         plan_cache_size:
             Size of each tenant's private plan cache.
         allow_exponential:
@@ -82,8 +75,8 @@ class CertaintyService:
             fallback.  ``True`` by default — the whole point of queueing
             is making the hard band servable without blocking the hot path.
         clock:
-            Injectable monotonic clock handed to tenants' view managers
-            (for deterministic staleness tests).
+            Injectable monotonic clock of the admission controller and the
+            tenants: request deadlines and breaker cooldowns read it.
         durability_dir:
             When set, every tenant persists through a
             :class:`~repro.durability.DurableStore` rooted at
@@ -118,7 +111,6 @@ class CertaintyService:
             clock=clock,
         )
         self._shard_workers = shard_workers
-        self._staleness = staleness
         self._plan_cache_size = plan_cache_size
         self._allow_exponential = allow_exponential
         self._clock = clock
@@ -139,7 +131,6 @@ class CertaintyService:
         tenant_id: str,
         facts: Iterable[Fact] = (),
         schema: Optional[DatabaseSchema] = None,
-        staleness: Optional[StalenessPolicy] = None,
     ) -> Tenant:
         """Provision an isolated tenant (private intern table and engine state).
 
@@ -159,7 +150,6 @@ class CertaintyService:
                 facts=facts,
                 schema=schema,
                 plan_cache=PlanCache(maxsize=self._plan_cache_size),
-                staleness=staleness if staleness is not None else self._staleness,
                 allow_exponential=self._allow_exponential,
                 clock=self._clock,
                 durability_dir=durability_dir,
@@ -252,7 +242,7 @@ class CertaintyService:
     # -- mutations ---------------------------------------------------------------
 
     def apply(self, tenant_id: str, batch: List[MutationOp]) -> None:
-        """Apply a mutation batch to one tenant (views defer per its policy)."""
+        """Apply a mutation batch to one tenant (its views defer to the next read)."""
         self._check_open()
         self.tenant(tenant_id).apply(batch)
 
@@ -285,7 +275,7 @@ class CertaintyService:
         """Per-tenant and aggregate service statistics.
 
         ``tenants`` maps tenant id → :meth:`Tenant.stats` (facts, intern
-        memory, staleness and admission counters, live queue depth);
+        memory, deferred-view and admission counters, live queue depth);
         ``totals`` sums the cross-tenant aggregates — total interned bytes,
         facts, pending view mutations, and every admission counter.
         """

@@ -12,9 +12,9 @@ A :class:`Tenant` bundles everything one customer of the
 * an :class:`~repro.model.database.UncertainDatabase` plus a scoped
   :class:`~repro.engine.session.CertaintySession` executing on a
   columnar store against the private table;
-* a :class:`~repro.incremental.manager.ViewManager` in bounded-staleness
-  (deferred) mode, so the tenant's write path never pays synchronous view
-  maintenance beyond the session's O(1)-amortised index upkeep;
+* a deferred :class:`~repro.incremental.manager.ViewManager`: a write
+  pays no view maintenance beyond the session's O(1)-amortised index
+  upkeep, and the next view read delivers what the writes left pending;
 * a re-entrant lock serialising this tenant's mutations and decisions —
   the service's background workers and the caller's threads interleave
   *across* tenants, never within one;
@@ -37,7 +37,6 @@ from ..engine.cache import PlanCache
 from ..engine.session import CertaintySession
 from ..engine.shards import DeadlineExceeded, ShardedCertaintySession
 from ..incremental.manager import ViewManager
-from ..incremental.staleness import StalenessPolicy
 from ..incremental.view import MaterializedCertainView
 from ..model.atoms import Fact
 from ..model.database import UncertainDatabase
@@ -62,7 +61,6 @@ class Tenant:
         facts: Iterable[Fact] = (),
         schema: Optional[DatabaseSchema] = None,
         plan_cache: Optional[PlanCache] = None,
-        staleness: Optional[StalenessPolicy] = None,
         allow_exponential: bool = False,
         clock=None,
         durability_dir=None,
@@ -113,13 +111,7 @@ class Tenant:
                 allow_exponential=allow_exponential,
                 intern_table=self.intern_table,
             )
-        manager_kwargs = {} if clock is None else {"clock": clock}
-        self.views = ViewManager(
-            self.db,
-            session=self.session,
-            staleness=staleness if staleness is not None else StalenessPolicy(),
-            **manager_kwargs,
-        )
+        self.views = ViewManager(self.db, session=self.session, deferred=True)
         self.admission_stats = AdmissionStats()
         self._lock = threading.RLock()
         self._closed = False
@@ -196,9 +188,9 @@ class Tenant:
     def apply(self, batch: List[MutationOp]) -> None:
         """Apply a batch of mutation ops inside one ``db.batch()`` block.
 
-        Observers (the session index, the view manager's changelog) receive
-        one consolidated notification; in deferred mode the whole batch
-        merges into the pending staleness changelog.
+        Observers (the session index, the view manager) receive one
+        consolidated notification; the view manager merges the whole batch
+        into its pending changelog.
         """
         with self._lock:
             self._check_open()
@@ -215,7 +207,7 @@ class Tenant:
             return self.views.register(query)
 
     def view_answers(self, query: ConjunctiveQuery) -> AnswerSet:
-        """Read a registered view under the tenant lock (bounded-stale)."""
+        """Read a registered view under the tenant lock (pending writes first)."""
         with self._lock:
             self._check_open()
             view = self.views.register(query)
@@ -245,7 +237,7 @@ class Tenant:
     # -- observability -----------------------------------------------------------
 
     def stats(self) -> dict:
-        """This tenant's memory, staleness, and admission counters.
+        """This tenant's memory, deferred-view and admission counters.
 
         ``blocks`` counts the live blocks of the session's columnar store,
         the tenant's only block index; ``intern_memory`` is the private

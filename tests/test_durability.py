@@ -391,7 +391,7 @@ class TestBandRecoveryEquivalence:
         recovered = DurableStore.open(tmp_path)
         rdb = recovered.database()
         with ViewManager(rdb, allow_exponential=allow) as manager:
-            (view,) = manager.register_many([query])
+            view = manager.register(query)
             if query.is_boolean:
                 assert view.is_certain == ground_truth
             else:

@@ -496,11 +496,16 @@ class TestSupportPrecision:
 
     def test_oversized_dirty_fraction_falls_back_to_full_refresh(self):
         query, schema, db = emp_dept()
-        with ViewManager(db, full_refresh_threshold=0.0) as manager:
+        with ViewManager(db) as manager:
             view = manager.register(query)
             full = view.stats.full_refreshes
-            db.add(schema["Dept"].fact("net", "Lille"))
+            # One batch dirties both tracked candidates: bob reads the net
+            # block, ada the db block.
+            with db.batch():
+                db.add(schema["Dept"].fact("net", "Lille"))
+                db.add(schema["Dept"].fact("db", "Lille"))
             assert view.stats.full_refreshes == full + 1
+            assert view.stats.full_refreshes_oversized == 1
             assert view.answers == cold_answers(db, query, False)
 
 

@@ -11,7 +11,7 @@ from repro.counting import (
     counting_summary,
     repair_frequency,
 )
-from repro.certainty import certain_brute_force
+from repro.certainty import certain_by_enumeration
 from repro.model import RelationSchema, UncertainDatabase
 from repro.probability import (
     BIDDatabase,
@@ -194,7 +194,7 @@ class TestBridge:
         for _ in range(8):
             db = random_instance(query, rng, domain_size=3, facts_per_relation=3)
             bid = BIDDatabase.uniform_repairs(db)
-            assert certainty_via_probability(bid, query) == certain_brute_force(db, query)
+            assert certainty_via_probability(bid, query) == certain_by_enumeration(db, query)
 
     def test_theorem6_on_named_queries(self):
         comparisons = compare_frontiers(
@@ -228,7 +228,7 @@ class TestCounting:
         query = fuxman_miller_cfree_example()
         for _ in range(8):
             db = random_instance(query, rng, domain_size=3, facts_per_relation=3)
-            assert certainty_from_counts(db, query) == certain_brute_force(db, query)
+            assert certainty_from_counts(db, query) == certain_by_enumeration(db, query)
 
     def test_uniform_probability_equals_repair_frequency(self, rng):
         query = fuxman_miller_cfree_example()

@@ -5,7 +5,7 @@ import random
 
 from repro import CertaintySession
 from repro.certainty import (
-    certain_brute_force,
+    certain_by_enumeration,
     is_purified,
     peel_certain,
     purify,
@@ -86,7 +86,7 @@ class TestPurify:
         q = parse_query("A(x | y), B(y | x)")
         for _ in range(15):
             db = random_instance(q, rng, domain_size=3, facts_per_relation=5)
-            assert certain_brute_force(db, q) == certain_brute_force(purify(db, q), q)
+            assert certain_by_enumeration(db, q) == certain_by_enumeration(purify(db, q), q)
 
     def test_purify_does_not_mutate_input(self):
         q = parse_query("R(x | y), S(y | x)")

@@ -5,7 +5,7 @@ import pytest
 from repro.certainty import (
     Theorem2Reduction,
     UnsupportedQueryError,
-    certain_brute_force,
+    certain_by_enumeration,
     purify,
     theorem2_reduction,
 )
@@ -58,8 +58,8 @@ class TestReductionCorrectness:
         for _ in range(12):
             db0 = random_instance(q0, rng, domain_size=3, facts_per_relation=4)
             transformed = reduction.transform(db0)
-            source = certain_brute_force(purify(db0, q0), q0)
-            image = certain_brute_force(transformed, target)
+            source = certain_by_enumeration(purify(db0, q0), q0)
+            image = certain_by_enumeration(transformed, target)
             assert source == image
 
     def test_preserves_certainty_on_other_strong_cycle_query(self, rng):
@@ -68,7 +68,7 @@ class TestReductionCorrectness:
         for _ in range(8):
             db0 = random_instance(q0, rng, domain_size=3, facts_per_relation=4)
             transformed = theorem2_reduction(target, db0)
-            assert certain_brute_force(purify(db0, q0), q0) == certain_brute_force(transformed, target)
+            assert certain_by_enumeration(purify(db0, q0), q0) == certain_by_enumeration(transformed, target)
 
     def test_output_size_polynomial(self, rng):
         target = figure2_q1()

@@ -384,7 +384,7 @@ def test_mutation_batch_through_service():
         assert {c.value for (c,) in after} == {"ak1", "ak2"}
 
 
-def test_view_reads_fresh_under_default_policy():
+def test_view_read_delivers_deferred_writes():
     with CertaintyService() as svc:
         tenant = svc.create_tenant("a", facts=tenant_facts("a"))
         view = tenant.register_view(fo_query())
@@ -395,7 +395,8 @@ def test_view_reads_fresh_under_default_policy():
                 ("add", parse_fact("S('av9' | 'aw')")),
             ],
         )
-        # Default policy: maintenance deferred on write, flushed on read.
+        # Maintenance is deferred on write and delivered by the next read.
+        assert tenant.views.pending_mutations == 2
         assert {c.value for (c,) in view.answers} == {"ak1", "ak2"}
         assert tenant.views.pending_mutations == 0
 

@@ -1,13 +1,13 @@
-"""Bounded-staleness view maintenance: deterministic and randomized checks.
+"""Deferred view maintenance: deterministic and randomized checks.
 
-The contract under test (``StalenessPolicy``):
+The contract under test (``ViewManager(db, deferred=True)``):
 
-* a read after the refresh deadline expires, after the pending-mutation
-  budget is exceeded, or after an explicit ``flush()`` is **identical to a
-  cold recompute** of the certain answers;
-* a read served stale is **bounded**: at most ``max_stale_mutations`` net
-  mutations behind (and within the deadline, when one is configured);
-* eager managers (no policy) never defer — their behaviour is unchanged.
+* a write delivers nothing to the views: it merges into one pending net
+  changelog (``pending_mutations``);
+* the next view read, or an explicit ``flush()``, delivers everything
+  pending, so every read is **identical to a cold recompute** of the
+  certain answers and leaves nothing pending;
+* eager managers (the default) never defer — their behaviour is unchanged.
 """
 
 import random
@@ -15,23 +15,11 @@ import random
 import pytest
 
 from repro.certainty.solver import certain_answers
-from repro.incremental import StalenessPolicy, ViewManager
+from repro.incremental import ViewManager
 from repro.model.database import UncertainDatabase
+from repro.model.symbols import Constant
 from repro.query import parse_fact, parse_facts, parse_query
 from repro.workloads import multi_tenant_workload
-
-
-class FakeClock:
-    """A manually advanced monotonic clock for deadline tests."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
-
-    def __call__(self) -> float:
-        return self.now
 
 
 def open_query():
@@ -67,73 +55,39 @@ def apply_ops(db, ops):
             (db.add if kind == "add" else db.discard)(fact)
 
 
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        StalenessPolicy(max_stale_mutations=-1)
-    with pytest.raises(ValueError):
-        StalenessPolicy(refresh_deadline=-0.5)
-
-
-def test_reads_within_budget_are_stale_but_bounded():
+def test_read_delivers_every_pending_mutation():
     db = UncertainDatabase(base_facts())
     query = open_query()
-    with ViewManager(db, staleness=StalenessPolicy(max_stale_mutations=2)) as mgr:
-        view = mgr.register(query)
-        before = view.answers
-        apply_ops(db, witness(3))  # 2 net mutations: within the budget
-        assert mgr.pending_mutations == 2
-        stale = view.answers
-        assert stale == before  # served stale: the new witness is invisible
-        assert stale != cold(db, query)
-        assert mgr.staleness_stats.stale_reads == 1
-        assert mgr.pending_mutations <= mgr.staleness.max_stale_mutations
-
-
-def test_read_past_budget_flushes_to_cold_recompute():
-    db = UncertainDatabase(base_facts())
-    query = open_query()
-    with ViewManager(db, staleness=StalenessPolicy(max_stale_mutations=2)) as mgr:
+    with ViewManager(db, deferred=True) as mgr:
         view = mgr.register(query)
         apply_ops(db, witness(3))
-        apply_ops(db, witness(4))  # 4 pending > budget of 2
+        apply_ops(db, witness(4))
         assert mgr.pending_mutations == 4
         assert view.answers == cold(db, query)
         assert mgr.pending_mutations == 0
-        assert mgr.staleness_stats.flushes_on_read_budget == 1
-
-
-def test_read_past_deadline_flushes_to_cold_recompute():
-    clock = FakeClock()
-    db = UncertainDatabase(base_facts())
-    query = open_query()
-    policy = StalenessPolicy(max_stale_mutations=100, refresh_deadline=5.0)
-    with ViewManager(db, staleness=policy, clock=clock) as mgr:
-        view = mgr.register(query)
-        apply_ops(db, witness(3))
-        clock.advance(4.9)
-        assert view.answers != cold(db, query)  # inside the deadline: stale
-        clock.advance(0.2)  # now 5.1s since the first deferred mutation
-        assert view.answers == cold(db, query)
-        assert mgr.staleness_stats.flushes_on_read_deadline == 1
-        assert mgr.pending_mutations == 0
+        stats = mgr.staleness_stats
+        assert (stats.flushes, stats.flushes_on_read, stats.flushes_explicit) == (1, 1, 0)
+        assert view.answers == cold(db, query)  # nothing pending: no flush
+        assert stats.flushes_on_read == 1
 
 
 def test_explicit_flush_restores_freshness():
     db = UncertainDatabase(base_facts())
     query = open_query()
-    with ViewManager(db, staleness=StalenessPolicy(max_stale_mutations=10)) as mgr:
+    with ViewManager(db, deferred=True) as mgr:
         view = mgr.register(query)
         apply_ops(db, witness(3))
         assert mgr.flush()
         assert view.answers == cold(db, query)
         assert mgr.staleness_stats.flushes_explicit == 1
+        assert mgr.staleness_stats.flushes_on_read == 0
         assert not mgr.flush()  # nothing pending: a no-op
 
 
 def test_batch_cancellation_nets_out_in_changelog():
     db = UncertainDatabase(base_facts())
     fact = parse_fact("R('k9' | 'v9')")
-    with ViewManager(db, staleness=StalenessPolicy(max_stale_mutations=10)) as mgr:
+    with ViewManager(db, deferred=True) as mgr:
         mgr.register(open_query())
         with db.batch():
             db.add(fact)
@@ -147,13 +101,54 @@ def test_batch_cancellation_nets_out_in_changelog():
 def test_refresh_all_drops_deferred_changelog():
     db = UncertainDatabase(base_facts())
     query = open_query()
-    with ViewManager(db, staleness=StalenessPolicy(max_stale_mutations=10)) as mgr:
+    with ViewManager(db, deferred=True) as mgr:
         view = mgr.register(query)
         apply_ops(db, witness(3))
         assert mgr.pending_mutations > 0
         mgr.refresh_all()
         assert mgr.pending_mutations == 0
         assert view.answers == cold(db, query)
+        assert mgr.staleness_stats.flushes == 0
+
+
+def test_subscriber_hears_nothing_until_the_next_read():
+    db = UncertainDatabase(base_facts())
+    query = open_query()
+    with ViewManager(db, deferred=True) as mgr:
+        view = mgr.register(query)
+        events = []
+        view.subscribe(
+            on_insert=lambda t: events.append(("+", t)),
+            on_retract=lambda t: events.append(("-", t)),
+        )
+        db.add(parse_fact("R('eve' | 'v1')"))
+        assert events == []
+        assert (Constant("eve"),) in view.answers
+        assert events == [("+", (Constant("eve"),))]
+
+
+def test_subscriber_mutation_during_flush_joins_that_flush():
+    db = UncertainDatabase(base_facts())
+    query = open_query()
+    zed = parse_fact("R('zed' | 'v2')")
+    with ViewManager(db, deferred=True) as mgr:
+        view = mgr.register(query)
+        fired = []
+
+        def on_insert(t):
+            if not fired:
+                fired.append(t)
+                db.add(zed)  # re-entrant mutation inside the flush
+
+        view.subscribe(on_insert=on_insert)
+        db.add(parse_fact("R('eve' | 'v1')"))
+        assert fired == []
+        answers = view.answers
+        assert fired == [(Constant("eve"),)]
+        assert mgr.pending_mutations == 0
+        assert (Constant("zed"),) in answers
+        assert answers == cold(db, query)
+        assert mgr.staleness_stats.flushes == 1
 
 
 def test_eager_manager_never_defers():
@@ -163,34 +158,29 @@ def test_eager_manager_never_defers():
         view = mgr.register(query)
         apply_ops(db, witness(3))
         assert mgr.pending_mutations == 0
-        assert mgr.staleness is None
+        assert not mgr.deferred
         assert mgr.staleness_stats.deferred_batches == 0
         assert view.answers == cold(db, query)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_randomized_staleness_harness(seed):
-    """Random mutations, reads, flushes, and clock jumps against the contract.
+    """Random mutations, reads and flushes against the contract.
 
     Invariants checked at every step:
 
-    * a read right after ``flush()`` or past the deadline equals a cold
-      recompute of ``certain_answers`` on the live database;
-    * a read served stale happened with at most ``max_stale_mutations``
-      net pending mutations (and the post-read pending count never exceeds
-      the budget either — past-budget reads must have flushed).
+    * a write delivers nothing to the view;
+    * every read equals a cold recompute of ``certain_answers`` on the
+      live database and leaves nothing pending;
+    * so does every read after an explicit ``flush()``.
     """
     rng = random.Random(seed)
-    budget = rng.choice([0, 1, 3, 6])
-    deadline = rng.choice([None, 4.0])
-    clock = FakeClock()
     # Reuse the multi-tenant generator for a deterministic mutation supply.
     (trace,) = multi_tenant_workload(
         num_tenants=1, steps=0, seed=seed, initial_facts=24
     ).traces
     db = UncertainDatabase(trace.facts)
     query = open_query()
-    policy = StalenessPolicy(max_stale_mutations=budget, refresh_deadline=deadline)
     domain = [f"t0~c{j}" for j in range(24)]
 
     def random_ops():
@@ -207,36 +197,19 @@ def test_randomized_staleness_harness(seed):
                 )
         return ops
 
-    with ViewManager(db, staleness=policy, clock=clock) as mgr:
+    with ViewManager(db, deferred=True) as mgr:
         view = mgr.register(query)
         for _ in range(60):
             action = rng.random()
-            if action < 0.45:
+            if action < 0.5:
+                refreshes = view.stats.refreshes
                 apply_ops(db, random_ops())
-            elif action < 0.8:
-                pending_before = mgr.pending_mutations
-                deadline_hit = (
-                    deadline is not None
-                    and mgr.pending_mutations > 0
-                    and mgr._deferred_since is not None
-                    and clock() - mgr._deferred_since >= deadline
-                )
-                answers = view.answers
-                if pending_before > budget or deadline_hit:
-                    # The read must have flushed: identical to cold recompute.
-                    assert answers == cold(db, query)
-                    assert mgr.pending_mutations == 0
-                else:
-                    # Served possibly-stale, but bounded: nothing flushed,
-                    # and the backlog is within the configured budget.
-                    assert mgr.pending_mutations == pending_before
-                    assert pending_before <= budget
-                assert mgr.pending_mutations <= budget
-            elif action < 0.9:
-                mgr.flush()
+                assert view.stats.refreshes == refreshes
+            elif action < 0.85:
                 assert view.answers == cold(db, query)
+                assert mgr.pending_mutations == 0
             else:
-                clock.advance(rng.uniform(0.5, 3.0))
-        # Final word: an explicit flush always reconverges.
-        mgr.flush()
-        assert view.answers == cold(db, query)
+                mgr.flush()
+                assert mgr.pending_mutations == 0
+                assert view.answers == cold(db, query)
+        assert mgr.staleness_stats.flushes_on_read > 0

@@ -557,6 +557,28 @@ class TestOracleDifferential:
                 assert not session.is_certain(query)
         assert built == {"AttackGraph": 0}
 
+    def test_theorem3_warm_decide_finds_no_cycles(self, monkeypatch):
+        """The base case's 2-cycles are memoised per query.
+
+        They depend on the query alone, so a warm decide that reaches the
+        base case runs no Tarjan pass over the attack graph.
+        """
+        query = figure4_query()
+        db = _planted_block_cycle_instance(query)
+        with CertaintySession(db) as session:
+            assert not session.is_certain(query)  # cold: memoises the cycles
+            calls = []
+            components = terminal_cycles.strongly_connected_components
+
+            def counted(*args, **kwargs):
+                calls.append(args)
+                return components(*args, **kwargs)
+
+            monkeypatch.setattr(terminal_cycles, "strongly_connected_components", counted)
+            for _ in range(3):
+                assert not session.is_certain(query)
+        assert calls == []
+
     def test_session_decide_does_not_reclassify(self, monkeypatch):
         """A session decide trusts its plan's classification and shares the
         process's attack graphs.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.certainty import certain_brute_force, is_certain, is_purified
+from repro.certainty import certain_by_enumeration, is_certain, is_purified
 from repro.core import ComplexityBand, classify
 from repro.experiments import ALL_EXPERIMENTS, ExperimentReport, run_all_experiments
 from repro.model.repairs import is_repair
@@ -75,7 +75,7 @@ class TestGenerators:
         query = fuxman_miller_cfree_example()
         for seed in range(5):
             db = planted_certain_instance(query, seed=seed)
-            assert certain_brute_force(db, query)
+            assert certain_by_enumeration(db, query)
             assert is_certain(db, query)
 
     def test_uniform_random_instance_size(self):
@@ -100,7 +100,7 @@ class TestPaperInstances:
         db = figure6_database()
         query = cycle_query_ac(3)
         assert is_purified(db, query)
-        assert not certain_brute_force(db, query)
+        assert not certain_by_enumeration(db, query)
 
     def test_figure7_repairs(self):
         db = figure6_database()
@@ -114,7 +114,7 @@ class TestPaperInstances:
     def test_ring_instance_matches_oracle(self):
         for with_sk in (True, False):
             query, db = ring_instance(3, copies=2, chords=1, seed=4, with_sk=with_sk)
-            assert is_certain(db, query) == certain_brute_force(db, query)
+            assert is_certain(db, query) == certain_by_enumeration(db, query)
 
 
 class TestCorpora:
