@@ -198,8 +198,8 @@ def main() -> None:
     #     worker pool with per-tenant queue-depth caps (AdmissionRejected
     #     is the back-pressure signal).  A tenant's view manager is
     #     deferred: a write only merges into one pending changelog, and
-    #     the next view read (or tenant.flush_views()) delivers it, so
-    #     every read is identical to a cold recompute.  Per-tenant memory
+    #     the next view read delivers it, so every read is identical to a
+    #     cold recompute.  Per-tenant memory
     #     (the InternTable footprint), deferred-view and admission
     #     counters aggregate in svc.stats().
     from repro import CertaintyService

@@ -17,8 +17,7 @@ FO-band queries execute through their compiled certain rewriting: the plan
 carries a :class:`~repro.fo.compile.CompiledFormula` (a guarded
 set-at-a-time relational plan over the rewriting of Theorem 1) which is
 evaluated directly against the session's incrementally maintained index —
-see :meth:`evaluate_formula` for evaluating arbitrary formulas the same
-way.
+:meth:`evaluate_formula` evaluates any other formula on the same index.
 
 Sessions run on the **interned columnar store** (:mod:`repro.store`): the
 index holds every fact as integer columns, compiled plans join and
@@ -33,7 +32,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..certainty.solver import CertaintyOutcome
-from ..fo.compile import EvalContext, ReadSet, ReadSetRecorder, Relation, compile_formula
+from ..fo.compile import EvalContext, ReadSet, ReadSetRecorder, Relation
+from ..fo.evaluate import FormulaEvaluator
 from ..fo.formulas import Formula
 from ..model.database import UncertainDatabase
 from ..model.symbols import Constant
@@ -298,13 +298,14 @@ class CertaintySession:
     def evaluate_formula(self, formula: "Formula") -> bool:
         """Evaluate a first-order sentence against the session's database.
 
-        The formula is compiled (memoised per formula object) into a
-        set-at-a-time plan and run on the session's shared index, so
-        repeated evaluations against the mutating database skip both
-        re-compilation and re-indexing.
+        A :class:`~repro.fo.evaluate.FormulaEvaluator` on the session's
+        shared index: a guarded formula is compiled (memoised per formula
+        object) into a set-at-a-time plan, so repeated evaluations against
+        the mutating database skip both re-compilation and re-indexing; a
+        formula the compiler refuses is evaluated by the naive recursion.
         """
         self._check_open()
-        return compile_formula(formula).evaluate(index=self._index)
+        return FormulaEvaluator(self._db, index=self._index).evaluate(formula)
 
     def _check_open(self) -> None:
         if self._closed:

@@ -21,9 +21,10 @@ continuously maintained* replicas:
   Workers decide **optimistically** and validate ownership afterwards: the
   per-candidate read set captured during the decision is checked against
   the shard's key space, and any candidate whose decision read a foreign
-  block, a wildcard key mask, a whole relation, or the active domain is
-  handed back undecided and re-decided parent-side (counted as a
-  ``cross_shard_fallback``).
+  block, a wildcard key mask or a whole relation is handed back undecided
+  and re-decided parent-side (counted as a ``cross_shard_fallback``).
+  Compiled plans never read the active domain, so no read set depends on
+  every shard.
 
 Soundness of the optimistic decide
 ----------------------------------
@@ -38,7 +39,7 @@ up to that point) issues the same read, records it (probed-but-absent
 blocks are recorded too), and validation rejects the candidate.  The
 non-FO solvers record *static* per-atom support — fully pinned key masks
 are validated like blocks (mask ⇒ whole block, Lemma 1 granularity);
-wildcard masks, relation scans and domain reads always fall back.  A
+wildcard masks and relation scans always fall back.  A
 single-shard session is a full replica, so validation is vacuous there.
 
 Failure containment
@@ -175,7 +176,7 @@ def _read_set_is_local(read_set: ReadSet, shard_id: int, n_shards: int) -> bool:
     """
     if n_shards <= 1:
         return True  # a single shard is a full replica
-    if read_set.domain_read or read_set.relations:
+    if read_set.relations:
         return False
     for _name, key in read_set.blocks:
         if shard_of_key(key, n_shards) != shard_id:

@@ -6,7 +6,7 @@ backs its fast path (:mod:`repro.fo.compile`), and the certain-rewriting
 generator of Theorem 1 (:mod:`repro.fo.rewrite`).
 """
 
-from .compile import CompiledFormula, EvalContext, compile_formula, push_negation
+from .compile import CompiledFormula, EvalContext, UnguardedFormulaError, compile_formula, push_negation
 from .evaluate import FormulaEvaluator, evaluate_sentence
 from .formulas import (
     And,
@@ -41,6 +41,7 @@ __all__ = [
     "Not",
     "Or",
     "Top",
+    "UnguardedFormulaError",
     "certain_rewriting",
     "certain_rewriting_cached",
     "compile_formula",

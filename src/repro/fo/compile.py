@@ -22,12 +22,15 @@ relational operations:
   assignments (``∃x⃗ ¬φ`` after pushing the negation inwards) is evaluated
   and subtracted from the rows supplied by the surrounding conjunction.
 
-Range analysis happens at compile time: a node is *guarded* when its
-satisfying set can be produced without enumerating the active domain, which
-is the common shape emitted by :mod:`repro.fo.rewrite` (every quantified
-variable is bounded by a positive atom).  Active-domain enumeration survives
-only as a rare fallback (tracked by ``EvalContext.domain_expansions``) for
-formulas such as ``∀x ¬R(x | x)`` that no real rewriting produces.
+Range analysis happens at compile time: :meth:`PlanNode.needs_domain` tells
+whether evaluating a node would have to enumerate or consult the active
+domain, and :func:`compile_formula` refuses (with
+:class:`UnguardedFormulaError`) every formula whose plan would.  What it
+accepts is the guarded shape emitted by :mod:`repro.fo.rewrite`, where every
+quantified variable is bounded by a positive atom; there is no active-domain
+fallback, so a compiled plan reads only the atoms' blocks and relations.
+:class:`~repro.fo.evaluate.FormulaEvaluator` evaluates refused formulas with
+its naive recursion.
 
 Every relation row that flows through a plan is a tuple of interned term
 ids; constants are encoded on the way in and decoded only for results
@@ -41,7 +44,6 @@ so re-evaluating the same rewriting against many databases compiles once.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from typing import (
     Dict,
@@ -118,19 +120,18 @@ class ReadSet:
         block granularity of Lemma 1: a mask constrains *key* positions
         only, so an entire block either matches or misses it, and blocks
         matching no atom's mask contain no fact any witness can use —
-        purification removes them without changing certainty;
-    ``domain_read``
-        the execution consulted the active domain derived from the whole
-        index — any mutation anywhere may change the verdict.
+        purification removes them without changing certainty.
+
+    Compiled plans never read the active domain (:func:`compile_formula`
+    refuses formulas that would), so these fields cover every read.
     """
 
-    __slots__ = ("blocks", "block_ids", "relations", "key_masks", "domain_read")
+    __slots__ = ("blocks", "block_ids", "relations", "key_masks")
 
     def __init__(
         self,
         blocks: FrozenSet[BlockKey] = frozenset(),
         relations: FrozenSet[str] = frozenset(),
-        domain_read: bool = False,
         block_ids: FrozenSet[int] = frozenset(),
         key_masks: FrozenSet[Tuple[str, KeyMask]] = frozenset(),
     ) -> None:
@@ -138,7 +139,6 @@ class ReadSet:
         self.block_ids = block_ids
         self.relations = relations
         self.key_masks = key_masks
-        self.domain_read = domain_read
 
     def to_portable(self, store) -> "ReadSet":
         """Decode store-local block ids into portable ``(name, key)`` keys.
@@ -156,13 +156,10 @@ class ReadSet:
         return ReadSet(
             blocks=frozenset(blocks),
             relations=self.relations,
-            domain_read=self.domain_read,
             key_masks=self.key_masks,  # already object-space, hence portable
         )
 
     def __repr__(self) -> str:
-        if self.domain_read:
-            return "ReadSet(domain)"
         return (
             f"ReadSet({len(self.blocks) + len(self.block_ids)} blocks, "
             f"{len(self.key_masks)} masks, {len(self.relations)} relations)"
@@ -170,22 +167,10 @@ class ReadSet:
 
     # ReadSets cross process boundaries (shard workers ship support back).
     def __getstate__(self):
-        return (
-            self.blocks,
-            self.relations,
-            self.domain_read,
-            self.block_ids,
-            self.key_masks,
-        )
+        return (self.blocks, self.relations, self.block_ids, self.key_masks)
 
     def __setstate__(self, state):
-        (
-            self.blocks,
-            self.relations,
-            self.domain_read,
-            self.block_ids,
-            self.key_masks,
-        ) = state
+        self.blocks, self.relations, self.block_ids, self.key_masks = state
 
 
 class ReadSetRecorder:
@@ -196,13 +181,12 @@ class ReadSetRecorder:
     immutable :class:`ReadSet` of that execution.
     """
 
-    __slots__ = ("block_ids", "relations", "key_masks", "domain_read")
+    __slots__ = ("block_ids", "relations", "key_masks")
 
     def __init__(self) -> None:
         self.block_ids: Set[Tuple[str, int]] = set()
         self.relations: Set[str] = set()
         self.key_masks: Set[Tuple[str, KeyMask]] = set()
-        self.domain_read = False
 
     def record_block_id(self, name: str, block_id: int) -> None:
         """Record a probe by dense block id."""
@@ -214,9 +198,6 @@ class ReadSetRecorder:
 
     def record_relation(self, name: str) -> None:
         self.relations.add(name)
-
-    def record_domain(self) -> None:
-        self.domain_read = True
 
     def freeze(self) -> ReadSet:
         """The immutable read set collected so far."""
@@ -234,7 +215,6 @@ class ReadSetRecorder:
             block_ids=block_ids,
             relations=frozenset(self.relations),
             key_masks=key_masks,
-            domain_read=self.domain_read,
         )
 
 
@@ -326,64 +306,44 @@ def _semijoin(rel: Relation, keep: Relation) -> Relation:
     return Relation(rel.schema, rows)
 
 
+class UnguardedFormulaError(ValueError):
+    """A formula whose compiled plan would have to read the active domain.
+
+    :func:`compile_formula` raises it for formulas outside the guarded
+    fragment (a variable that no positive atom binds, an equality between
+    variables that no atom binds, a vacuous ``∃``); the naive recursion of
+    :class:`~repro.fo.evaluate.FormulaEvaluator` evaluates them instead.
+    """
+
+
 class EvalContext:
     """Per-database state for one or more compiled-plan evaluations.
 
     Bundles the :class:`~repro.store.columnar.ColumnarFactStore` the atom
-    scans read, the active domain used by the (rare) unguarded fallbacks,
-    and instrumentation counters:
-
-    ``domain_expansions``
-        number of times a plan node had to enumerate the active domain for
-        an unguarded variable — ``0`` for every formula produced by
-        :mod:`repro.fo.rewrite`;
-    ``atom_scans`` / ``block_lookups``
-        how atom leaves obtained their facts (full relation scan versus
-        guarded per-block index probes).
+    scans read and two counters, ``atom_scans`` / ``block_lookups``: how
+    atom leaves obtained their facts (full relation scan versus guarded
+    per-block index probes).
 
     An optional :class:`ReadSetRecorder` captures every index access made
-    through the context — per-block probes, full relation scans, and active
-    domain derivations — so callers can learn which parts of the database a
-    verdict depended on.
+    through the context — per-block probes and full relation scans — so
+    callers can learn which parts of the database a verdict depended on.
+    Compiled plans never read the active domain, so those accesses are all
+    a verdict depends on.
 
-    Atom leaves scan id-rows from the store, the quantification domain is a
-    tuple of term ids, plan constants are interned on first use, and every
-    relation row that flows through the plan is a tuple of small ints.
+    Atom leaves scan id-rows from the store, plan constants are interned on
+    first use, and every relation row that flows through the plan is a
+    tuple of small ints.
     """
 
-    __slots__ = (
-        "store",
-        "_domain",
-        "_domain_set",
-        "explicit_domain",
-        "domain_expansions",
-        "atom_scans",
-        "block_lookups",
-        "recorder",
-    )
+    __slots__ = ("store", "atom_scans", "block_lookups", "recorder")
 
     def __init__(
         self,
         store: ColumnarFactStore,
-        domain: Optional[Iterable[Constant]] = None,
         recorder: Optional[ReadSetRecorder] = None,
     ) -> None:
         self.store = store
         self.recorder = recorder
-        # An explicitly supplied domain may be *smaller* than the set of
-        # constants in the facts; quantifier nodes must then re-check that
-        # the bindings found through atom guards lie inside it (matching the
-        # naive evaluator, whose quantifier loops range over this domain).
-        self.explicit_domain = domain is not None
-        if domain is None:
-            # Guarded plans never consult the domain, so deriving it from
-            # the (possibly large) index is deferred until first use.
-            self._domain: Optional[Tuple[int, ...]] = None
-        else:
-            intern = store.table.intern
-            self._domain = tuple(sorted({intern(c) for c in domain}))
-        self._domain_set: Optional[FrozenSet] = None
-        self.domain_expansions = 0
         self.atom_scans = 0
         self.block_lookups = 0
 
@@ -396,62 +356,12 @@ class EvalContext:
         """
         return self.store.table.intern(constant)
 
-    @property
-    def domain(self) -> Tuple[int, ...]:
-        """The quantification domain as term ids (derived on first use)."""
-        if self.recorder is not None and not self.explicit_domain:
-            # A domain derived from the index depends on *every* fact.
-            self.recorder.record_domain()
-        if self._domain is None:
-            self._domain = tuple(sorted(self.store.term_ids()))
-        return self._domain
-
-    @property
-    def domain_set(self) -> FrozenSet:
-        if self._domain_set is None:
-            self._domain_set = frozenset(self.domain)
-        return self._domain_set
-
     @classmethod
     def for_database(
-        cls,
-        db: UncertainDatabase,
-        index: Optional[ColumnarFactIndex] = None,
-        domain: Optional[Iterable[Constant]] = None,
+        cls, db: UncertainDatabase, index: Optional[ColumnarFactIndex] = None
     ) -> "EvalContext":
         """A context over *db*, on *index*'s store when supplied (see :func:`store_of`)."""
-        return cls(store_of(index, db), domain=domain)
-
-    def in_domain(self, rel: Relation, variables: Iterable[Variable]) -> Relation:
-        """Restrict *rel* to rows whose *variables* columns lie in the domain.
-
-        A no-op unless the domain was explicitly supplied (bindings found
-        through fact guards are by definition in the active domain).
-        """
-        if not self.explicit_domain:
-            return rel
-        positions = [rel.schema.index(v) for v in variables if v in rel.schema]
-        if not positions:
-            return rel
-        rows = {row for row in rel.rows if all(row[p] in self.domain_set for p in positions)}
-        return Relation(rel.schema, rows)
-
-    def expand(self, rel: Relation, missing: Iterable[Variable]) -> Relation:
-        """Cross product of *rel* with the active domain for *missing* variables.
-
-        This is the unguarded fallback; each call bumps ``domain_expansions``.
-        """
-        missing = _ordered(missing)
-        if not missing:
-            return rel
-        self.domain_expansions += 1
-        schema = rel.schema + missing
-        rows = {
-            row + combo
-            for row in rel.rows
-            for combo in itertools.product(self.domain, repeat=len(missing))
-        }
-        return Relation(schema, rows)
+        return cls(store_of(index, db))
 
 
 def store_of(
@@ -502,9 +412,10 @@ def push_negation(formula: Formula) -> Formula:
 class PlanNode:
     """A compiled subformula.
 
-    Every node knows its free variables and whether it is *guarded* — able
-    to :meth:`produce` its satisfying set without enumerating the active
-    domain.  Two evaluation entry points exist:
+    Every node knows its free variables and, through :meth:`needs_domain`,
+    whether evaluating it would read the active domain; it is *guarded*
+    when it can :meth:`produce` its satisfying set without binding any
+    variable first.  Two evaluation entry points exist:
 
     ``produce(ctx, env)``
         the satisfying assignments over ``env.schema ∪ free``, restricted to
@@ -515,14 +426,24 @@ class PlanNode:
         the rows of *rel* (whose schema must cover ``free``) that satisfy
         the node — the set-at-a-time selection/anti-join used for equality
         conditions, negation and universal quantification.
+
+    Both are defined only where :meth:`needs_domain` is false: a plan has
+    no active-domain fallback.
     """
 
-    __slots__ = ("free", "schema", "guarded")
+    __slots__ = ("free", "schema")
 
-    def __init__(self, free: FrozenSet[Variable], guarded: bool) -> None:
+    def __init__(self, free: FrozenSet[Variable]) -> None:
         self.free = free
         self.schema = _ordered(free)
-        self.guarded = guarded
+
+    def needs_domain(self, bound: FrozenSet[Variable]) -> bool:
+        """Would evaluating the node on rows that bind *bound* need the active domain?"""
+        return False
+
+    @property
+    def guarded(self) -> bool:
+        return not self.needs_domain(frozenset())
 
     def produce(self, ctx: EvalContext, env: Optional[Relation] = None) -> Relation:
         raise NotImplementedError
@@ -536,7 +457,7 @@ class PlanNode:
 
 class TopNode(PlanNode):
     def __init__(self) -> None:
-        super().__init__(frozenset(), True)
+        super().__init__(frozenset())
 
     def produce(self, ctx: EvalContext, env: Optional[Relation] = None) -> Relation:
         return env if env is not None else _unit()
@@ -547,7 +468,7 @@ class TopNode(PlanNode):
 
 class BottomNode(PlanNode):
     def __init__(self) -> None:
-        super().__init__(frozenset(), True)
+        super().__init__(frozenset())
 
     def produce(self, ctx: EvalContext, env: Optional[Relation] = None) -> Relation:
         return Relation(env.schema if env is not None else (), set())
@@ -562,7 +483,7 @@ class AtomNode(PlanNode):
     __slots__ = ("atom", "_const_checks", "_first_position", "_repeat_checks", "_key_terms")
 
     def __init__(self, atom: Atom) -> None:
-        super().__init__(atom.variables, True)
+        super().__init__(atom.variables)
         self.atom = atom
         self._const_checks: List[Tuple[int, Constant]] = []
         self._first_position: Dict[Variable, int] = {}
@@ -702,17 +623,25 @@ class AtomNode(PlanNode):
         return rel
 
 
-class EqualsNode(PlanNode):
-    """An equality ``t1 = t2``: a selection, or a one-row relation."""
+class _FilterNode(PlanNode):
+    """A node evaluated only as a filter of rows that bind its free variables."""
+
+    __slots__ = ()
+
+    def needs_domain(self, bound: FrozenSet[Variable]) -> bool:
+        return not self.free <= bound
+
+    def produce(self, ctx: EvalContext, env: Optional[Relation] = None) -> Relation:
+        return self.filter(ctx, env if env is not None else _unit())
+
+
+class EqualsNode(_FilterNode):
+    """An equality ``t1 = t2``: a selection on rows that bind its variables."""
 
     __slots__ = ("left", "right")
 
     def __init__(self, left, right) -> None:
-        free = frozenset(t for t in (left, right) if isinstance(t, Variable))
-        # Guarded when at most one side must range over the domain *and* a
-        # constant pins it down; ``x = y`` / ``x = x`` need the domain.
-        guarded = len(free) <= 1 and not (len(free) == 1 and left == right)
-        super().__init__(free, guarded)
+        super().__init__(frozenset(t for t in (left, right) if isinstance(t, Variable)))
         self.left = left
         self.right = right
 
@@ -728,59 +657,36 @@ class EqualsNode(PlanNode):
         rows = {row for row in rel.rows if get_left(row) == get_right(row)}
         return Relation(rel.schema, rows)
 
-    def produce(self, ctx: EvalContext, env: Optional[Relation] = None) -> Relation:
-        if env is not None and self.free <= set(env.schema):
-            return self.filter(ctx, env)
-        if not self.free:  # constant = constant
-            rows = {()} if self.left == self.right else set()
-            base = Relation((), rows)
-            return _join(env, base) if env is not None else base
-        if self.guarded:
-            variable = next(iter(self.free))
-            constant = self.right if isinstance(self.left, Variable) else self.left
-            value = ctx.encode_constant(constant)
-            rows = {(value,)} if value in ctx.domain_set else set()
-            base = Relation((variable,), rows)
-            return _join(env, base) if env is not None else base
-        # x = y (or x = x): enumerate the domain — the unguarded fallback.
-        base = env if env is not None else _unit()
-        missing = self.free - set(base.schema)
-        return self.filter(ctx, ctx.expand(base, missing))
 
-
-class NotNode(PlanNode):
-    """Negation of a (post-push) leaf: a difference against the input rows."""
+class NotNode(_FilterNode):
+    """Negation of a (post-push) atom or equality: a difference against the input rows."""
 
     __slots__ = ("operand",)
 
     def __init__(self, operand: PlanNode) -> None:
-        super().__init__(operand.free, False)
+        super().__init__(operand.free)
         self.operand = operand
 
     def filter(self, ctx: EvalContext, rel: Relation) -> Relation:
         sat = self.operand.filter(ctx, rel)
         return Relation(rel.schema, rel.rows - sat.rows)
 
-    def produce(self, ctx: EvalContext, env: Optional[Relation] = None) -> Relation:
-        base = env if env is not None else _unit()
-        missing = self.free - set(base.schema)
-        if missing:
-            base = ctx.expand(base, missing)
-        return self.filter(ctx, base)
-
 
 class AndNode(PlanNode):
     """Conjunction: join the guarded conjuncts, apply the rest as filters."""
 
-    __slots__ = ("producers", "filters")
+    __slots__ = ("producers", "filters", "covered")
 
     def __init__(self, children: Sequence[PlanNode]) -> None:
-        free = frozenset().union(*(c.free for c in children)) if children else frozenset()
-        producers = [c for c in children if c.guarded]
-        covered = frozenset().union(*(p.free for p in producers)) if producers else frozenset()
-        super().__init__(free, free <= covered)
-        self.producers = producers
+        super().__init__(frozenset().union(*(c.free for c in children)))
+        self.producers = [c for c in children if c.guarded]
         self.filters = [c for c in children if not c.guarded]
+        self.covered = frozenset().union(*(p.free for p in self.producers))
+
+    def needs_domain(self, bound: FrozenSet[Variable]) -> bool:
+        if not self.free <= bound | self.covered:
+            return True
+        return any(child.needs_domain(bound | self.free) for child in self.filters)
 
     def produce(self, ctx: EvalContext, env: Optional[Relation] = None) -> Relation:
         rel = env if env is not None else _unit()
@@ -793,9 +699,6 @@ class AndNode(PlanNode):
             best = max(remaining, key=lambda p: (len(p.free & bound), -len(p.free)))
             remaining.remove(best)
             rel = best.produce(ctx, rel)
-        missing = self.free - set(rel.schema)
-        if missing:
-            rel = ctx.expand(rel, missing)
         for child in self.filters:
             if not rel.rows:
                 break
@@ -816,21 +719,22 @@ class OrNode(PlanNode):
     __slots__ = ("children",)
 
     def __init__(self, children: Sequence[PlanNode]) -> None:
-        free = frozenset().union(*(c.free for c in children)) if children else frozenset()
-        guarded = bool(children) and all(c.guarded and c.free == free for c in children)
-        super().__init__(free, guarded)
+        super().__init__(frozenset().union(*(c.free for c in children)))
         self.children = list(children)
+
+    def needs_domain(self, bound: FrozenSet[Variable]) -> bool:
+        # Each operand must bind every free variable that *bound* does not.
+        return any(
+            child.needs_domain(bound) or not self.free - child.free <= bound
+            for child in self.children
+        )
 
     def produce(self, ctx: EvalContext, env: Optional[Relation] = None) -> Relation:
         env_schema = env.schema if env is not None else ()
         out_schema = env_schema + tuple(v for v in self.schema if v not in env_schema)
         rows: Set[Row] = set()
         for child in self.children:
-            rel = child.produce(ctx, env)
-            missing = set(out_schema) - set(rel.schema)
-            if missing:
-                rel = ctx.expand(rel, missing)
-            rows |= _project(rel, out_schema).rows
+            rows |= _project(child.produce(ctx, env), out_schema).rows
         return Relation(out_schema, rows)
 
     def filter(self, ctx: EvalContext, rel: Relation) -> Relation:
@@ -845,13 +749,18 @@ class OrNode(PlanNode):
 class ExistsNode(PlanNode):
     """Existential quantification: a projection of the operand plan."""
 
-    __slots__ = ("qvars", "operand", "vacuous")
+    __slots__ = ("qvars", "operand")
 
     def __init__(self, qvars: FrozenSet[Variable], operand: PlanNode) -> None:
-        super().__init__(operand.free - qvars, operand.guarded)
+        super().__init__(operand.free - qvars)
         self.qvars = qvars
         self.operand = operand
-        self.vacuous = qvars - operand.free
+
+    def needs_domain(self, bound: FrozenSet[Variable]) -> bool:
+        # A vacuous ∃x φ is φ ∧ "the active domain is not empty".
+        return not self.qvars <= self.operand.free or self.operand.needs_domain(
+            bound - self.qvars
+        )
 
     def produce(self, ctx: EvalContext, env: Optional[Relation] = None) -> Relation:
         inner_env = env
@@ -860,52 +769,35 @@ class ExistsNode(PlanNode):
             inner_env = _project(env, tuple(v for v in env.schema if v not in self.qvars))
         env_schema = inner_env.schema if inner_env is not None else ()
         out_schema = env_schema + tuple(v for v in self.schema if v not in env_schema)
-        if self.vacuous and not ctx.domain:
-            # ∃x φ is false over an empty active domain.
-            sat = Relation(out_schema, set())
-        else:
-            inner = self.operand.produce(ctx, inner_env)
-            inner = ctx.in_domain(inner, self.qvars)
-            sat = _project(inner, out_schema)
+        sat = _project(self.operand.produce(ctx, inner_env), out_schema)
         if shadowed:
             return _join(env, sat)  # re-attach the shadowed outer columns
         return sat
 
 
-class ForallNode(PlanNode):
+class ForallNode(_FilterNode):
     """Universal quantification, evaluated as an anti-join with its violations.
 
     ``∀x⃗ φ`` holds for an assignment iff the *violation plan* —
     ``∃x⃗ ¬φ`` with the negation pushed inwards — produces no extension of
-    it.  When ``φ`` is the guarded implication shape of the rewritings, the
-    violation plan is guarded by the implication's antecedent atom and never
-    touches the active domain.
+    it.  The node filters rows that bind its free variables; when ``φ`` is
+    the guarded implication shape of the rewritings, the violation plan is
+    guarded by the implication's antecedent atom.
     """
 
-    __slots__ = ("qvars", "violation")
+    __slots__ = ("violation",)
 
-    def __init__(self, qvars: FrozenSet[Variable], operand_free: FrozenSet[Variable], violation: PlanNode) -> None:
-        super().__init__(operand_free - qvars, False)
-        self.qvars = qvars
+    def __init__(self, violation: PlanNode) -> None:
+        super().__init__(violation.free)
         self.violation = violation
+
+    def needs_domain(self, bound: FrozenSet[Variable]) -> bool:
+        return super().needs_domain(bound) or self.violation.needs_domain(self.free)
 
     def filter(self, ctx: EvalContext, rel: Relation) -> Relation:
         env = _project(rel, self.schema)
         violations = self.violation.produce(ctx, env)
         return _antijoin(rel, _project(violations, self.schema))
-
-    def produce(self, ctx: EvalContext, env: Optional[Relation] = None) -> Relation:
-        base = env if env is not None else _unit()
-        shadowed = tuple(v for v in base.schema if v in self.qvars)
-        if shadowed:
-            base = _project(base, tuple(v for v in base.schema if v not in self.qvars))
-        missing = self.free - set(base.schema)
-        if missing:
-            base = ctx.expand(base, missing)
-        result = self.filter(ctx, base)
-        if shadowed and env is not None:
-            return _join(env, result)
-        return result
 
 
 def _compile(formula: Formula) -> PlanNode:
@@ -937,9 +829,7 @@ def _compile(formula: Formula) -> PlanNode:
     if isinstance(formula, Forall):
         if not formula.variables:
             return _compile(formula.operand)
-        qvars = frozenset(formula.variables)
-        violation = _compile(Exists(formula.variables, push_negation(formula.operand)))
-        return ForallNode(qvars, formula.operand.free_variables(), violation)
+        return ForallNode(_compile(Exists(formula.variables, push_negation(formula.operand))))
     raise TypeError(f"unknown formula node {formula!r}")
 
 
@@ -1011,6 +901,10 @@ _PLAN_MEMO_LOCK = threading.Lock()
 def compile_formula(formula: Formula) -> CompiledFormula:
     """Compile *formula* into a relational plan (memoised per formula object).
 
+    Raises :class:`UnguardedFormulaError` when the plan would have to read
+    the active domain: a sentence is evaluated from no bound variable, an
+    open formula on rows that bind all its free variables.
+
     Thread-safe: the memo is read and written under a lock, while the pure
     compilation itself runs outside it.  Two threads racing on the same
     uncompiled formula may both compile it, but only the first result is
@@ -1019,7 +913,12 @@ def compile_formula(formula: Formula) -> CompiledFormula:
     with _PLAN_MEMO_LOCK:
         plan = _PLAN_MEMO.get(formula)
     if plan is None:
-        plan = CompiledFormula(_compile(formula))
+        root = _compile(formula)
+        if root.needs_domain(root.free):
+            raise UnguardedFormulaError(
+                f"evaluating {formula!r} would read the active domain"
+            )
+        plan = CompiledFormula(root)
         with _PLAN_MEMO_LOCK:
             plan = _PLAN_MEMO.setdefault(formula, plan)
     return plan

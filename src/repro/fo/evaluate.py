@@ -18,6 +18,11 @@ Two evaluation strategies are available:
   model checker that enumerates the active domain for every quantified
   variable.  It is kept as the executable definition of the semantics and
   as the oracle the compiled plans are tested against.
+
+Compiled plans never read the active domain, so the compiled strategy
+evaluates a formula that :func:`~repro.fo.compile.compile_formula` refuses
+(:class:`~repro.fo.compile.UnguardedFormulaError`), and every formula under
+an explicit ``domain=``, with the naive recursion.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from ..model.database import UncertainDatabase
 from ..model.symbols import Constant, Variable
 from ..model.valuation import Valuation
 from ..store.index import ColumnarFactIndex
-from .compile import EvalContext, compile_formula, store_of
+from .compile import EvalContext, UnguardedFormulaError, compile_formula, store_of
 from .formulas import (
     And,
     AtomFormula,
@@ -52,7 +57,8 @@ class FormulaEvaluator:
     db:
         The database acting as the relational structure.
     domain:
-        Quantification domain; defaults to the active domain of *db*.
+        Quantification domain; defaults to the active domain of *db*.  An
+        explicit domain is evaluated with the naive recursion.
     index:
         An externally shared columnar index over *db* (e.g. the
         incrementally maintained index of an engine session) for the
@@ -62,8 +68,9 @@ class FormulaEvaluator:
         never touches an index.
     compiled:
         When ``True`` (the default) formulas are evaluated through the
-        set-at-a-time plans of :mod:`repro.fo.compile`; ``False`` selects
-        the naive active-domain recursion.
+        set-at-a-time plans of :mod:`repro.fo.compile`, and formulas those
+        plans refuse by the naive recursion; ``False`` selects the naive
+        active-domain recursion for every formula.
     """
 
     def __init__(
@@ -76,10 +83,9 @@ class FormulaEvaluator:
         self.db = db
         self.index = index
         self._explicit_domain = domain is not None
-        # The active domain is only needed by the naive recursion (and by
-        # the rare unguarded compiled fallbacks, which derive it from the
-        # index themselves), so it is collected lazily — the compiled fast
-        # path must not pay an O(|db| log |db|) setup scan it never reads.
+        # The active domain is only needed by the naive recursion, so it is
+        # collected lazily — the compiled fast path must not pay an
+        # O(|db| log |db|) setup scan it never reads.
         self._domain: Optional[Sequence[Constant]] = (
             sorted(set(domain), key=str) if domain is not None else None
         )
@@ -100,19 +106,19 @@ class FormulaEvaluator:
         if missing:
             names = ", ".join(sorted(v.name for v in missing))
             raise ValueError(f"free variables not bound by the valuation: {names}")
-        if self.compiled:
-            return compile_formula(formula).evaluate(
-                context=self._eval_context(), valuation=valuation
-            )
+        if self.compiled and not self._explicit_domain:
+            try:
+                plan = compile_formula(formula)
+            except UnguardedFormulaError:
+                pass
+            else:
+                return plan.evaluate(context=self._eval_context(), valuation=valuation)
         return self._eval(formula, valuation)
 
     def _eval_context(self) -> EvalContext:
         """The (lazily built, reused) compiled-plan context over the index."""
         if self._context is None:
-            self._context = EvalContext(
-                store_of(self.index, self.db),
-                domain=self.domain if self._explicit_domain else None,
-            )
+            self._context = EvalContext(store_of(self.index, self.db))
         return self._context
 
     # -- recursive evaluation -----------------------------------------------------
@@ -175,8 +181,9 @@ def evaluate_sentence(
 ) -> bool:
     """Evaluate a sentence (no free variables) against *db*.
 
-    *compiled* selects the set-at-a-time plan evaluator (the fast path);
-    pass ``compiled=False`` for the naive active-domain recursion.  An
+    *compiled* selects the set-at-a-time plan evaluator (the fast path,
+    which leaves the formulas it refuses to the naive recursion); pass
+    ``compiled=False`` for the naive active-domain recursion.  An
     externally maintained *index* over *db* avoids the O(|db|) rebuild.
     """
     return FormulaEvaluator(db, index=index, compiled=compiled).evaluate(formula)

@@ -2,17 +2,16 @@
 
 A :class:`~repro.incremental.view.MaterializedCertainView` decides each
 candidate answer once and remembers the :class:`~repro.fo.compile.ReadSet`
-of the decision — every block the compiled certain rewriting probed, every
-relation it scanned, and whether it consulted the active domain.  The
-:class:`SupportIndex` inverts those read sets: given the
-:class:`~repro.model.database.ChangeSet` of a mutation batch, it returns
-exactly the candidates whose verdict may have changed.
+of the decision — every block the compiled certain rewriting probed and
+every relation it scanned.  The :class:`SupportIndex` inverts those read
+sets: given the :class:`~repro.model.database.ChangeSet` of a mutation
+batch, it returns exactly the candidates whose verdict may have changed.
 
 Soundness rests on the determinism argument documented on ``ReadSet``: a
 decision whose read set is disjoint from the touched blocks/relations
 re-executes identically, so its verdict is unchanged and need not be
-re-decided.  Candidates whose read sets consulted the active domain
-(*global* support) are dirtied by every mutation.
+re-decided.  Compiled plans never read the active domain, so there is no
+global support: no candidate is dirtied by every mutation.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ class SupportIndex:
         #: relation name -> key mask -> candidates whose (static) support
         #: includes the mask; matched per touched fact in :meth:`dirty_for`.
         self._by_key_mask: Dict[str, Dict[KeyMask, Set[Candidate]]] = {}
-        self._global: Set[Candidate] = set()
         self._block_id_resolver = block_id_resolver
 
     # -- maintenance -------------------------------------------------------------
@@ -69,9 +67,6 @@ class SupportIndex:
         """Record (or replace) the read set supporting *candidate*."""
         self.remove(candidate)
         self._reads[candidate] = read_set
-        if read_set.domain_read:
-            self._global.add(candidate)
-            return
         for block_id in read_set.block_ids:
             self._by_block.setdefault(block_id, set()).add(candidate)
         for name in read_set.relations:
@@ -85,9 +80,6 @@ class SupportIndex:
         """Forget *candidate* (no-op if untracked)."""
         read_set = self._reads.pop(candidate, None)
         if read_set is None:
-            return
-        if read_set.domain_read:
-            self._global.discard(candidate)
             return
         for block_id in read_set.block_ids:
             members = self._by_block.get(block_id)
@@ -119,7 +111,6 @@ class SupportIndex:
         self._by_block.clear()
         self._by_relation.clear()
         self._by_key_mask.clear()
-        self._global.clear()
 
     # -- queries -----------------------------------------------------------------
 
@@ -132,28 +123,18 @@ class SupportIndex:
         return self._reads.keys()
 
     def candidates_for_block(self, block_id: SupportKey) -> Set[Candidate]:
-        """Candidates whose decision probed block *block_id* (global ones excluded)."""
+        """Candidates whose decision probed block *block_id*."""
         return set(self._by_block.get(block_id, _EMPTY))
-
-    @property
-    def global_candidates(self) -> Set[Candidate]:
-        """Candidates dirtied by *every* mutation (domain-reading read sets)."""
-        return set(self._global)
-
-    @property
-    def has_global(self) -> bool:
-        """``True`` when some candidate must be re-decided on any change."""
-        return bool(self._global)
 
     def dirty_for(self, changes: ChangeSet) -> Set[Candidate]:
         """The candidates whose verdict may be changed by *changes*.
 
-        The union of the global candidates, the candidates that probed a
-        touched block (the resolver maps each touched block to its block
-        id), the candidates holding a key mask that some touched fact's key
-        constants match, and the candidates that scanned a touched relation.
+        The union of the candidates that probed a touched block (the
+        resolver maps each touched block to its block id), the candidates
+        holding a key mask that some touched fact's key constants match, and
+        the candidates that scanned a touched relation.
         """
-        dirty: Set[Candidate] = set(self._global)
+        dirty: Set[Candidate] = set()
         resolver = self._block_id_resolver
         for block in changes.touched_blocks():
             block_id = resolver(block[0], block[1])
@@ -182,7 +163,7 @@ class SupportIndex:
         return (
             f"SupportIndex({len(self._reads)} candidates, "
             f"{len(self._by_block)} blocks, {masks} masks, "
-            f"{len(self._by_relation)} relations, {len(self._global)} global)"
+            f"{len(self._by_relation)} relations)"
         )
 
     # -- invariants (exercised by the test suite) --------------------------------
@@ -190,9 +171,6 @@ class SupportIndex:
     def check_invariants(self) -> None:
         """Verify the forward and inverted maps agree; raise on corruption."""
         for candidate, read_set in self._reads.items():
-            if read_set.domain_read:
-                assert candidate in self._global, f"{candidate} missing from global set"
-                continue
             for block_id in read_set.block_ids:
                 assert candidate in self._by_block.get(block_id, _EMPTY), (
                     f"{candidate} missing from block-id entry {block_id}"
@@ -228,8 +206,3 @@ class SupportIndex:
                     assert read_set is not None and (name, mask) in read_set.key_masks, (
                         f"stale key-mask entry {(name, mask)} -> {candidate}"
                     )
-        for candidate in self._global:
-            read_set = self._reads.get(candidate)
-            assert read_set is not None and read_set.domain_read, (
-                f"stale global entry {candidate}"
-            )

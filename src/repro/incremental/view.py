@@ -309,12 +309,9 @@ class MaterializedCertainView:
         """Can *changes* possibly alter any verdict or the candidate set?
 
         Certainty of ``q`` depends only on the restriction of the database
-        to ``q``'s relations, so batches elsewhere are no-ops — unless some
-        tracked decision read the active domain (global support), which
-        spans every relation.
+        to ``q``'s relations (no decision reads the active domain), so
+        batches elsewhere are no-ops.
         """
-        if self._fine_grained and self._support.has_global:
-            return True
         return any(name in self._relations for name in changes.touched_relations())
 
     def _decide(

@@ -12,8 +12,8 @@ depending only on the query shape — becomes an *admission policy*:
   while dispatching PTIME/coNP bands onto bounded background workers with
   per-tenant queue-depth caps;
 * deferred views — tenant mutations merge into one pending changelog,
-  which the next view read (or ``flush_views``) delivers, so a view read
-  equals a cold recompute.
+  which the next view read delivers, so a view read equals a cold
+  recompute.
 """
 
 from .admission import (

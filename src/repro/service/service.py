@@ -246,10 +246,6 @@ class CertaintyService:
         self._check_open()
         self.tenant(tenant_id).apply(batch)
 
-    def flush_views(self, tenant_id: str) -> bool:
-        """Force the tenant's deferred view maintenance to run now."""
-        return self.tenant(tenant_id).flush_views()
-
     # -- durability --------------------------------------------------------------
 
     def checkpoint(self, tenant_id: str) -> Optional[dict]:

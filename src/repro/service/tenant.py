@@ -213,12 +213,6 @@ class Tenant:
             view = self.views.register(query)
             return view.answers
 
-    def flush_views(self) -> bool:
-        """Deliver every deferred mutation to the tenant's views now."""
-        with self._lock:
-            self._check_open()
-            return self.views.flush()
-
     # -- durability --------------------------------------------------------------
 
     def checkpoint(self) -> Optional[dict]:

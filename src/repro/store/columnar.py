@@ -124,14 +124,6 @@ class ColumnarFactStore:
             return _EMPTY_BLOCK
         return rel.blocks.get(key, _EMPTY_BLOCK)
 
-    def term_ids(self) -> Set[int]:
-        """Every term id appearing in some row (the encoded active domain)."""
-        out: Set[int] = set()
-        for rel in self._relations.values():
-            for row in rel.row_index:
-                out.update(row)
-        return out
-
     # -- block ids ---------------------------------------------------------------
 
     def block_id(self, name: str, key: IntKey) -> int:

@@ -2,17 +2,20 @@
 
 The naive :class:`FormulaEvaluator` (``compiled=False``) is the executable
 definition of active-domain semantics; the compiled plans of
-:mod:`repro.fo.compile` must agree with it on *every* formula and database.
+:mod:`repro.fo.compile` must agree with it on *every* formula they accept,
+and ``FormulaEvaluator`` evaluates the formulas they refuse naively.
 The tests below fuzz that agreement over randomly generated formulas and
-workload databases, check the guardedness analysis on the rewritings of
-Theorem 1, and cross-check the compiled-rewriting certainty solver against
-the peeling solver and repair enumeration (the paper's definition).
+workload databases, check that the compiler accepts the rewritings of
+Theorem 1 and refuses formulas that would read the active domain, and
+cross-check the compiled-rewriting certainty solver against the peeling
+solver and repair enumeration (the paper's definition).
 """
 
 import random
 
 import pytest
 
+import repro.fo.evaluate as fo_evaluate
 from repro.certainty import (
     UnsupportedQueryError,
     certain_by_enumeration,
@@ -34,6 +37,7 @@ from repro.fo import (
     Not,
     Or,
     Top,
+    UnguardedFormulaError,
     certain_rewriting,
     certain_rewriting_cached,
     compile_formula,
@@ -129,43 +133,81 @@ def random_formula(rng, scope, depth):
     return Forall(quantified, inner)
 
 
+SENTENCE_SEEDS = range(40)
+OPEN_FORMULA_SEEDS = range(20)
+
+
+def sentence_cases(seed):
+    """The database and the six sentences of one random-sentence seed."""
+    rng = random.Random(seed)
+    db = random_database(rng)
+    return db, [random_formula(rng, [], depth=3) for _ in range(6)]
+
+
+def open_formula_cases(seed):
+    """The database and the four ``(formula, valuation)`` pairs of one open-formula seed."""
+    rng = random.Random(1000 + seed)
+    db = random_database(rng)
+    domain = sorted(db.active_domain(), key=str) or [Constant("c0")]
+    scope = VARIABLES[:2]
+    cases = []
+    for _ in range(4):
+        formula = random_formula(rng, scope, depth=2)
+        cases.append((formula, Valuation({v: rng.choice(domain) for v in scope})))
+    return db, cases
+
+
+def compiles(formula):
+    """Does :func:`compile_formula` accept *formula*?"""
+    try:
+        compile_formula(formula)
+    except UnguardedFormulaError:
+        return False
+    return True
+
+
 class TestDifferentialFuzz:
     """compiled evaluation ≡ naive active-domain evaluation, always."""
 
-    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("seed", SENTENCE_SEEDS)
     def test_random_sentences(self, seed):
-        rng = random.Random(seed)
-        db = random_database(rng)
-        for _ in range(6):
-            formula = random_formula(rng, [], depth=3)
+        db, formulas = sentence_cases(seed)
+        for formula in formulas:
             naive = FormulaEvaluator(db, compiled=False).evaluate(formula)
             compiled = FormulaEvaluator(db, compiled=True).evaluate(formula)
             assert compiled == naive, f"disagreement on {formula!r} over {sorted(map(str, db.facts))}"
 
-    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("seed", OPEN_FORMULA_SEEDS)
     def test_random_open_formulas_under_valuations(self, seed):
-        rng = random.Random(1000 + seed)
-        db = random_database(rng)
-        domain = sorted(db.active_domain(), key=str) or [Constant("c0")]
-        scope = VARIABLES[:2]
-        for _ in range(4):
-            formula = random_formula(rng, scope, depth=2)
-            valuation = Valuation({v: rng.choice(domain) for v in scope})
+        db, cases = open_formula_cases(seed)
+        for formula, valuation in cases:
             naive = FormulaEvaluator(db, compiled=False).evaluate(formula, valuation)
             compiled = FormulaEvaluator(db, compiled=True).evaluate(formula, valuation)
             assert compiled == naive, f"disagreement on {formula!r} under {valuation}"
 
+    def test_fuzzed_formulas_often_compile(self):
+        """The fuzz is not vacuous: at least 30% of its formulas run compiled."""
+        sentences = [f for seed in SENTENCE_SEEDS for f in sentence_cases(seed)[1]]
+        open_formulas = [f for seed in OPEN_FORMULA_SEEDS for f, _ in open_formula_cases(seed)[1]]
+        for formulas in (sentences, open_formulas):
+            assert sum(map(compiles, formulas)) >= 0.3 * len(formulas)
+
     @pytest.mark.parametrize("seed", range(10))
-    def test_explicit_restricted_domain(self, seed):
-        """A supplied quantification domain smaller than the active domain."""
+    def test_explicit_restricted_domain(self, seed, monkeypatch):
+        """A supplied quantification domain smaller than the active domain
+        takes the naive path, whatever the formula."""
         rng = random.Random(2000 + seed)
         db = random_database(rng, domain_size=4)
         domain = [Constant("c0"), Constant("c1")]
-        for _ in range(4):
-            formula = random_formula(rng, [], depth=2)
-            naive = FormulaEvaluator(db, domain=domain, compiled=False).evaluate(formula)
-            compiled = FormulaEvaluator(db, domain=domain, compiled=True).evaluate(formula)
-            assert compiled == naive, f"disagreement on {formula!r} with restricted domain"
+        formulas = [random_formula(rng, [], depth=2) for _ in range(4)]
+        naive = [FormulaEvaluator(db, domain=domain, compiled=False).evaluate(f) for f in formulas]
+
+        def no_compilation(formula):
+            raise AssertionError("an explicit domain must not compile")
+
+        monkeypatch.setattr(fo_evaluate, "compile_formula", no_compilation)
+        evaluator = FormulaEvaluator(db, domain=domain, compiled=True)
+        assert [evaluator.evaluate(f) for f in formulas] == naive
 
     def test_empty_database_and_domain(self):
         db = UncertainDatabase()
@@ -186,24 +228,42 @@ class TestDifferentialFuzz:
             assert evaluate_sentence(db, formula, compiled=True) == naive
 
 
+def unguarded_cases():
+    """Formulas whose plan would read the active domain, with their answer
+    over :func:`refusal_database` (the valuation binds ``x`` to ``c0``)."""
+    x, y = Variable("x"), Variable("y")
+    return [
+        pytest.param(Exists([x, y], Equals(x, y)), True, id="exists-x-y-x=y"),
+        pytest.param(Exists([y], Not(AtomFormula(SCHEMAS[0].atom(x, y)))), True, id="exists-y-not-R"),
+        pytest.param(Exists([x], Top()), True, id="vacuous-exists"),
+        pytest.param(Exists([x], Equals(x, Constant("c1"))), True, id="exists-x=c1"),
+        pytest.param(Exists([x], Equals(x, Constant("c9"))), False, id="exists-x=c9"),
+    ]
+
+
+def refusal_database():
+    return UncertainDatabase([SCHEMAS[0].fact("c0", "c1"), SCHEMAS[0].fact("c1", "c1")])
+
+
 class TestGuardedness:
-    """Range analysis: rewritings never enumerate the active domain."""
+    """Range analysis: the compiler accepts the rewritings and refuses every
+    formula whose plan would read the active domain."""
 
     @pytest.mark.parametrize("query", FO_QUERIES, ids=lambda q: str(q)[:40])
     def test_rewriting_plans_are_guarded(self, query, rng):
         plan = compile_formula(certain_rewriting_cached(query))
         db = random_instance(query, rng, domain_size=3, facts_per_relation=5)
-        ctx = EvalContext.for_database(db)
-        plan.evaluate(context=ctx)
-        assert ctx.domain_expansions == 0
+        assert plan.evaluate(db) == certain_by_enumeration(db, query)
 
-    def test_unguarded_fallback_counts_expansions(self):
-        x, y = Variable("x"), Variable("y")
-        formula = Exists([x, y], Equals(x, y))
-        db = UncertainDatabase([SCHEMAS[0].fact("a", "b")])
-        ctx = EvalContext.for_database(db)
-        assert compile_formula(formula).evaluate(context=ctx)
-        assert ctx.domain_expansions > 0
+    @pytest.mark.parametrize("formula,expected", unguarded_cases())
+    def test_unguarded_formulas_are_refused(self, formula, expected):
+        """Refused by the compiler, answered by the naive recursion."""
+        with pytest.raises(UnguardedFormulaError):
+            compile_formula(formula)
+        db = refusal_database()
+        valuation = Valuation({Variable("x"): Constant("c0")}) if formula.free_variables() else None
+        naive = FormulaEvaluator(db, compiled=False).evaluate(formula, valuation)
+        assert FormulaEvaluator(db).evaluate(formula, valuation) is naive is expected
 
     def test_atom_probes_use_block_index(self):
         query = fuxman_miller_cfree_example()
@@ -355,6 +415,12 @@ class TestEngineRouting:
         with CertaintySession(db) as session:
             assert len(session.certain_answers(query)) == 1
         assert len(certain_answers(db, query)) == 1
+
+    def test_session_evaluates_unguarded_sentences(self):
+        x, y = Variable("x"), Variable("y")
+        with CertaintySession(refusal_database()) as session:
+            assert session.evaluate_formula(Exists([x, y], Equals(x, y)))
+            assert not session.evaluate_formula(Exists([x], Equals(x, Constant("c9"))))
 
     def test_session_tracks_mutation(self):
         query = fuxman_miller_cfree_example()

@@ -203,7 +203,6 @@ class TestReadSets:
             bob_block = session.store.known_block_id("Emp", (Constant("bob"),))
         assert set(certain) == {(Constant("ada"),), (Constant("bob"),)}
         ada = support[(Constant("ada"),)]
-        assert not ada.domain_read
         assert ada_block is not None and bob_block is not None
         # ada's decision must depend on her own Emp block…
         assert ada_block in ada.block_ids or "Emp" in ada.relations
@@ -211,7 +210,7 @@ class TestReadSets:
         assert bob_block not in ada.block_ids
 
     def test_static_support_for_brute_force(self, q1):
-        """coNP decisions record static per-atom support, never a domain read."""
+        """coNP decisions record static per-atom support."""
         open_q = open_variant(q1, "z")
         db = synthetic_instance(open_q, seed=3, domain_size=3, witnesses=4)
         with CertaintySession(db, allow_exponential=True) as session:
@@ -223,7 +222,6 @@ class TestReadSets:
         query_relations = {atom.relation.name for atom in open_q.atoms}
         assert support
         for read_set in support.values():
-            assert not read_set.domain_read
             # Every atom key of q1 is a plain variable, so the static
             # support is exactly the query's relations.
             assert read_set.relations == query_relations
@@ -252,10 +250,10 @@ class TestReadSets:
         changes = ChangeSet(added=(schema_s.fact("q", "v"),))
         assert index.dirty_for(changes) == {c2}
         # Replacing a read set cleans the old entries.
-        index.set(c1, ReadSet(domain_read=True))
+        index.set(c1, ReadSet(relations=frozenset({"S"})))
         index.check_invariants()
         assert index.candidates_for_block(block) == set()
-        assert index.global_candidates == {c1}
+        assert index.dirty_for(ChangeSet(added=(schema_r.fact("k", "v"),))) == set()
         assert index.dirty_for(ChangeSet(added=(schema_s.fact("z", "v"),))) == {c1, c2}
         index.remove(c1)
         index.remove(c2)

@@ -106,11 +106,10 @@ class TestShardOfKey:
 
 class TestReadSetValidation:
     def test_single_shard_is_always_local(self):
-        rs = ReadSet(domain_read=True, relations=frozenset({"R"}))
+        rs = ReadSet(relations=frozenset({"R"}))
         assert _read_set_is_local(rs, 0, 1)
 
     def test_global_reads_are_never_local(self):
-        assert not _read_set_is_local(ReadSet(domain_read=True), 0, 2)
         assert not _read_set_is_local(ReadSet(relations=frozenset({"R"})), 0, 2)
 
     def test_blocks_must_hash_home(self):
